@@ -7,6 +7,9 @@ from __future__ import annotations
 
 import math
 
+#: factorize() trial-divides up to this bound
+FACTOR_TRIAL_BOUND = 10**7
+
 #: below this bound the Miller-Rabin witness set is provably exhaustive
 DETERMINISTIC_PRIMALITY_BOUND = 1 << 64
 
@@ -73,11 +76,11 @@ def is_prime_certain(n: int) -> bool:
     return n < DETERMINISTIC_PRIMALITY_BOUND
 
 
-def factorize(n: int, bound: int = 10**7) -> dict[int, int]:
+def factorize(n: int) -> dict[int, int]:
     """Trial-division factorization; prime -> exponent.
 
     Raises ValueError when a composite cofactor survives trial division up
-    to `bound` (we never need large factorizations).
+    to FACTOR_TRIAL_BOUND (we never need large factorizations).
     """
     if n < 1:
         raise ValueError("factorize expects a positive integer")
@@ -88,28 +91,18 @@ def factorize(n: int, bound: int = 10**7) -> dict[int, int]:
             out[p] = out.get(p, 0) + 1
             m //= p
     f = 5
-    while f * f <= m and f <= bound:
+    while f * f <= m and f <= FACTOR_TRIAL_BOUND:
         for p in (f, f + 2):
             while m % p == 0:
                 out[p] = out.get(p, 0) + 1
                 m //= p
         f += 6
     if m > 1:
-        if m <= bound * bound or is_prime(m):
+        if m <= FACTOR_TRIAL_BOUND**2 or is_prime(m):
             out[m] = out.get(m, 0) + 1
         else:
             raise ValueError(f"cannot factor {n}: composite cofactor {m}")
     return out
-
-
-def divisors(n: int) -> list[int]:
-    """Sorted positive divisors of |n| (n nonzero)."""
-    if n == 0:
-        raise ValueError("divisors of zero")
-    divs = [1]
-    for p, e in factorize(abs(n)).items():
-        divs = [d * p**i for d in divs for i in range(e + 1)]
-    return sorted(divs)
 
 
 def sqrt_compare(d: int, num: int, den: int) -> int:

@@ -94,10 +94,9 @@ def cmd_pairs(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = SweepConfig(
-        p_max=args.p_max, k_max=args.k_max, y_max=args.y_max,
-        c_max=args.c_max, n_max=args.n_max, j_max=args.j_max,
-        limit=args.limit, samples=args.samples, seed=args.seed,
-        workers=args.workers, out=args.out,
+        p_max=args.p_max, k_max=args.k_max, c_max=args.c_max,
+        n_max=args.n_max, j_max=args.j_max, limit=args.limit,
+        samples=args.samples, seed=args.seed, workers=args.workers,
     )
     report = run_claim(args.claim_id, cfg)
     text = report.to_json(compact=args.json)
@@ -146,7 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("claim_id", choices=sorted(CLAIMS))
     p_verify.add_argument("--p-max", type=int, default=50)
     p_verify.add_argument("--k-max", type=int, default=3)
-    p_verify.add_argument("--y-max", type=int, default=10_000)
     p_verify.add_argument("--c-max", type=int, default=10_000)
     p_verify.add_argument("--n-max", type=int, default=20)
     p_verify.add_argument("--j-max", type=int, default=5)

@@ -12,7 +12,7 @@ import json
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__
@@ -49,7 +49,6 @@ PARTIAL = "PARTIAL"
 class SweepConfig:
     p_max: int = 50
     k_max: int = 3
-    y_max: int = 10_000
     c_max: int = 10_000
     n_max: int = 20
     j_max: int = 5
@@ -57,7 +56,6 @@ class SweepConfig:
     samples: int = 500
     seed: int = 0
     workers: int = 1
-    out: str | None = None
 
 
 @dataclass

@@ -111,19 +111,13 @@ def solve_brute(prob: PellianProblem, y_max: int) -> list[tuple[int, int]]:
 
 def _class_rep(d: int, x: int, y: int, t: int, u: int) -> tuple[int, int]:
     """Minimal-y representative (x >= 0) of the class of (x, y) and its conjugate."""
-    if y < 0:
-        x, y = -x, -y
-    while y > 0:
-        x1, y1 = x * t - d * y * u, y * t - x * u
-        if 0 <= y1 < y:
-            x, y = x1, y1
-            continue
-        x2, y2 = -x * t - d * y * u, y * t + x * u
-        if 0 <= y2 < y:
-            x, y = x2, y2
-            continue
-        break
-    return (abs(x), y)
+    x, y = abs(x), abs(y)
+    while True:
+        # with x, y >= 0, dividing by the unit is the only step that can lower y
+        x1, y1 = abs(x * t - d * y * u), abs(y * t - x * u)
+        if y1 >= y:
+            return (x, y)
+        x, y = x1, y1
 
 
 def _pqa_class_solutions(d: int, m_abs: int, m: int, z: int) -> list[tuple[int, int]]:
@@ -386,11 +380,11 @@ def all_solutions_stream(prob: PellianProblem, count: int) -> list[tuple[int, in
             # a + b*sqrt(d) <= 0 never reaches the positive quadrant
             if _sign_a_plus_b_sqrt(a, b, d) <= 0:
                 continue
-            for _ in range(10_000):
-                if a > 0 and b > 0:
-                    seeds.add((b, a))
-                    break
+            # a + b*sqrt(d) > 0 grows by the unit at each step while its
+            # conjugate N/(a + b*sqrt(d)) tends to 0, so a and b turn positive
+            while a <= 0 or b <= 0:
                 a, b = up(a, b)
+            seeds.add((b, a))
 
     heap = sorted(seeds)
     out = []

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arith import divisors, is_perfect_square, is_prime, isqrt
+from .arith import is_perfect_square, is_prime, isqrt
 from .pellian import (
     PellianProblem,
     PellianOutcome,
@@ -66,47 +66,29 @@ def ring_add_int(a: RingElem, n: int) -> RingElem:
     return RingElem(a.re + n, a.im, a.t)
 
 
-def _canonical(x: int, y: int, t: int) -> RingElem:
-    if x < 0 or (x == 0 and y < 0):
-        x, y = -x, -y
-    return RingElem(x, y, t)
-
-
 def sqrt_in_ring(z: RingElem) -> list[RingElem]:
-    """All w with w^2 = z, canonicalized (re > 0, or re = 0 and im >= 0).
+    """The canonical w with w^2 = z (re > 0, or re = 0 and im >= 0), or [].
 
-    Solves re = x^2 - t*y^2, im = 2*x*y by enumerating divisors of im/2;
-    for im = 0 the two degenerate branches (y = 0, x = 0) are solved
-    directly.  Empty list means z is not a square in the ring.
+    If w = x + y*sqrt(-t) squares to z then x^2 - t*y^2 = re and 2*x*y = im,
+    and the norm N(w) = x^2 + t*y^2 is the exact square root nw of
+    N(z) = re^2 + t*im^2 (just |re| when im = 0).  So x^2 = (nw + re)/2 and
+    t*y^2 = (nw - re)/2, and y takes the sign of im.  Z[sqrt(-t)] is an
+    integral domain, so the only roots are +-w and exactly one of them is
+    canonical: the list holds one root, or none when z is not a square.
     """
-    t = z.t
+    t, re, im = z.t, z.re, z.im
     if t == 0:
-        r = is_perfect_square(z.re)
+        r = is_perfect_square(re)
         return [RingElem(r, 0, 0)] if r is not None else []
-    roots: set[RingElem] = set()
-    if z.im == 0:
-        if z.re == 0:
-            return [RingElem(0, 0, t)]
-        if z.re > 0:
-            r = is_perfect_square(z.re)
-            if r is not None:
-                roots.add(_canonical(r, 0, t))
-        else:
-            q, rem = divmod(-z.re, t)
-            if rem == 0:
-                r = is_perfect_square(q)
-                if r is not None:
-                    roots.add(_canonical(0, r, t))
-    else:
-        half, rem = divmod(z.im, 2)
-        if rem != 0:
-            return []
-        for dv in divisors(half):
-            for x in (dv, -dv):
-                y = half // x
-                if x * x - t * y * y == z.re:
-                    roots.add(_canonical(x, y, t))
-    return sorted(roots, key=lambda w: (w.re, w.im))
+    nw = abs(re) if im == 0 else is_perfect_square(re * re + t * im * im)
+    if nw is None or (nw + re) % 2:
+        return []
+    x = is_perfect_square((nw + re) // 2)
+    ty2, rem = divmod((nw - re) // 2, t)
+    y = is_perfect_square(ty2) if rem == 0 else None
+    if x is None or y is None or 2 * x * y != abs(im):
+        return []
+    return [RingElem(x, y if im >= 0 else -y, t)]
 
 
 @dataclass

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pelltuples.arith import (
-    divisors,
     factorize,
     is_perfect_square,
     is_prime,
@@ -97,20 +96,6 @@ def test_factorize_reconstructs(n):
         assert is_prime(p)
         prod *= p**e
     assert prod == n
-
-
-def test_divisors_examples():
-    assert divisors(1) == [1]
-    assert divisors(12) == [1, 2, 3, 4, 6, 12]
-    assert divisors(49) == [1, 7, 49]
-
-
-@given(st.integers(min_value=1, max_value=10**6))
-def test_divisors_all_divide(n):
-    ds = divisors(n)
-    assert ds == sorted(ds)
-    assert all(n % d == 0 for d in ds)
-    assert len(ds) == sum(1 for d in range(1, n + 1) if n % d == 0) if n <= 1000 else True
 
 
 def test_sqrt_compare_examples():

@@ -52,7 +52,7 @@ SMALL = {
     "lemma3": SweepConfig(samples=100, seed=1),
     "prop26": SweepConfig(n_max=4, j_max=2),
     "fifumi-desk": SweepConfig(limit=60, c_max=500),
-    "tm-ii-1-desk": SweepConfig(limit=20, y_max=500),
+    "tm-ii-1-desk": SweepConfig(limit=20),
     "tm-ii-2": SweepConfig(),
     "pairs": SweepConfig(limit=50),
 }

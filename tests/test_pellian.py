@@ -111,6 +111,22 @@ def test_solve_complete_witnesses_are_class_fundamental():
                 assert _class_rep(d, x, y, t, u) == (x, y)
 
 
+def test_solve_complete_lists_each_class_once():
+    # Nagell: (x, y) and (x', y') lie in the same class iff |N| divides both
+    # x*x' - D*y*y' and x*y' - x'*y; (x', -y') tests the conjugate class.
+    ds = [d for d in range(2, 30) if math.isqrt(d) ** 2 != d][:20]
+    for d in ds:
+        for n in range(-30, 31):
+            if n == 0:
+                continue
+            wits = solve_complete(PellianProblem(d, n)).witnesses
+            for i, (x, y) in enumerate(wits):
+                for x2, y2 in wits[i + 1:]:
+                    for yc in (y2, -y2):
+                        same = (x * x2 - d * y * yc) % n == 0 and (x * yc - x2 * y) % n == 0
+                        assert not same, (d, n, (x, y), (x2, y2))
+
+
 def test_solve_complete_agrees_with_brute_small():
     # The acceptance suite runs the big sweep; this is a quick slice.
     for d in (2, 3, 5, 6, 7, 8, 10, 13):

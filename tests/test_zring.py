@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from pelltuples.arith import is_perfect_square, is_prime
 from pelltuples.pellian import PellianProblem, UNSOLVABLE, solve_complete
 from pelltuples.zring import (
     EXISTS_INFINITE,
@@ -64,8 +65,10 @@ def test_sqrt_in_ring_examples():
 
 
 def test_sqrt_in_ring_complete_small():
-    # Brute-force oracle over a small window of the ring.
-    for t in (1, 2, 4):
+    # Brute-force oracle over a small window of the ring.  Any root of an
+    # element in the box |re|, |im| <= 40 has x^2 + t*y^2 <= 40*sqrt(1 + t),
+    # so it lies inside the window and the box is answered exactly.
+    for t in (1, 2, 3, 4, 9, 13):
         table = {}
         for x in range(-12, 13):
             for y in range(-12, 13):
@@ -73,11 +76,35 @@ def test_sqrt_in_ring_complete_small():
                 table.setdefault(sq, set()).add((x, y))
         for z, roots in table.items():
             got = set(sqrt_in_ring(z))
-            want = {RingElem(x, y, t) for x, y in roots if (x, y) >= (-x, -y)}
             # sqrt_in_ring returns one canonical root per +/- pair.
             assert {ring_mul(r, r) for r in got} == {z}
             for x, y in roots:
                 assert RingElem(x, y, t) in got or RingElem(-x, -y, t) in got
+        for re in range(-40, 41):
+            for im in range(-40, 41):
+                z = RingElem(re, im, t)
+                want = [RingElem(x, y, t) for x, y in table.get(z, ())
+                        if x > 0 or (x == 0 and y >= 0)]
+                assert sqrt_in_ring(z) == want, z
+
+
+# Two 31-digit primes: im/2 = P*Q is far beyond trial division.
+_P = 1000000000000000000000000000057
+_Q = 2000000000000000000000000000071
+
+
+def test_sqrt_in_ring_large_planted_square():
+    assert is_prime(_P) and is_prime(_Q)
+    w = RingElem(_P, -_Q, 7)
+    z = ring_mul(w, w)
+    assert len(str(abs(z.re))) >= 60 and z.im == -2 * _P * _Q
+    assert sqrt_in_ring(z) == [w]
+
+
+def test_sqrt_in_ring_large_non_square():
+    z = RingElem(_P * _P - 7 * _Q * _Q + 2, 2 * _P * _Q, 7)
+    assert is_perfect_square(z.re**2 + 7 * z.im**2) is None
+    assert sqrt_in_ring(z) == []
 
 
 def test_sqrt_roundtrip_random():
