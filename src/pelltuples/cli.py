@@ -11,7 +11,7 @@ import json
 import re
 import sys
 
-from .contfrac import QuadIrr, convergents, expand
+from .contfrac import ExpansionCapExceeded, QuadIrr, convergents, expand
 from .harness import CLAIMS, SweepConfig, deep_dec, run_claim
 from .pellian import PellianProblem, solve_complete
 from .zring import RingElem, check_tuple, find_admissible_pairs
@@ -164,7 +164,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, ExpansionCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -163,15 +163,17 @@ def _product_expansion(alpha: int, beta: int) -> CFExpansion:
     return expand(QuadIrr(alpha * beta, 0, beta))
 
 
+def _lemma_db_rhs(exp: CFExpansion, n: int, r: int, u: int) -> int:
+    (_, t1), (s2, t2) = exp.aux_at(n + 1), exp.aux_at(n + 2)
+    return (-1) ** n * (u * u * t1 + 2 * r * u * s2 - r * r * t2)
+
+
 def lemma_db_value(alpha: int, beta: int, n: int, r: int, u: int) -> int:
     """(-1)^n * (u^2 t_{n+1} + 2 r u s_{n+2} - r^2 t_{n+2}).
 
     The side sequences come from the expansion of sqrt(alpha*beta)/beta.
     """
-    exp = _product_expansion(alpha, beta)
-    t1 = exp.aux_at(n + 1)[1]
-    s2, t2 = exp.aux_at(n + 2)
-    return (-1) ** n * (u * u * t1 + 2 * r * u * s2 - r * r * t2)
+    return _lemma_db_rhs(_product_expansion(alpha, beta), n, r, u)
 
 
 def lemma_db_check(alpha: int, beta: int, n: int, r: int, u: int) -> int:
@@ -185,7 +187,7 @@ def lemma_db_check(alpha: int, beta: int, n: int, r: int, u: int) -> int:
     pn, qn = conv.pair(n)
     pn1, qn1 = conv.pair(n + 1)
     lhs = alpha * (r * qn1 + u * qn) ** 2 - beta * (r * pn1 + u * pn) ** 2
-    rhs = lemma_db_value(alpha, beta, n, r, u)
+    rhs = _lemma_db_rhs(exp, n, r, u)
     if lhs != rhs:
         raise AssertionError(f"identity violated: lhs={lhs} rhs={rhs}")
     return rhs

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import __version__
 from .arith import is_perfect_square, is_prime, isqrt
-from .contfrac import QuadIrr, expand, lemma_db_check, lemma_db_value, worley_candidates, convergents
+from .contfrac import QuadIrr, expand, lemma_db_check, worley_candidates, convergents
 from .pellian import (
     PellianProblem,
     SOLVABLE,
@@ -235,11 +235,9 @@ def claim_worley(cfg: SweepConfig) -> ClaimReport:
     ok = True
     b_max = 60
     for alpha in irrationals:
-        # m large enough that q_{m+1} exceeds every tested denominator
-        exp = expand(alpha)
-        m_max = 1
-        while convergents(exp, m_max + 1).pair(m_max)[1] <= b_max:
-            m_max += 1
+        # least m >= 1 with q_m > b_max; q_m >= 2^(m//2), so m <= 2*bit_length(b_max)
+        conv = convergents(expand(alpha), 2 * b_max.bit_length())
+        m_max = next(m for m, (_, q) in enumerate(conv.pairs[2:], 1) if q > b_max)
         for c in (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)):
             cands = {(w.a, w.b) for w in worley_candidates(alpha, c, m_max)}
             cands |= {(-a, -b) for a, b in cands}

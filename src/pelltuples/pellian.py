@@ -2,32 +2,33 @@
 
 Two complete methods are available and cross-checked:
 
-* bounded enumeration of y through the classical fundamental-solution
-  bound derived from the Pell unit (used whenever that bound is small
-  enough to scan), and
-* a continued-fraction class search (PQa over every residue z with
-  z^2 = D mod |N/f^2|) for problems whose enumeration bound is huge.
+* bounded enumeration of y up to the fundamental-solution bound derived
+  from the Pell unit, while that bound is at most ENUM_BOUND_LIMIT, and
+* the Lagrange-Matthews-Mollin class search above it: for every f^2 | N
+  and every root z of z^2 = D (mod |N/f^2|), read off the factorization
+  of N, walk the continued fraction of (z + sqrt(D))/|N/f^2|.
 
 Both report the same canonical witnesses: one minimal-y representative
-per solution class, with x >= 0.
+per solution class and its conjugate, with x >= 0.  Only factorize() and
+expand() limit the class search, and both raise.
 """
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
-from .arith import is_perfect_square, is_prime, isqrt
-from .contfrac import QuadIrr, expand, convergents, floor_quadirr, _sign_a_plus_b_sqrt
+from .arith import factorize, is_perfect_square, is_prime, isqrt
+from .contfrac import QuadIrr, expand, convergents, _sign_a_plus_b_sqrt
 
 SOLVABLE = "SOLVABLE"
 UNSOLVABLE = "UNSOLVABLE"
 
 #: switch to the continued-fraction class search above this enumeration bound
 ENUM_BOUND_LIMIT = 1_000_000
-#: largest modulus for which square roots of D are found by direct scan
-Z_SCAN_LIMIT = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -51,19 +52,11 @@ class PellianOutcome:
     certificate: object = None
 
 
-class PellUnit(tuple):
+class PellUnit(NamedTuple):
     """(t, u): least positive solution of t^2 - D*u^2 = 1."""
 
-    def __new__(cls, t, u):
-        return super().__new__(cls, (t, u))
-
-    @property
-    def t(self):
-        return self[0]
-
-    @property
-    def u(self):
-        return self[1]
+    t: int
+    u: int
 
 
 @lru_cache(maxsize=None)
@@ -120,59 +113,69 @@ def _class_rep(d: int, x: int, y: int, t: int, u: int) -> tuple[int, int]:
         x, y = x1, y1
 
 
-def _pqa_class_solutions(d: int, m_abs: int, m: int, z: int) -> list[tuple[int, int]]:
-    """PQa walk on (z + sqrt(d))/m_abs collecting (G, B) with G^2 - d*B^2 = m.
+def _sqrt_mod_prime(a: int, p: int) -> list[int]:
+    """All z in [0, p) with z^2 = a (mod p): Tonelli-Shanks for odd p not dividing a."""
+    if a % p == 0 or p == 2:
+        return [a % p]
+    if pow(a, (p - 1) // 2, p) != 1:
+        return []
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i = next(i for i in range(1, s) if pow(t, 1 << i, p) == 1)
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return [r, p - r]
 
-    Requires z^2 = d (mod m_abs).  The walk covers the preperiod plus two
-    full periods of the (P, Q) sequence, which is enough to see every
-    solution class attached to this residue.
-    """
-    p, q = z, m_abs
-    b2, b1 = 1, 0
-    g2, g1 = -p, q
-    sols = []
-    seen: dict[tuple[int, int], int] = {}
-    steps = 0
-    while True:
-        key = (p, q)
-        c = seen.get(key, 0)
-        if c >= 2:
-            break
-        seen[key] = c + 1
-        a = floor_quadirr(p, d, q)
-        b = a * b1 + b2
-        g = a * g1 + g2
-        if g * g - d * b * b == m:
-            sols.append((g, b))
-        p = a * q - p
-        q = (d - p * p) // q
-        b2, b1 = b1, b
-        g2, g1 = g1, g
-        steps += 1
-        if steps > 1_000_000:  # pragma: no cover
-            raise RuntimeError("PQa walk did not cycle")
-    return sols
+
+def _sqrt_mod_prime_power(d: int, p: int, e: int) -> list[int]:
+    """All z in [0, p^e) with z^2 = d (mod p^e), lifted one power of p at a time."""
+    roots, pk = _sqrt_mod_prime(d % p, p), p
+    for _ in range(e - 1):
+        # (r + j*p^k)^2 = r^2 + 2rj*p^k (mod p^(k+1)): one j lifts r, or all p, or none
+        lifted = []
+        for r in roots:
+            c = (d - r * r) // pk
+            if 2 * r % p:
+                lifted.append(r + pk * (c * pow(2 * r, -1, p) % p))
+            elif c % p == 0:
+                lifted.extend(range(r, r + p * pk, pk))
+        roots, pk = lifted, pk * p
+    return roots
+
+
+def _sqrt_mod(d: int, factors: dict[int, int]) -> list[int]:
+    """All z in [0, m) with z^2 = d (mod m), m = prod p^e over `factors`, by CRT."""
+    roots, mod = [0], 1
+    for p, e in factors.items():
+        pe = p**e
+        inv = pow(mod, -1, pe)
+        roots = [r + mod * ((s - r) * inv % pe)
+                 for r in roots for s in _sqrt_mod_prime_power(d, p, e)]
+        mod *= pe
+    return sorted(roots)
 
 
 def _cf_class_solutions(d: int, n: int) -> list[tuple[int, int]]:
-    """One member of every solution class of x^2 - d*y^2 = n."""
+    """A solution with y > 0 in every solution class of x^2 - d*y^2 = n."""
     sols: list[tuple[int, int]] = []
-    r = is_perfect_square(n) if n > 0 else None
-    if r is not None:
-        sols.append((r, 0))
-    for f in range(1, isqrt(abs(n)) + 1):
-        if n % (f * f) != 0:
-            continue
+    fac = factorize(abs(n))
+    for halves in itertools.product(*(range(e // 2 + 1) for e in fac.values())):
+        f = math.prod(p**h for p, h in zip(fac, halves))
         m = n // (f * f)
         m_abs = abs(m)
-        if m_abs > Z_SCAN_LIMIT:
-            raise RuntimeError(f"residue scan infeasible for |N/f^2|={m_abs}")
-        for z0 in range(m_abs):
-            if (z0 * z0 - d) % m_abs != 0:
-                continue
-            z = z0 if 2 * z0 <= m_abs else z0 - m_abs
-            for g, bq in _pqa_class_solutions(d, m_abs, m, z):
-                sols.append((f * g, f * bq))
+        m_fac = {p: e - 2 * h for (p, e), h in zip(fac.items(), halves) if e > 2 * h}
+        for z in _sqrt_mod(d, m_fac):
+            # PQa on (z + sqrt(d))/|m|: G = |m|*p - z*q over preperiod and two periods
+            exp = expand(QuadIrr(d, z, m_abs))
+            conv = convergents(exp, exp.preperiod_len + 2 * exp.period_len - 1)
+            for p, q in conv.pairs[1:]:
+                g = m_abs * p - z * q
+                if g * g - d * q * q == m:
+                    sols.append((f * g, f * q))
     return sols
 
 
@@ -187,14 +190,14 @@ def _solve_complete_cached(d: int, n: int) -> PellianOutcome:
     t, u = pell_fundamental(d)
     bound = class_bound(d, n)
     if bound <= ENUM_BOUND_LIMIT:
-        raw = list(solve_brute(prob, bound))
-        rt = is_perfect_square(n) if n > 0 else None
-        if rt is not None:
-            raw.append((rt, 0))
+        raw = solve_brute(prob, bound)
         method = "bounded-enumeration"
     else:
         raw = _cf_class_solutions(d, n)
         method = "cf-classes"
+    rt = is_perfect_square(n)
+    if rt is not None:
+        raw.append((rt, 0))
     reps = sorted({_class_rep(d, x, y, t, u) for x, y in raw})
     for x, y in reps:
         assert x * x - d * y * y == n
@@ -226,6 +229,14 @@ def fujita_fast_path(k: int, n: int) -> FujitaCertificate | None:
     if 1 < abs(n) <= k:
         return FujitaCertificate(k, n)
     return None
+
+
+def _fujita_chain(p: int, k: int, l: int) -> tuple[FujitaCertificate, ...]:
+    """Fujita certificates for K = p^(k+1) and N = -p^(2l+1), -p^(2l-1), ..., -p."""
+    certs = tuple(fujita_fast_path(p ** (k + 1), -(p ** (2 * i + 1))) for i in range(l, -1, -1))
+    if None in certs:  # pragma: no cover
+        raise RuntimeError("fast-path hypothesis unexpectedly failed")
+    return certs
 
 
 @lru_cache(maxsize=None)
@@ -277,19 +288,12 @@ def decide_paper_equation(p: int, k: int, l: int) -> PellianOutcome:
         raise ValueError("l must satisfy 0 <= l <= k")
     d = p ** (2 * k + 2) + 1
     n = -(p ** (2 * l + 1))
-    bigk = p ** (k + 1)
     certificate: object
     if 2 * l + 1 <= k + 1:
         # primitive solutions are excluded outright; a non-primitive one
         # descends by p until the same exclusion applies again
         method = "fujita"
-        certs = []
-        for i in range(l + 1):
-            cert = fujita_fast_path(bigk, -(p ** (2 * l - 2 * i + 1)))
-            if cert is None:  # pragma: no cover
-                raise RuntimeError("fast-path hypothesis unexpectedly failed")
-            certs.append(cert)
-        certificate = tuple(certs)
+        certificate = _fujita_chain(p, k, l)
     elif l == k:
         method = "residue"
         hits = case2_residue_search(p, k)
@@ -347,14 +351,8 @@ def p2_decide(k: int, l: int) -> PellianOutcome:
         out = PellianOutcome(SOLVABLE, check.witnesses, "paper-family",
                              check.search_bound_used, {"family_witness": (x, y)})
     else:
-        bigk = 2 ** (k + 1)
-        certs = []
-        for i in range(l + 1):
-            cert = fujita_fast_path(bigk, -(2 ** (2 * l - 2 * i + 1)))
-            if cert is None:  # pragma: no cover
-                raise RuntimeError("fast-path hypothesis unexpectedly failed")
-            certs.append(cert)
-        out = PellianOutcome(UNSOLVABLE, (), "fujita", check.search_bound_used, tuple(certs))
+        out = PellianOutcome(UNSOLVABLE, (), "fujita", check.search_bound_used,
+                             _fujita_chain(2, k, l))
     if out.verdict != check.verdict:
         raise RuntimeError(f"fatal discrepancy at (k={k}, l={l}): "
                            f"{out.verdict} vs {check.verdict}")

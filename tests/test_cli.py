@@ -61,6 +61,22 @@ def test_pell_17_minus8(capsys):
     assert code == 0 and doc["verdict"] == "SOLVABLE"
 
 
+def test_pell_large_prime_n(capsys):
+    code, out, _ = run(capsys, "pell", "991", "--", "10000019")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["verdict"] == "UNSOLVABLE"
+    assert doc["method"] == "cf-classes"
+
+
+def test_expansion_cap_is_usage_error(capsys):
+    # sqrt(100000000019) has no period within expand()'s 100,000-term cap
+    for argv in (("pell", "100000000019", "1"), ("cf", "100000000019", "0", "1")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out
+        assert err.startswith("error: no period within")
+
+
 def test_pell_rejects_square_d(capsys):
     code, _, err = run(capsys, "pell", "16", "3")
     assert code == 2

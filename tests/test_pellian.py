@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from pelltuples.arith import is_perfect_square, is_prime
+from pelltuples.arith import factorize, is_perfect_square, is_prime
 from pelltuples.pellian import (
     SOLVABLE,
     UNSOLVABLE,
@@ -22,7 +22,9 @@ from pelltuples.pellian import (
     pell_fundamental,
     solve_brute,
     solve_complete,
+    _cf_class_solutions,
     _class_rep,
+    _sqrt_mod,
 )
 
 NONSQUARES = [d for d in range(2, 80) if is_perfect_square(d) is None]
@@ -125,6 +127,43 @@ def test_solve_complete_lists_each_class_once():
                     for yc in (y2, -y2):
                         same = (x * x2 - d * y * yc) % n == 0 and (x * yc - x2 * y) % n == 0
                         assert not same, (d, n, (x, y), (x2, y2))
+
+
+def test_sqrt_mod_matches_brute_force():
+    for m in range(1, 401):
+        fac = factorize(m)
+        table: dict[int, list[int]] = {}
+        for z in range(m):
+            table.setdefault(z * z % m, []).append(z)
+        for d in list(range(m)) + [7 * m * m, 2**15, 3**12]:
+            assert _sqrt_mod(d, fac) == table.get(d % m, []), (d, m)
+
+
+def _class_search_reps(d, n):
+    t, u = pell_fundamental(d)
+    return tuple(sorted({_class_rep(d, x, y, t, u) for x, y in _cf_class_solutions(d, n)}))
+
+
+def test_class_search_matches_solve_complete():
+    # solve_complete enumerates y up to the class bound on all of these, so the
+    # class search is checked against an independent route; the prime powers
+    # that share primes with D take the lifting path for p = 2 and for p | D.
+    for d in range(2, 61):
+        if is_perfect_square(d) is not None:
+            continue
+        ns = [n for n in range(-60, 61) if n != 0]
+        ns += [s * n for s in (1, -1)
+               for n in [2**a for a in range(6, 11)] + [3**a * d for a in range(1, 5)]
+               + [p**a for p in factorize(d) for a in range(2, 5)]]
+        for n in ns:
+            assert _class_search_reps(d, n) == solve_complete(PellianProblem(d, n)).witnesses, (d, n)
+
+
+def test_class_search_large_prime_n():
+    # |N| = 10000019 is prime: f = 1, and Tonelli-Shanks gives both residues
+    out = solve_complete(PellianProblem(991, -10000019))
+    assert out.method == "cf-classes"
+    assert out.witnesses == ((2038005236435, 64739369922),)
 
 
 def test_solve_complete_agrees_with_brute_small():
