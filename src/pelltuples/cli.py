@@ -148,8 +148,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--c-max", type=int, default=10_000)
     p_verify.add_argument("--n-max", type=int, default=20)
     p_verify.add_argument("--j-max", type=int, default=5)
-    p_verify.add_argument("--limit", type=int, default=None)
-    p_verify.add_argument("--samples", type=int, default=500)
+    p_verify.add_argument("--limit", type=int, default=None,
+                          help="read by fujita, tm-ii-1-desk and pairs")
+    p_verify.add_argument("--samples", type=int, default=500,
+                          help="read by dubo and lemma3")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--workers", type=int, default=1)
     p_verify.add_argument("--out", type=str, default=None)

@@ -30,6 +30,9 @@ UNSOLVABLE = "UNSOLVABLE"
 #: switch to the continued-fraction class search above this enumeration bound
 ENUM_BOUND_LIMIT = 1_000_000
 
+#: entries kept by each of the module's caches
+CACHE_SIZE = 4096
+
 
 @dataclass(frozen=True)
 class PellianProblem:
@@ -59,7 +62,7 @@ class PellUnit(NamedTuple):
     u: int
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def pell_fundamental(d: int) -> PellUnit:
     """Least (t, u) with t^2 - d*u^2 = 1, from the CF expansion of sqrt(d)."""
     exp = expand(QuadIrr(d, 0, 1))
@@ -184,7 +187,7 @@ def solve_complete(prob: PellianProblem) -> PellianOutcome:
     return _solve_complete_cached(prob.d, prob.n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _solve_complete_cached(d: int, n: int) -> PellianOutcome:
     prob = PellianProblem(d, n)
     t, u = pell_fundamental(d)
@@ -239,48 +242,45 @@ def _fujita_chain(p: int, k: int, l: int) -> tuple[FujitaCertificate, ...]:
     return certs
 
 
-@lru_cache(maxsize=None)
-def case2_residue_search(p: int, k: int) -> tuple[tuple[int, int, int, int], ...]:
-    """Exhaustive search for (r, u, t, sign) with u^2 - r^2 +- 2*r*u*p^(k+1)
-    an odd power p^(2k-2t+1), over coprime r*u < p^k.
+def _residue_hits(p: int, k: int, targets: dict[int, int]) -> tuple[tuple[int, int, int, int], ...]:
+    """Every (r, u, targets[M], sg) with u^2 - r^2 + 2*sg*r*u*P = M, P = p^(k+1),
+    over coprime r, u >= 0 with r*u < p^k, ordered by r, u, -sg.
 
-    Returns every hit found (expected none); gcd(r, u) = 1 restricts the
-    r = 0 / u = 0 rays to r, u = 1.
+    s = min(r, u) <= isqrt(p^k - 1), and with D = P^2 + 1 the other value is a
+    root of a quadratic: r = s gives u = -sg*P*s +- sqrt(D*s^2 + M), and u = s
+    gives r = sg*P*s +- sqrt(D*s^2 - M).
     """
+    pk, big_p, d = p**k, p ** (k + 1), p ** (2 * k + 2) + 1
+    hits = set()
+    for s, (m, t), side in itertools.product(range(isqrt(pk - 1) + 1), targets.items(), (1, -1)):
+        w = is_perfect_square(d * s * s + side * m)
+        if w is None:
+            continue
+        for sg in (1, -1):
+            for other in (w - side * sg * big_p * s, -w - side * sg * big_p * s):
+                r, u = (s, other) if side == 1 else (other, s)
+                if other >= 0 and r * u < pk and math.gcd(r, u) == 1:
+                    hits.add((r, u, t, sg))
+    return tuple(sorted(hits, key=lambda h: (h[0], h[1], -h[3])))
+
+
+def case2_residue_search(p: int, k: int) -> tuple[tuple[int, int, int, int], ...]:
+    """Every (r, u, t, sg) with u^2 - r^2 + 2*sg*r*u*p^(k+1) = p^(2k-2t+1), 0 <= t <= k,
+    over coprime r, u >= 0 with r*u < p^k (expected: none), in closed form (_residue_hits)."""
     if p == 2 or not is_prime(p):
         raise ValueError("p must be an odd prime")
     if k < 0:
         raise ValueError("k must be >= 0")
-    pk = p**k
-    pk1 = p ** (k + 1)
-    targets = {p ** (2 * k - 2 * t + 1): t for t in range(k + 1)}
-    hits: list[tuple[int, int, int, int]] = []
-
-    def check(r: int, u: int):
-        base = u * u - r * r
-        cross = 2 * r * u * pk1
-        for sg in (1, -1):
-            val = base + sg * cross
-            if val in targets:
-                hits.append((r, u, targets[val], sg))
-
-    check(0, 1)
-    check(1, 0)
-    gcd = math.gcd
-    for r in range(1, pk):
-        for u in range(1, (pk - 1) // r + 1):
-            if gcd(r, u) == 1:
-                check(r, u)
-    return tuple(hits)
+    return _residue_hits(p, k, {p ** (2 * k - 2 * t + 1): t for t in range(k + 1)})
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def decide_paper_equation(p: int, k: int, l: int) -> PellianOutcome:
     """Decide x^2 - (p^(2k+2)+1)*y^2 = -p^(2l+1) for odd prime p, 0 <= l <= k.
 
-    Three specialized routes (no-primitive fast path with prime descent,
-    residue/approximation search, descent to the l = k case), each
-    independently confirmed against solve_complete; a mismatch is fatal.
+    Three routes (Fujita chain with prime descent, the closed-form residue
+    check for l = k, descent to l = k), each confirmed by solve_complete,
+    whose search covers every y, small y included; a mismatch is fatal.
     """
     if p == 2 or not is_prime(p):
         raise ValueError("p must be an odd prime")
@@ -299,11 +299,7 @@ def decide_paper_equation(p: int, k: int, l: int) -> PellianOutcome:
         hits = case2_residue_search(p, k)
         if hits:  # pragma: no cover
             raise RuntimeError(f"residue search found unexpected hits: {hits}")
-        small_bound = isqrt(p ** (2 * k + 1))  # largest y < p^((2k+1)/2)
-        small = solve_brute(PellianProblem(d, n), small_bound) if small_bound >= 1 else []
-        if small:  # pragma: no cover
-            raise RuntimeError(f"unexpected small solutions: {small}")
-        certificate = {"small_y_bound": small_bound, "residue_hits": 0}
+        certificate = {"residue_hits": 0}
     else:
         method = "descent"
         inner = decide_paper_equation(p, k, k)

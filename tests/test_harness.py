@@ -48,10 +48,10 @@ SMALL = {
     "p2-prop": SweepConfig(),
     "fujita": SweepConfig(limit=10),
     "dubo": SweepConfig(samples=50, seed=1),
-    "worley": SweepConfig(samples=20, seed=1),
+    "worley": SweepConfig(seed=1),
     "lemma3": SweepConfig(samples=100, seed=1),
     "prop26": SweepConfig(n_max=4, j_max=2),
-    "fifumi-desk": SweepConfig(limit=60, c_max=500),
+    "fifumi-desk": SweepConfig(c_max=500),
     "tm-ii-1-desk": SweepConfig(limit=20),
     "tm-ii-2": SweepConfig(),
     "pairs": SweepConfig(limit=50),

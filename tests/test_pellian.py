@@ -24,6 +24,7 @@ from pelltuples.pellian import (
     solve_complete,
     _cf_class_solutions,
     _class_rep,
+    _residue_hits,
     _sqrt_mod,
 )
 
@@ -214,6 +215,45 @@ def test_case2_residue_search_examples():
     assert case2_residue_search(3, 1) == ()
     assert case2_residue_search(5, 1) == ()
     assert case2_residue_search(7, 2) == ()
+    # the pair search below cannot finish this one
+    assert case2_residue_search(199, 4) == ()
+
+
+def _pair_search_hits(p, k, targets):
+    """The exhaustive pair search that the closed form replaced, kept as the oracle."""
+    pk = p**k
+    pk1 = p ** (k + 1)
+    hits: list[tuple[int, int, int, int]] = []
+
+    def check(r: int, u: int):
+        base = u * u - r * r
+        cross = 2 * r * u * pk1
+        for sg in (1, -1):
+            val = base + sg * cross
+            if val in targets:
+                hits.append((r, u, targets[val], sg))
+
+    check(0, 1)
+    check(1, 0)
+    gcd = math.gcd
+    for r in range(1, pk):
+        for u in range(1, (pk - 1) // r + 1):
+            if gcd(r, u) == 1:
+                check(r, u)
+    return tuple(hits)
+
+
+def test_case2_matches_pair_search():
+    # the paper's targets have no hits, so every 0 < |M| <= 400 is tried:
+    # the closed form must find the pair search's hits in the same order
+    targets = {m: m for m in range(-400, 401) if m != 0}
+    total = 0
+    for p, k in ((3, 0), (3, 1), (3, 2), (3, 3), (5, 0), (5, 1), (5, 2),
+                 (7, 1), (7, 2), (11, 1), (13, 1), (13, 2)):
+        hits = _residue_hits(p, k, targets)
+        assert hits == _pair_search_hits(p, k, targets), (p, k)
+        total += len(hits)
+    assert total > 0
 
 
 def test_decide_paper_equation_small():
@@ -228,8 +268,10 @@ def test_decide_paper_equation_small():
 def test_decide_paper_equation_methods():
     # 2l+1 <= k+1 goes through the Fujita chain.
     assert decide_paper_equation(3, 2, 0).method == "fujita"
-    # l = k needs the residue/descent machinery.
-    assert decide_paper_equation(5, 1, 1).method in ("residue", "descent")
+    # l = k with 2l+1 > k+1 always takes the residue route.
+    out = decide_paper_equation(5, 1, 1)
+    assert out.method == "residue"
+    assert out.certificate == {"residue_hits": 0}
 
 
 def test_decide_paper_equation_validation():
