@@ -10,7 +10,6 @@ from .contfrac import (
     convergents,
     expand,
     lemma_db_check,
-    lemma_db_value,
     worley_candidates,
 )
 from .pellian import (
@@ -45,7 +44,7 @@ __all__ = [
     "__version__",
     "isqrt", "is_perfect_square", "is_prime",
     "QuadIrr", "CFExpansion", "ConvergentSeq", "expand", "convergents",
-    "lemma_db_value", "lemma_db_check", "worley_candidates",
+    "lemma_db_check", "worley_candidates",
     "PellianProblem", "PellianOutcome", "PellUnit",
     "pell_fundamental", "solve_brute", "solve_complete", "fujita_fast_path",
     "decide_paper_equation", "case2_residue_search", "p2_decide",

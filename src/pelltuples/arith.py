@@ -104,13 +104,3 @@ def factorize(n: int) -> dict[int, int]:
             raise ValueError(f"cannot factor {n}: composite cofactor {m}")
     return out
 
-
-def sqrt_compare(d: int, num: int, den: int) -> int:
-    """Sign of sqrt(d) - num/den for d >= 0, den > 0. Exact."""
-    if den <= 0:
-        raise ValueError("den must be positive")
-    if num <= 0:
-        return 1 if d > 0 else (0 if num == 0 else 1)
-    lhs = d * den * den
-    rhs = num * num
-    return (lhs > rhs) - (lhs < rhs)

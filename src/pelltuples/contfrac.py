@@ -9,9 +9,12 @@ integer recurrence
 
 which stays in exact integers as long as t | d - s^2.  The expansion is
 periodic; the period is detected from the first repeated (s_n, t_n) pair.
+`walk` is the one copy of this recurrence: `expand` records its terms, and
+the Pell class search keeps convergents in the same loop.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -103,27 +106,48 @@ class ExpansionCapExceeded(RuntimeError):
     pass
 
 
+def walk(d: int, s: int, t: int, periods: int = 1,
+         max_terms: int = 100_000) -> Iterator[tuple[int, int, int]]:
+    """Yield (a_n, s_{n+1}, t_{n+1}) for (s + sqrt(d))/t through the preperiod
+    and `periods` periods, for non-square d and t | d - s^2.
+
+    The period is the first repeated (s_n, t_n) pair; if none repeats within
+    max_terms terms, ExpansionCapExceeded is raised.
+    """
+    f = isqrt(d)
+    if f * f == d:
+        raise ValueError(f"d={d} is a perfect square")
+    if t == 0 or (d - s * s) % t:
+        raise ValueError("t must be a nonzero divisor of d - s^2")
+    seen: dict[tuple[int, int], int] = {}
+    n, end = 0, -1
+    while n != end:
+        if end < 0:
+            if n == max_terms:
+                raise ExpansionCapExceeded(f"no period within {max_terms} terms")
+            j = seen.setdefault((s, t), n)
+            if j < n:
+                # the period has n - j terms; run periods - 1 more of them
+                end = n + (n - j) * (periods - 1)
+                continue
+        # floor((s + sqrt(d))/t), as in floor_quadirr
+        a = (s + f) // t if t > 0 else -((s + f) // -t) - 1
+        s = a * t - s
+        t = (d - s * s) // t
+        yield a, s, t
+        n += 1
+
+
 def expand(alpha: QuadIrr, max_terms: int = 100_000) -> CFExpansion:
     """Continued fraction of alpha, with period detected from (s_n, t_n)."""
-    d = alpha.d
-    s, t = alpha.s, alpha.t
-    seen: dict[tuple[int, int], int] = {}
     quots: list[int] = []
-    aux: list[tuple[int, int]] = [(s, t)]
-    for n in range(max_terms):
-        key = (s, t)
-        if key in seen:
-            j = seen[key]
-            return CFExpansion(alpha, quots, j, n - j, aux)
-        seen[key] = n
-        a = floor_quadirr(s, d, t)
+    aux: list[tuple[int, int]] = [(alpha.s, alpha.t)]
+    for a, s, t in walk(alpha.d, alpha.s, alpha.t, max_terms=max_terms):
         quots.append(a)
-        s = a * t - s
-        if (d - s * s) % t != 0:
-            raise ArithmeticError("recurrence left exact integers; input not normalized")
-        t = (d - s * s) // t
         aux.append((s, t))
-    raise ExpansionCapExceeded(f"no period within {max_terms} terms")
+    # the last state repeats the first state of the period, and only that one
+    j = aux.index(aux[-1])
+    return CFExpansion(alpha, quots, j, len(quots) - j, aux)
 
 
 @dataclass
@@ -155,39 +179,25 @@ def convergents(exp: CFExpansion, upto: int) -> ConvergentSeq:
     return ConvergentSeq(pairs)
 
 
-def _product_expansion(alpha: int, beta: int) -> CFExpansion:
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("alpha, beta must be positive")
-    if is_perfect_square(alpha * beta) is not None:
-        raise ValueError("alpha*beta must not be a perfect square")
-    return expand(QuadIrr(alpha * beta, 0, beta))
-
-
-def _lemma_db_rhs(exp: CFExpansion, n: int, r: int, u: int) -> int:
-    (_, t1), (s2, t2) = exp.aux_at(n + 1), exp.aux_at(n + 2)
-    return (-1) ** n * (u * u * t1 + 2 * r * u * s2 - r * r * t2)
-
-
-def lemma_db_value(alpha: int, beta: int, n: int, r: int, u: int) -> int:
-    """(-1)^n * (u^2 t_{n+1} + 2 r u s_{n+2} - r^2 t_{n+2}).
-
-    The side sequences come from the expansion of sqrt(alpha*beta)/beta.
-    """
-    return _lemma_db_rhs(_product_expansion(alpha, beta), n, r, u)
-
-
 def lemma_db_check(alpha: int, beta: int, n: int, r: int, u: int) -> int:
     """Recompute the identity's left side from convergents and assert equality.
 
     Left side: alpha*(r q_{n+1} + u q_n)^2 - beta*(r p_{n+1} + u p_n)^2,
-    with p_m/q_m the convergents of sqrt(alpha/beta).
+    with p_m/q_m the convergents of sqrt(alpha/beta).  Right side, returned:
+    (-1)^n * (u^2 t_{n+1} + 2 r u s_{n+2} - r^2 t_{n+2}), with the side
+    sequences of the expansion of sqrt(alpha*beta)/beta.
     """
-    exp = _product_expansion(alpha, beta)
+    if alpha <= 0 or beta <= 0:
+        raise ValueError("alpha, beta must be positive")
+    if is_perfect_square(alpha * beta) is not None:
+        raise ValueError("alpha*beta must not be a perfect square")
+    exp = expand(QuadIrr(alpha * beta, 0, beta))
     conv = convergents(exp, n + 1)
     pn, qn = conv.pair(n)
     pn1, qn1 = conv.pair(n + 1)
     lhs = alpha * (r * qn1 + u * qn) ** 2 - beta * (r * pn1 + u * pn) ** 2
-    rhs = _lemma_db_rhs(exp, n, r, u)
+    (_, t1), (s2, t2) = exp.aux_at(n + 1), exp.aux_at(n + 2)
+    rhs = (-1) ** n * (u * u * t1 + 2 * r * u * s2 - r * r * t2)
     if lhs != rhs:
         raise AssertionError(f"identity violated: lhs={lhs} rhs={rhs}")
     return rhs

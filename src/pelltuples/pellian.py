@@ -6,23 +6,31 @@ Two complete methods are available and cross-checked:
   from the Pell unit, while that bound is at most ENUM_BOUND_LIMIT, and
 * the Lagrange-Matthews-Mollin class search above it: for every f^2 | N
   and every root z of z^2 = D (mod |N/f^2|), read off the factorization
-  of N, walk the continued fraction of (z + sqrt(D))/|N/f^2|.
+  of N, one pass of contfrac.walk over (z + sqrt(D))/Q_0, Q_0 = |N/f^2|,
+  through the preperiod and two periods, with the convergents (p_i, q_i)
+  kept in the same loop.  The PQa identity
+  G_i^2 - D*q_i^2 = (-1)^(i+1) * t_{i+1} * Q_0, G_i = Q_0*p_i - z*q_i
+  (J. P. Robertson, "Solving the generalized Pell equation x^2 - Dy^2 = N",
+  2004) makes step i a solution exactly when (-1)^(i+1) * t_{i+1} is the
+  sign of N/f^2, so G_i is formed only on those steps.  The Pell unit is
+  the first such step of the walk of sqrt(D).
 
 Both report the same canonical witnesses: one minimal-y representative
 per solution class and its conjugate, with x >= 0.  Only factorize() and
-expand() limit the class search, and both raise.
+walk()'s 100,000-term cap limit the class search, and both raise.
 """
 from __future__ import annotations
 
 import heapq
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 from .arith import factorize, is_perfect_square, is_prime, isqrt
-from .contfrac import QuadIrr, expand, convergents, _sign_a_plus_b_sqrt
+from .contfrac import _sign_a_plus_b_sqrt, walk
 
 SOLVABLE = "SOLVABLE"
 UNSOLVABLE = "UNSOLVABLE"
@@ -62,17 +70,24 @@ class PellUnit(NamedTuple):
     u: int
 
 
+def _pqa_hits(d: int, z: int, m: int) -> Iterator[tuple[int, int]]:
+    """Yield (G, B) with G^2 - d*B^2 = m from the walk of (z + sqrt(d))/|m|
+    through the preperiod and two periods, for m | z^2 - d."""
+    m_abs = abs(m)
+    # step i is a hit when (-1)^(i+1) * t_{i+1} = sign(m); want flips each step
+    want = -1 if m > 0 else 1
+    p0, q0, p, q = 0, 1, 1, 0
+    for a, _, t in walk(d, z, m_abs, periods=2):
+        p0, q0, p, q = p, q, a * p + p0, a * q + q0
+        if t == want:
+            yield m_abs * p - z * q, q
+        want = -want
+
+
 @lru_cache(maxsize=CACHE_SIZE)
 def pell_fundamental(d: int) -> PellUnit:
-    """Least (t, u) with t^2 - d*u^2 = 1, from the CF expansion of sqrt(d)."""
-    exp = expand(QuadIrr(d, 0, 1))
-    ell = exp.period_len
-    conv = convergents(exp, 2 * ell - 1)
-    for m in (ell - 1, 2 * ell - 1):
-        t, u = conv.pair(m)
-        if t * t - d * u * u == 1:
-            return PellUnit(t, u)
-    raise ArithmeticError(f"no Pell unit found for D={d}")  # pragma: no cover
+    """Least (t, u) with t^2 - d*u^2 = 1: the first hit of the walk of sqrt(d)."""
+    return PellUnit(*next(_pqa_hits(d, 0, 1)))
 
 
 def class_bound(d: int, n: int) -> int:
@@ -169,16 +184,9 @@ def _cf_class_solutions(d: int, n: int) -> list[tuple[int, int]]:
     for halves in itertools.product(*(range(e // 2 + 1) for e in fac.values())):
         f = math.prod(p**h for p, h in zip(fac, halves))
         m = n // (f * f)
-        m_abs = abs(m)
         m_fac = {p: e - 2 * h for (p, e), h in zip(fac.items(), halves) if e > 2 * h}
         for z in _sqrt_mod(d, m_fac):
-            # PQa on (z + sqrt(d))/|m|: G = |m|*p - z*q over preperiod and two periods
-            exp = expand(QuadIrr(d, z, m_abs))
-            conv = convergents(exp, exp.preperiod_len + 2 * exp.period_len - 1)
-            for p, q in conv.pairs[1:]:
-                g = m_abs * p - z * q
-                if g * g - d * q * q == m:
-                    sols.append((f * g, f * q))
+            sols.extend((f * g, f * q) for g, q in _pqa_hits(d, z, m))
     return sols
 
 

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from pelltuples.arith import (
@@ -12,7 +12,6 @@ from pelltuples.arith import (
     is_prime,
     is_prime_certain,
     isqrt,
-    sqrt_compare,
 )
 
 
@@ -96,24 +95,3 @@ def test_factorize_reconstructs(n):
         assert is_prime(p)
         prod *= p**e
     assert prod == n
-
-
-def test_sqrt_compare_examples():
-    # sqrt(10) vs 19/6: 19^2 = 361 > 360 so sqrt(10) < 19/6.
-    assert sqrt_compare(10, 19, 6) == -1
-    assert sqrt_compare(10, 3, 1) == 1
-    assert sqrt_compare(49, 7, 1) == 0
-    assert sqrt_compare(2, 141421356, 100000000) == 1
-
-
-@given(
-    st.integers(min_value=1, max_value=10**8),
-    st.integers(min_value=0, max_value=10**8),
-    st.integers(min_value=1, max_value=10**8),
-)
-@settings(max_examples=200)
-def test_sqrt_compare_matches_float(d, num, den):
-    got = sqrt_compare(d, num, den)
-    lhs = d * den * den
-    rhs = num * num
-    assert got == (0 if lhs == rhs else (1 if lhs > rhs else -1))

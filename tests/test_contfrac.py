@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pelltuples.arith import is_perfect_square, isqrt
@@ -17,7 +17,7 @@ from pelltuples.contfrac import (
     expand,
     floor_quadirr,
     lemma_db_check,
-    lemma_db_value,
+    walk,
     worley_candidates,
 )
 
@@ -140,6 +140,56 @@ def test_expansion_state_invariants_random():
             assert e.quotients[n] >= 1
 
 
+def test_walk_runs_the_preperiod_and_whole_periods():
+    rng = random.Random(13)
+    for _ in range(300):
+        alpha = _random_quadirr(rng)
+        e = expand(alpha)
+        for periods in (1, 2, 3):
+            terms = list(walk(alpha.d, alpha.s, alpha.t, periods))
+            assert len(terms) == e.preperiod_len + periods * e.period_len
+            assert terms == [(e.quotient(n), *e.aux_at(n + 1)) for n in range(len(terms))]
+
+
+def test_walk_rejects_bad_input():
+    with pytest.raises(ValueError):
+        next(walk(9, 0, 1))  # square d
+    with pytest.raises(ValueError):
+        next(walk(10, 0, 3))  # 3 does not divide 10 - 0^2
+    with pytest.raises(ValueError):
+        next(walk(10, 0, 0))
+
+
+def test_walk_cap():
+    # sqrt(10) repeats (s, t) = (3, 1) at n = 2, so a cap of 3 terms finds it
+    assert len(list(walk(10, 0, 1, max_terms=3))) == 2
+    with pytest.raises(ExpansionCapExceeded):
+        list(walk(10, 0, 1, max_terms=2))
+
+
+@st.composite
+def _pqa_start(draw):
+    """(d, z, m) with d >= 2 non-square and m | z^2 - d, m of either sign."""
+    z = draw(st.integers(min_value=-300, max_value=300))
+    m = draw(st.integers(min_value=-300, max_value=300).filter(lambda v: v != 0))
+    c = draw(st.integers(min_value=-3000, max_value=3000))
+    d = z * z - m * c
+    assume(d >= 2 and math.isqrt(d) ** 2 != d)
+    return d, z, m
+
+
+@given(_pqa_start())
+def test_pqa_identity(start):
+    # Robertson (2004): G_i^2 - d*B_i^2 = (-1)^(i+1) * Q_{i+1} * Q_0, with
+    # G_i = Q_0*A_i - P_0*B_i, (A_i, B_i) the convergents, (P, Q) = (s, t)
+    d, z, m = start
+    p0, q0, p, q = 0, 1, 1, 0
+    for i, (a, _, t) in enumerate(walk(d, z, m, periods=2)):
+        p0, q0, p, q = p, q, a * p + p0, a * q + q0
+        g = m * p - z * q
+        assert g * g - d * q * q == (-1) ** (i + 1) * t * m
+
+
 def test_convergents_examples():
     c = convergents(expand(QuadIrr(10, 0, 1)), 3)
     assert c.pair(0) == (3, 1)
@@ -199,10 +249,6 @@ def test_lemma_db_randoms():
         u = rng.randrange(0, 30)
         # lemma_db_check raises AssertionError if the two sides disagree.
         lemma_db_check(alpha, beta, n, r, u)
-
-
-def test_lemma_db_value_matches_check():
-    assert lemma_db_value(10, 1, 0, 1, 0) == lemma_db_check(10, 1, 0, 1, 0)
 
 
 def test_worley_example_sqrt10():

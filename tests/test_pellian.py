@@ -1,11 +1,13 @@
 """Generalized Pell solver, class reduction, and the prime-power deciders."""
 
+import itertools
 import math
 import random
 
 import pytest
 
-from pelltuples.arith import factorize, is_perfect_square, is_prime
+from pelltuples.arith import factorize, is_perfect_square, is_prime, isqrt
+from pelltuples.contfrac import ExpansionCapExceeded
 from pelltuples.pellian import (
     SOLVABLE,
     UNSOLVABLE,
@@ -56,6 +58,50 @@ def test_pell_fundamental_is_least_solution():
         # Minimality scan (skipped where u is huge, e.g. d = 61).
         for y in range(1, min(u, 100_000)):
             assert is_perfect_square(1 + d * y * y) is None, (d, y)
+
+
+def _expand_oracle(d, s, t):
+    """Quotients, preperiod and period of (s + sqrt(d))/t, t | d - s^2: the
+    recurrence as `contfrac.expand` ran it before it was built on `walk`."""
+    seen, quots = {}, []
+    while (s, t) not in seen:
+        seen[(s, t)] = len(quots)
+        a = (s + isqrt(d)) // t if t > 0 else -((s + isqrt(d)) // -t) - 1
+        quots.append(a)
+        s = a * t - s
+        t = (d - s * s) // t
+    j = seen[(s, t)]
+    return quots, j, len(quots) - j
+
+
+def _convergents_oracle(quots, j, upto):
+    """(p_m, q_m) for m = 0 .. upto, unrolling the period of quots from index j."""
+    out, (p0, q0), (p1, q1) = [], (0, 1), (1, 0)
+    for m in range(upto + 1):
+        a = quots[m] if m < len(quots) else quots[j + (m - j) % (len(quots) - j)]
+        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+        out.append((p1, q1))
+    return out
+
+
+def _pell_fundamental_oracle(d):
+    """The Pell unit as the expand/convergents route found it: t^2 - d*u^2 = 1
+    tested at the ends of the first and the second period."""
+    quots, j, ell = _expand_oracle(d, 0, 1)
+    conv = _convergents_oracle(quots, j, 2 * ell - 1)
+    return next((t, u) for t, u in (conv[ell - 1], conv[2 * ell - 1]) if t * t - d * u * u == 1)
+
+
+def test_pell_fundamental_matches_expand_route():
+    for d in range(2, 5001):
+        if is_perfect_square(d) is None:
+            assert pell_fundamental(d) == _pell_fundamental_oracle(d), d
+
+
+def test_pell_fundamental_cap():
+    # sqrt(100000000019) has no period within the walk's 100,000-term cap
+    with pytest.raises(ExpansionCapExceeded):
+        pell_fundamental(100000000019)
 
 
 def test_class_bound_examples():
@@ -158,6 +204,47 @@ def test_class_search_matches_solve_complete():
                + [p**a for p in factorize(d) for a in range(2, 5)]]
         for n in ns:
             assert _class_search_reps(d, n) == solve_complete(PellianProblem(d, n)).witnesses, (d, n)
+
+
+def _three_pass_class_solutions(d, n):
+    """The class search as it walked each root three times (expand, convergents,
+    then G^2 - d*B^2 at every step), kept as the oracle of the one-pass walk."""
+    sols = []
+    fac = factorize(abs(n))
+    for halves in itertools.product(*(range(e // 2 + 1) for e in fac.values())):
+        f = math.prod(p**h for p, h in zip(fac, halves))
+        m = n // (f * f)
+        m_abs = abs(m)
+        m_fac = {p: e - 2 * h for (p, e), h in zip(fac.items(), halves) if e > 2 * h}
+        for z in _sqrt_mod(d, m_fac):
+            quots, j, ell = _expand_oracle(d, z, m_abs)
+            for p, q in _convergents_oracle(quots, j, j + 2 * ell - 1):
+                g = m_abs * p - z * q
+                if g * g - d * q * q == m:
+                    sols.append((f * g, f * q))
+    return sols
+
+
+def test_class_search_matches_three_pass():
+    # the raw list, duplicates and order included, on the whole pell grid
+    for d in range(2, 201):
+        if is_perfect_square(d) is not None:
+            continue
+        for n in range(-50, 51):
+            if n != 0:
+                assert _cf_class_solutions(d, n) == _three_pass_class_solutions(d, n), (d, n)
+
+
+def test_class_search_matches_three_pass_long_period():
+    # sqrt(D) has period 380-420 and |N| is prime; the first three are solvable
+    total = 0
+    for d, n in ((340891, 382729), (343631, 22441), (662859, 745993),
+                 (848541, -3049), (853324, 9999991), (958381, -1000003)):
+        assert is_prime(abs(n)) and 380 <= _expand_oracle(d, 0, 1)[2] <= 420
+        sols = _cf_class_solutions(d, n)
+        assert sols == _three_pass_class_solutions(d, n), (d, n)
+        total += len(sols)
+    assert total > 0
 
 
 def test_class_search_large_prime_n():
