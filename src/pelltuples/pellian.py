@@ -6,14 +6,18 @@ Two complete methods are available and cross-checked:
   from the Pell unit, while that bound is at most ENUM_BOUND_LIMIT, and
 * the Lagrange-Matthews-Mollin class search above it: for every f^2 | N
   and every root z of z^2 = D (mod |N/f^2|), read off the factorization
-  of N, one pass of contfrac.walk over (z + sqrt(D))/Q_0, Q_0 = |N/f^2|,
-  through the preperiod and two periods, with the convergents (p_i, q_i)
-  kept in the same loop.  The PQa identity
-  G_i^2 - D*q_i^2 = (-1)^(i+1) * t_{i+1} * Q_0, G_i = Q_0*p_i - z*q_i
-  (J. P. Robertson, "Solving the generalized Pell equation x^2 - Dy^2 = N",
-  2004) makes step i a solution exactly when (-1)^(i+1) * t_{i+1} is the
-  sign of N/f^2, so G_i is formed only on those steps.  The Pell unit is
-  the first such step of the walk of sqrt(D).
+  of N, with 2z <= |N/f^2|, one pass of contfrac.walk over
+  (z + sqrt(D))/Q_0, Q_0 = |N/f^2|, through the preperiod and two periods.
+  The PQa identity G_i^2 - D*q_i^2 = (-1)^(i+1) * t_{i+1} * Q_0,
+  G_i = Q_0*p_i - z*q_i (J. P. Robertson, "Solving the generalized Pell
+  equation x^2 - Dy^2 = N", 2004), makes step i a solution exactly when
+  (-1)^(i+1) * t_{i+1} is the sign of N/f^2.  The walk keeps only the
+  partial quotients and stops at its first hit, where the convergent
+  (p_i, q_i) is built once.  One hit per root suffices: every hit of root
+  z has G = -z*B (mod Q_0), so by Nagell's criterion any two of them
+  differ by a unit of norm 1 and lie in one class; and root Q_0 - z gives
+  the conjugate classes, which the class representative merges.  The Pell
+  unit is the first hit of the walk of sqrt(D).
 
 Both report the same canonical witnesses: one minimal-y representative
 per solution class and its conjugate, with x >= 0.  Only factorize() and
@@ -24,7 +28,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -70,24 +73,35 @@ class PellUnit(NamedTuple):
     u: int
 
 
-def _pqa_hits(d: int, z: int, m: int) -> Iterator[tuple[int, int]]:
-    """Yield (G, B) with G^2 - d*B^2 = m from the walk of (z + sqrt(d))/|m|
-    through the preperiod and two periods, for m | z^2 - d."""
+def _pqa_first_hit(d: int, z: int, m: int) -> tuple[int, int] | None:
+    """The first (G, B) with G^2 - d*B^2 = m on the walk of (z + sqrt(d))/|m|
+    through the preperiod and two periods, for m | z^2 - d; None if none.
+
+    The walk keeps only its partial quotients, so the convergent (p_i, q_i)
+    of the hit is built once from them, and a walk without a hit does no
+    big-integer arithmetic.
+    """
     m_abs = abs(m)
     # step i is a hit when (-1)^(i+1) * t_{i+1} = sign(m); want flips each step
     want = -1 if m > 0 else 1
-    p0, q0, p, q = 0, 1, 1, 0
+    quots = []
     for a, _, t in walk(d, z, m_abs, periods=2):
-        p0, q0, p, q = p, q, a * p + p0, a * q + q0
+        quots.append(a)
         if t == want:
-            yield m_abs * p - z * q, q
+            break
         want = -want
+    else:
+        return None
+    p0, q0, p, q = 0, 1, 1, 0
+    for a in quots:
+        p0, q0, p, q = p, q, a * p + p0, a * q + q0
+    return m_abs * p - z * q, q
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def pell_fundamental(d: int) -> PellUnit:
     """Least (t, u) with t^2 - d*u^2 = 1: the first hit of the walk of sqrt(d)."""
-    return PellUnit(*next(_pqa_hits(d, 0, 1)))
+    return PellUnit(*_pqa_first_hit(d, 0, 1))
 
 
 def class_bound(d: int, n: int) -> int:
@@ -186,7 +200,13 @@ def _cf_class_solutions(d: int, n: int) -> list[tuple[int, int]]:
         m = n // (f * f)
         m_fac = {p: e - 2 * h for (p, e), h in zip(fac.items(), halves) if e > 2 * h}
         for z in _sqrt_mod(d, m_fac):
-            sols.extend((f * g, f * q) for g, q in _pqa_hits(d, z, m))
+            # the roots come sorted; root |m| - z gives the conjugate classes,
+            # which _class_rep merges
+            if 2 * z > abs(m):
+                break
+            hit = _pqa_first_hit(d, z, m)
+            if hit is not None:
+                sols.append((f * hit[0], f * hit[1]))
     return sols
 
 

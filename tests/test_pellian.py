@@ -186,9 +186,13 @@ def test_sqrt_mod_matches_brute_force():
             assert _sqrt_mod(d, fac) == table.get(d % m, []), (d, m)
 
 
-def _class_search_reps(d, n):
+def _reps(d, sols):
     t, u = pell_fundamental(d)
-    return tuple(sorted({_class_rep(d, x, y, t, u) for x, y in _cf_class_solutions(d, n)}))
+    return {_class_rep(d, x, y, t, u) for x, y in sols}
+
+
+def _class_search_reps(d, n):
+    return tuple(sorted(_reps(d, _cf_class_solutions(d, n))))
 
 
 def test_class_search_matches_solve_complete():
@@ -206,33 +210,54 @@ def test_class_search_matches_solve_complete():
             assert _class_search_reps(d, n) == solve_complete(PellianProblem(d, n)).witnesses, (d, n)
 
 
-def _three_pass_class_solutions(d, n):
-    """The class search as it walked each root three times (expand, convergents,
-    then G^2 - d*B^2 at every step), kept as the oracle of the one-pass walk."""
-    sols = []
+def _three_pass_root_hits(d, z, m):
+    """Every (G, B) with G^2 - d*B^2 = m on the walk of (z + sqrt(d))/|m|
+    through the preperiod and two periods, found in three passes (expand,
+    convergents, then G^2 - d*B^2 at every step)."""
+    m_abs = abs(m)
+    quots, j, ell = _expand_oracle(d, z, m_abs)
+    hits = []
+    for p, q in _convergents_oracle(quots, j, j + 2 * ell - 1):
+        g = m_abs * p - z * q
+        if g * g - d * q * q == m:
+            hits.append((g, q))
+    return hits
+
+
+def _root_walks(d, n):
+    """(f, m, roots) for every f^2 | n, m = n/f^2, with the roots z in [0, |m|)
+    of z^2 = d (mod |m|)."""
     fac = factorize(abs(n))
     for halves in itertools.product(*(range(e // 2 + 1) for e in fac.values())):
         f = math.prod(p**h for p, h in zip(fac, halves))
-        m = n // (f * f)
-        m_abs = abs(m)
         m_fac = {p: e - 2 * h for (p, e), h in zip(fac.items(), halves) if e > 2 * h}
-        for z in _sqrt_mod(d, m_fac):
-            quots, j, ell = _expand_oracle(d, z, m_abs)
-            for p, q in _convergents_oracle(quots, j, j + 2 * ell - 1):
-                g = m_abs * p - z * q
-                if g * g - d * q * q == m:
-                    sols.append((f * g, f * q))
+        yield f, n // (f * f), _sqrt_mod(d, m_fac)
+
+
+def _three_pass_class_solutions(d, n):
+    """The class search as it walked every root three times and kept every
+    hit, kept as the oracle of the one-pass, one-hit walk."""
+    return [(f * g, f * q) for f, m, roots in _root_walks(d, n)
+            for z in roots for g, q in _three_pass_root_hits(d, z, m)]
+
+
+def _assert_matches_three_pass(d, n):
+    """The raw list is an in-order subsequence of the oracle's, with the same classes."""
+    sols, oracle = _cf_class_solutions(d, n), _three_pass_class_solutions(d, n)
+    rest = iter(oracle)
+    assert all(sol in rest for sol in sols), (d, n)
+    assert _reps(d, sols) == _reps(d, oracle), (d, n)
     return sols
 
 
 def test_class_search_matches_three_pass():
-    # the raw list, duplicates and order included, on the whole pell grid
+    # the whole pell grid: the search keeps one hit of one root per +-z pair
     for d in range(2, 201):
         if is_perfect_square(d) is not None:
             continue
         for n in range(-50, 51):
             if n != 0:
-                assert _cf_class_solutions(d, n) == _three_pass_class_solutions(d, n), (d, n)
+                _assert_matches_three_pass(d, n)
 
 
 def test_class_search_matches_three_pass_long_period():
@@ -241,10 +266,28 @@ def test_class_search_matches_three_pass_long_period():
     for d, n in ((340891, 382729), (343631, 22441), (662859, 745993),
                  (848541, -3049), (853324, 9999991), (958381, -1000003)):
         assert is_prime(abs(n)) and 380 <= _expand_oracle(d, 0, 1)[2] <= 420
-        sols = _cf_class_solutions(d, n)
-        assert sols == _three_pass_class_solutions(d, n), (d, n)
-        total += len(sols)
+        total += len(_assert_matches_three_pass(d, n))
     assert total > 0
+
+
+def test_root_walk_hits_share_one_class():
+    # Why one hit of one root per pair suffices.  Every hit of root z has
+    # G = -z*B (mod |m|), so by Nagell's criterion any two of them differ by a
+    # unit of norm 1; and the hits of root |m| - z are the conjugate classes.
+    for d in range(2, 201):
+        if is_perfect_square(d) is not None:
+            continue
+        for n in range(-50, 51):
+            if n == 0:
+                continue
+            for f, m, roots in _root_walks(d, n):
+                m_abs = abs(m)
+                hits = {z: _three_pass_root_hits(d, z, m) for z in roots}
+                for z in roots:
+                    for (x, y), (x2, y2) in itertools.combinations(hits[z], 2):
+                        assert (x * x2 - d * y * y2) % m_abs == 0, (d, n, f, z)
+                        assert (x * y2 - x2 * y) % m_abs == 0, (d, n, f, z)
+                    assert _reps(d, hits[z]) == _reps(d, hits[(m_abs - z) % m_abs]), (d, n, f, z)
 
 
 def test_class_search_large_prime_n():
