@@ -2,7 +2,7 @@
 
 Subcommands: cf, pell, tuple, pairs, verify.  All output is JSON with big
 integers rendered as decimal strings.  Exit codes: 0 = success / claim
-confirmed, 1 = claim violated, 2 = usage or input error.
+confirmed, 1 = claim violated, 2 = usage, input or output-file error.
 """
 from __future__ import annotations
 
@@ -114,34 +114,37 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="pelltuples")
+    # no prefix matching: `verify --json` must not be read as `--jsonl`
+    ap = argparse.ArgumentParser(prog="pelltuples", allow_abbrev=False)
     ap.add_argument("--json", action="store_true",
                     help="compact single-line JSON output")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p_cf = sub.add_parser("cf", help="continued fraction of (s+sqrt(d))/t")
+    p_cf = sub.add_parser("cf", allow_abbrev=False, help="continued fraction of (s+sqrt(d))/t")
     p_cf.add_argument("d", type=int)
     p_cf.add_argument("s", type=int)
     p_cf.add_argument("t", type=int)
     p_cf.set_defaults(func=cmd_cf)
 
-    p_pell = sub.add_parser("pell", help="decide x^2 - D*y^2 = N")
+    p_pell = sub.add_parser("pell", allow_abbrev=False, help="decide x^2 - D*y^2 = N")
     p_pell.add_argument("D", type=int)
     p_pell.add_argument("N", type=int)
     p_pell.set_defaults(func=cmd_pell)
 
-    p_tuple = sub.add_parser("tuple", help="verify a D(n)-tuple in Z[sqrt(-t)]")
+    p_tuple = sub.add_parser("tuple", allow_abbrev=False,
+                             help="verify a D(n)-tuple in Z[sqrt(-t)]")
     p_tuple.add_argument("-n", type=int, required=True)
     p_tuple.add_argument("-t", type=int, default=0)
     p_tuple.add_argument("elements", nargs="+",
                          help="integers or 'a+b*w' with w=sqrt(-t)")
     p_tuple.set_defaults(func=cmd_tuple)
 
-    p_pairs = sub.add_parser("pairs", help="list (p,k,q,l) with 2p^k = q^(2^l)+1")
+    p_pairs = sub.add_parser("pairs", allow_abbrev=False,
+                             help="list (p,k,q,l) with 2p^k = q^(2^l)+1")
     p_pairs.add_argument("--limit", type=int, default=50)
     p_pairs.set_defaults(func=cmd_pairs)
 
-    p_verify = sub.add_parser("verify", help="run a claim sweep")
+    p_verify = sub.add_parser("verify", allow_abbrev=False, help="run a claim sweep")
     p_verify.add_argument("claim_id", choices=sorted(CLAIMS))
     p_verify.add_argument("--p-max", type=int, default=50)
     p_verify.add_argument("--k-max", type=int, default=3)
@@ -166,7 +169,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, ExpansionCapExceeded) as exc:
+    except (ValueError, KeyError, ExpansionCapExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,15 +21,6 @@ from fractions import Fraction
 from .arith import is_perfect_square, isqrt
 
 
-def floor_quadirr(s: int, d: int, t: int) -> int:
-    """Exact floor((s + sqrt(d)) / t) for non-square d >= 0, t != 0."""
-    f = isqrt(d)
-    if t > 0:
-        return (s + f) // t
-    # (s + sqrt(d)) / t = -(s + sqrt(d)) / |t|; the argument is irrational
-    return -((s + f) // (-t)) - 1
-
-
 @dataclass(frozen=True)
 class QuadIrr:
     """The quadratic irrational (s + sqrt(d)) / t, normalized so t | d - s^2."""
@@ -130,7 +121,8 @@ def walk(d: int, s: int, t: int, periods: int = 1,
                 # the period has n - j terms; run periods - 1 more of them
                 end = n + (n - j) * (periods - 1)
                 continue
-        # floor((s + sqrt(d))/t), as in floor_quadirr
+        # floor((s + sqrt(d))/t); for t < 0 the value is irrational, so its
+        # floor is -floor((s + sqrt(d))/|t|) - 1
         a = (s + f) // t if t > 0 else -((s + f) // -t) - 1
         s = a * t - s
         t = (d - s * s) // t

@@ -131,6 +131,8 @@ def _tm1_one_prime(args) -> list[dict]:
 
 def claim_tm1(cfg: SweepConfig) -> ClaimReport:
     primes = odd_primes_upto(cfg.p_max)
+    if not primes or cfg.k_max < 0:
+        raise ValueError("tm1 needs p_max >= 3 and k_max >= 0")
     chunks = _map_ordered(_tm1_one_prime, [(p, cfg.k_max) for p in primes], cfg.workers)
     evidence = [rec for chunk in chunks for rec in chunk]
     ok = all(rec["ok"] for rec in evidence)
@@ -166,6 +168,8 @@ def _fujita_one_k(bigk: int) -> dict:
 
 def claim_fujita(cfg: SweepConfig) -> ClaimReport:
     limit = cfg.limit or 60
+    if limit < 2:
+        raise ValueError("fujita needs limit >= 2")
     evidence = _map_ordered(_fujita_one_k, list(range(2, limit + 1)), cfg.workers)
     ok = all(not rec["violations"] for rec in evidence)
     return ClaimReport("fujita", CONFIRMED if ok else VIOLATED, {"K_max": limit}, evidence)
@@ -180,6 +184,8 @@ def _random_dubo_instance(rng: random.Random):
 
 
 def claim_dubo(cfg: SweepConfig) -> ClaimReport:
+    if cfg.samples < 1:
+        raise ValueError("dubo needs samples >= 1")
     rng = random.Random(cfg.seed)
     evidence = []
     ok = True
@@ -269,6 +275,8 @@ def _random_dl_triple(rng: random.Random):
 
 
 def claim_lemma3(cfg: SweepConfig) -> ClaimReport:
+    if cfg.samples < 1:
+        raise ValueError("lemma3 needs samples >= 1")
     rng = random.Random(cfg.seed)
     count = cfg.samples
     evidence = []
@@ -365,7 +373,10 @@ def claim_tmii1(cfg: SweepConfig) -> ClaimReport:
     evidence = []
     ok = True
     limit = cfg.limit or 50
-    for p, k, q, l_exp in find_admissible_pairs(limit):
+    pairs = find_admissible_pairs(limit)
+    if not pairs:
+        raise ValueError(f"tm-ii-1-desk found no admissible pairs up to limit {limit}")
+    for p, k, q, l_exp in pairs:
         b = 2 * p**k
         for t in range(2, 21, 2):
             res = theorem3_classify(p, k, q, l_exp, t)

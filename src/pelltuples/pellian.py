@@ -19,6 +19,11 @@ Two complete methods are available and cross-checked:
   the conjugate classes, which the class representative merges.  The Pell
   unit is the first hit of the walk of sqrt(D).
 
+_positive_solutions streams every positive solution in increasing y from one
+solution per class, by the Pell unit.  The paper's Case 2 residue check is
+read off the class search and that stream: its hits are the solutions with
+small r of X^2 - (P^2+1)*r^2 = M, X = u + sg*P*r.
+
 Both report the same canonical witnesses: one minimal-y representative
 per solution class and its conjugate, with x >= 0.  Only factorize() and
 walk()'s 100,000-term cap limit the class search, and both raise.
@@ -28,12 +33,13 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 from .arith import factorize, is_perfect_square, is_prime, isqrt
-from .contfrac import _sign_a_plus_b_sqrt, walk
+from .contfrac import walk
 
 SOLVABLE = "SOLVABLE"
 UNSOLVABLE = "UNSOLVABLE"
@@ -274,27 +280,30 @@ def _residue_hits(p: int, k: int, targets: dict[int, int]) -> tuple[tuple[int, i
     """Every (r, u, targets[M], sg) with u^2 - r^2 + 2*sg*r*u*P = M, P = p^(k+1),
     over coprime r, u >= 0 with r*u < p^k, ordered by r, u, -sg.
 
-    s = min(r, u) <= isqrt(p^k - 1), and with D = P^2 + 1 the other value is a
-    root of a quadratic: r = s gives u = -sg*P*s +- sqrt(D*s^2 + M), and u = s
-    gives r = sg*P*s +- sqrt(D*s^2 - M).
+    With X = u + sg*P*r and D = P^2 + 1 this is X^2 - D*r^2 = M: r = 0 needs M
+    square, and the hits with 1 <= r <= max(p^k - 1, 1) (the max keeps the ray
+    (r, u) = (1, 0) of k = 0) are read off the class search of X^2 - D*r^2 = M
+    streamed in increasing r.  sqrt(D) = [P; 2P], so the class search is short.
     """
     pk, big_p, d = p**k, p ** (k + 1), p ** (2 * k + 2) + 1
+    r_max = max(pk - 1, 1)
     hits = set()
-    for s, (m, t), side in itertools.product(range(isqrt(pk - 1) + 1), targets.items(), (1, -1)):
-        w = is_perfect_square(d * s * s + side * m)
-        if w is None:
-            continue
-        for sg in (1, -1):
-            for other in (w - side * sg * big_p * s, -w - side * sg * big_p * s):
-                r, u = (s, other) if side == 1 else (other, s)
-                if other >= 0 and r * u < pk and math.gcd(r, u) == 1:
+    for m, t in targets.items():
+        rt = is_perfect_square(m)
+        stream = itertools.takewhile(lambda xy: xy[1] <= r_max,
+                                     _positive_solutions(d, _cf_class_solutions(d, m)))
+        for x, r in itertools.chain([(rt, 0)] if rt is not None else [], stream):
+            for big_x, sg in itertools.product((x, -x), (1, -1)):
+                u = big_x - sg * big_p * r
+                if u >= 0 and r * u < pk and math.gcd(r, u) == 1:
                     hits.add((r, u, t, sg))
     return tuple(sorted(hits, key=lambda h: (h[0], h[1], -h[3])))
 
 
 def case2_residue_search(p: int, k: int) -> tuple[tuple[int, int, int, int], ...]:
     """Every (r, u, t, sg) with u^2 - r^2 + 2*sg*r*u*p^(k+1) = p^(2k-2t+1), 0 <= t <= k,
-    over coprime r, u >= 0 with r*u < p^k (expected: none), in closed form (_residue_hits)."""
+    over coprime r, u >= 0 with r*u < p^k (expected: none): the solutions of
+    X^2 - (p^(2k+2)+1)*r^2 = p^(2k-2t+1) with small r (_residue_hits)."""
     if p == 2 or not is_prime(p):
         raise ValueError("p must be an odd prime")
     if k < 0:
@@ -306,9 +315,10 @@ def case2_residue_search(p: int, k: int) -> tuple[tuple[int, int, int, int], ...
 def decide_paper_equation(p: int, k: int, l: int) -> PellianOutcome:
     """Decide x^2 - (p^(2k+2)+1)*y^2 = -p^(2l+1) for odd prime p, 0 <= l <= k.
 
-    Three routes (Fujita chain with prime descent, the closed-form residue
-    check for l = k, descent to l = k), each confirmed by solve_complete,
-    whose search covers every y, small y included; a mismatch is fatal.
+    Three routes (Fujita chain with prime descent, the residue check for
+    l = k, read off the class search of +p^(2k-2t+1) and the solution stream,
+    descent to l = k), each confirmed by solve_complete of -p^(2l+1), whose
+    search covers every y, small y included; a mismatch is fatal.
     """
     if p == 2 or not is_prime(p):
         raise ValueError("p must be an odd prime")
@@ -383,6 +393,29 @@ def p2_decide(k: int, l: int) -> PellianOutcome:
     return out
 
 
+def _positive_solutions(d: int, sols) -> Iterator[tuple[int, int]]:
+    """Every (x, y) with x, y > 0 and x^2 - d*y^2 = n, in increasing y, from any
+    one solution of each class of x^2 - d*y^2 = n (the conjugate classes follow)."""
+    t, u = pell_fundamental(d)
+    seeds = set()
+    for x, y in sols:
+        x, y = _class_rep(d, x, y, t, u)
+        # x + y*sqrt(d) > 0, and the sign of n makes one conjugate positive
+        for a, b in ((x, y), (x, -y) if x * x > d * y * y else (-x, y)):
+            # a + b*sqrt(d) > 0 grows by the unit at each step while its
+            # conjugate n/(a + b*sqrt(d)) tends to 0, so a and b turn positive
+            while a <= 0 or b <= 0:
+                a, b = a * t + d * b * u, a * u + b * t
+            seeds.add((b, a))
+    # the class representative has the least y of its class and the
+    # conjugate's, so no seed is another seed times a unit
+    heap = sorted(seeds)
+    while heap:
+        y, x = heap[0]
+        yield x, y
+        heapq.heapreplace(heap, (x * u + y * t, x * t + d * y * u))
+
+
 def all_solutions_stream(prob: PellianProblem, count: int) -> list[tuple[int, int]]:
     """First `count` positive solutions in increasing y, by unit composition."""
     if count < 1:
@@ -390,33 +423,4 @@ def all_solutions_stream(prob: PellianProblem, count: int) -> list[tuple[int, in
     oc = solve_complete(prob)
     if oc.verdict != SOLVABLE:
         raise ValueError("no solutions to stream")
-    d = prob.d
-    t, u = pell_fundamental(d)
-
-    def up(x, y):
-        return (x * t + d * y * u, x * u + y * t)
-
-    seeds = set()
-    for x, y in oc.witnesses:
-        for a, b in ((x, y), (-x, y), (x, -y), (-x, -y)):
-            # a + b*sqrt(d) <= 0 never reaches the positive quadrant
-            if _sign_a_plus_b_sqrt(a, b, d) <= 0:
-                continue
-            # a + b*sqrt(d) > 0 grows by the unit at each step while its
-            # conjugate N/(a + b*sqrt(d)) tends to 0, so a and b turn positive
-            while a <= 0 or b <= 0:
-                a, b = up(a, b)
-            seeds.add((b, a))
-
-    heap = sorted(seeds)
-    out = []
-    emitted = set()
-    while heap and len(out) < count:
-        y, x = heapq.heappop(heap)
-        if (x, y) in emitted:
-            continue
-        emitted.add((x, y))
-        out.append((x, y))
-        nx, ny = up(x, y)
-        heapq.heappush(heap, (ny, nx))
-    return out
+    return list(itertools.islice(_positive_solutions(prob.d, oc.witnesses), count))

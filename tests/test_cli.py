@@ -177,3 +177,33 @@ def test_workers_merge_order_matches_serial():
     serial = run_claim("fujita", SweepConfig(limit=12, workers=1))
     parallel = run_claim("fujita", SweepConfig(limit=12, workers=4))
     assert serial.body() == parallel.body()
+
+
+@pytest.mark.parametrize("argv", [
+    ("tm1", "--k-max", "-1"),
+    ("tm1", "--p-max", "2"),
+    ("fujita", "--limit", "1"),
+    ("tm-ii-1-desk", "--limit", "3"),
+    ("dubo", "--samples", "0"),
+    ("lemma3", "--samples", "-5"),
+])
+def test_verify_empty_sweep_is_usage_error(capsys, argv):
+    # a sweep that checks nothing must not report CONFIRMED
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and not out
+    assert err.startswith("error: ")
+
+
+def test_verify_unwritable_out_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code, _, err = run(capsys, "verify", "pairs", "--out", str(target))
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+def test_verify_options_are_not_abbreviated(capsys):
+    # --json belongs before the subcommand; after it, it is not --jsonl
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "tm-ii-2", "--json"])
+    assert exc.value.code == 2
+    assert "--json" in capsys.readouterr().err

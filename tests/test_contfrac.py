@@ -15,19 +15,24 @@ from pelltuples.contfrac import (
     QuadIrr,
     convergents,
     expand,
-    floor_quadirr,
     lemma_db_check,
     walk,
     worley_candidates,
 )
 
 
+def _floor(s, d, t):
+    """floor((s + sqrt(d))/t): the first quotient of walk on the QuadIrr-normalised triple."""
+    alpha = QuadIrr(d, s, t)
+    return next(walk(alpha.d, alpha.s, alpha.t))[0]
+
+
 def test_floor_quadirr_examples():
-    assert floor_quadirr(0, 10, 1) == 3
-    assert floor_quadirr(1, 5, 2) == 1
-    assert floor_quadirr(0, 2, -1) == -2  # -sqrt(2) floors to -2
-    assert floor_quadirr(-3, 10, 1) == 0
-    assert floor_quadirr(3, 10, -2) == -4
+    assert _floor(0, 10, 1) == 3
+    assert _floor(1, 5, 2) == 1
+    assert _floor(0, 2, -1) == -2  # -sqrt(2) floors to -2
+    assert _floor(-3, 10, 1) == 0
+    assert _floor(3, 10, -2) == -4
 
 
 @given(
@@ -36,7 +41,7 @@ def test_floor_quadirr_examples():
     st.integers(min_value=-1000, max_value=1000).filter(lambda t: t != 0),
 )
 def test_floor_quadirr_matches_fraction_bracket(s, d, t):
-    f = floor_quadirr(s, d, t)
+    f = _floor(s, d, t)
     # f <= (s + sqrt(d))/t < f + 1, checked by exact cross multiplication.
     # sign of (s + sqrt(d) - f*t) and (s + sqrt(d) - (f+1)*t) via squaring.
     for bound, want_nonneg in ((f, True), (f + 1, False)):

@@ -24,7 +24,7 @@ def test_odd_primes_upto():
 def test_deep_dec():
     assert deep_dec(5) == "5"
     assert deep_dec(True) is True
-    assert deep_dec({"a": [1, (2, 3)]}) == {"a": [["2", "3"]]} or True
+    assert deep_dec({"a": [1, (2, 3)]}) == {"a": ["1", ["2", "3"]]}
     assert deep_dec({"a": [1, 2]}) == {"a": ["1", "2"]}
     assert deep_dec("x") == "x"
 

@@ -350,7 +350,7 @@ def test_case2_residue_search_examples():
 
 
 def _pair_search_hits(p, k, targets):
-    """The exhaustive pair search that the closed form replaced, kept as the oracle."""
+    """The exhaustive pair search over r*u < p^k, kept as the first oracle."""
     pk = p**k
     pk1 = p ** (k + 1)
     hits: list[tuple[int, int, int, int]] = []
@@ -373,17 +373,52 @@ def _pair_search_hits(p, k, targets):
     return tuple(hits)
 
 
+def _closed_form_hits(p, k, targets):
+    """The quadratic-root scan that the class search replaced, kept as the second
+    oracle: s = min(r, u) <= isqrt(p^k - 1), and with D = P^2 + 1 the other value
+    is a root of a quadratic: r = s gives u = -sg*P*s +- sqrt(D*s^2 + M), and
+    u = s gives r = sg*P*s +- sqrt(D*s^2 - M)."""
+    pk, big_p, d = p**k, p ** (k + 1), p ** (2 * k + 2) + 1
+    hits = set()
+    for s, (m, t), side in itertools.product(range(isqrt(pk - 1) + 1), targets.items(), (1, -1)):
+        w = is_perfect_square(d * s * s + side * m)
+        if w is None:
+            continue
+        for sg in (1, -1):
+            for other in (w - side * sg * big_p * s, -w - side * sg * big_p * s):
+                r, u = (s, other) if side == 1 else (other, s)
+                if other >= 0 and r * u < pk and math.gcd(r, u) == 1:
+                    hits.add((r, u, t, sg))
+    return tuple(sorted(hits, key=lambda h: (h[0], h[1], -h[3])))
+
+
+#: every 0 < |M| <= 400, since the paper's targets have no hits
+ALL_TARGETS = {m: m for m in range(-400, 401) if m != 0}
+
+
 def test_case2_matches_pair_search():
-    # the paper's targets have no hits, so every 0 < |M| <= 400 is tried:
-    # the closed form must find the pair search's hits in the same order
-    targets = {m: m for m in range(-400, 401) if m != 0}
+    # the residue hits must be the pair search's, in the same order
     total = 0
     for p, k in ((3, 0), (3, 1), (3, 2), (3, 3), (5, 0), (5, 1), (5, 2),
                  (7, 1), (7, 2), (11, 1), (13, 1), (13, 2)):
-        hits = _residue_hits(p, k, targets)
-        assert hits == _pair_search_hits(p, k, targets), (p, k)
+        hits = _residue_hits(p, k, ALL_TARGETS)
+        assert hits == _pair_search_hits(p, k, ALL_TARGETS), (p, k)
         total += len(hits)
     assert total > 0
+
+
+def test_case2_matches_closed_form():
+    # eight more (p, k), up to p^k = 243 and 1849, and the paper's own
+    # targets at sizes the pair search cannot finish
+    total = 0
+    for p, k in ((3, 4), (3, 5), (5, 3), (7, 3), (11, 2), (17, 0), (19, 1), (43, 2)):
+        hits = _residue_hits(p, k, ALL_TARGETS)
+        assert hits == _closed_form_hits(p, k, ALL_TARGETS), (p, k)
+        total += len(hits)
+    assert total > 0
+    for p, k in ((199, 4), (101, 5)):
+        targets = {p ** (2 * k - 2 * t + 1): t for t in range(k + 1)}
+        assert _residue_hits(p, k, targets) == _closed_form_hits(p, k, targets) == (), (p, k)
 
 
 def test_decide_paper_equation_small():
