@@ -10,9 +10,10 @@ import argparse
 import json
 import re
 import sys
+from dataclasses import fields
 
 from .contfrac import ExpansionCapExceeded, QuadIrr, convergents, expand
-from .harness import CLAIMS, SweepConfig, deep_dec, run_claim
+from .harness import CLAIM_OPTIONS, CLAIMS, SweepConfig, deep_dec, run_claim
 from .pellian import PellianProblem, solve_complete
 from .zring import RingElem, check_tuple, find_admissible_pairs
 
@@ -93,12 +94,14 @@ def cmd_pairs(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = SweepConfig(
-        p_max=args.p_max, k_max=args.k_max, c_max=args.c_max,
-        n_max=args.n_max, j_max=args.j_max, limit=args.limit,
-        samples=args.samples, seed=args.seed, workers=args.workers,
-    )
-    report = run_claim(args.claim_id, cfg)
+    # sweep options default to None here, so the ones given are the ones set
+    given = {f.name: getattr(args, f.name) for f in fields(SweepConfig)
+             if getattr(args, f.name) is not None}
+    unread = [name for name in given if name not in CLAIM_OPTIONS[args.claim_id]]
+    if unread:
+        raise ValueError(f"{args.claim_id} does not read "
+                         + ", ".join(_option(name) for name in unread))
+    report = run_claim(args.claim_id, SweepConfig(**given))
     text = report.to_json(compact=args.json)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -111,6 +114,10 @@ def cmd_verify(args) -> int:
     else:
         print(text)
     return 0 if report.status == "CONFIRMED" else 1
+
+
+def _option(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -146,17 +153,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", allow_abbrev=False, help="run a claim sweep")
     p_verify.add_argument("claim_id", choices=sorted(CLAIMS))
-    p_verify.add_argument("--p-max", type=int, default=50)
-    p_verify.add_argument("--k-max", type=int, default=3)
-    p_verify.add_argument("--c-max", type=int, default=10_000)
-    p_verify.add_argument("--n-max", type=int, default=20)
-    p_verify.add_argument("--j-max", type=int, default=5)
-    p_verify.add_argument("--limit", type=int, default=None,
-                          help="read by fujita, tm-ii-1-desk and pairs")
-    p_verify.add_argument("--samples", type=int, default=500,
-                          help="read by dubo and lemma3")
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--workers", type=int, default=1)
+    for f in fields(SweepConfig):
+        readers = [c for c in sorted(CLAIM_OPTIONS) if f.name in CLAIM_OPTIONS[c]]
+        default = "60 for fujita, 50 elsewhere" if f.default is None else f.default
+        p_verify.add_argument(_option(f.name), type=int, default=None,
+                              help=f"read by {', '.join(readers)} (default {default})")
     p_verify.add_argument("--out", type=str, default=None)
     p_verify.add_argument("--jsonl", action="store_true",
                           help="stream evidence records as JSON lines")

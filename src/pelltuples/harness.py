@@ -356,10 +356,23 @@ def fifumi_b_values(limit: int) -> list[int]:
     return out
 
 
+def _require_c_pairs(bs: list[int], c_max: int) -> None:
+    """Raise unless each b has two c = x^2 + 1 <= c_max (x >= 1) other than b:
+    integer_quadruple_search checks no pair (c, d) with fewer."""
+    n_c = isqrt(c_max - 1) if c_max >= 1 else 0
+    for b in bs:
+        # b - 1 is a square, so b is one of the n_c values when b <= c_max
+        if n_c - (b <= c_max) < 2:
+            raise ValueError(f"c_max={c_max} leaves b={b} no pair c < d <= c_max "
+                             f"of the form x^2+1 to check")
+
+
 def claim_fifumi(cfg: SweepConfig) -> ClaimReport:
     evidence = []
     ok = True
-    for b in fifumi_b_values(200):
+    bs = fifumi_b_values(200)
+    _require_c_pairs(bs, cfg.c_max)
+    for b in bs:
         found = integer_quadruple_search(b, cfg.c_max)
         good = not found
         ok &= good
@@ -376,6 +389,7 @@ def claim_tmii1(cfg: SweepConfig) -> ClaimReport:
     pairs = find_admissible_pairs(limit)
     if not pairs:
         raise ValueError(f"tm-ii-1-desk found no admissible pairs up to limit {limit}")
+    _require_c_pairs([2 * p**k for p, k, _, _ in pairs], cfg.c_max)
     for p, k, q, l_exp in pairs:
         b = 2 * p**k
         for t in range(2, 21, 2):
@@ -450,6 +464,22 @@ CLAIMS = {
     "tm-ii-1-desk": claim_tmii1,
     "tm-ii-2": claim_tmii2,
     "pairs": claim_pairs,
+}
+
+
+#: the SweepConfig fields each claim reads
+CLAIM_OPTIONS = {
+    "tm1": ("p_max", "k_max", "workers"),
+    "p2-prop": (),
+    "fujita": ("limit", "workers"),
+    "dubo": ("samples", "seed"),
+    "worley": ("seed",),
+    "lemma3": ("samples", "seed"),
+    "prop26": ("n_max", "j_max"),
+    "fifumi-desk": ("c_max",),
+    "tm-ii-1-desk": ("limit", "c_max"),
+    "tm-ii-2": (),
+    "pairs": ("limit",),
 }
 
 

@@ -22,7 +22,10 @@ Two complete methods are available and cross-checked:
 _positive_solutions streams every positive solution in increasing y from one
 solution per class, by the Pell unit.  The paper's Case 2 residue check is
 read off the class search and that stream: its hits are the solutions with
-small r of X^2 - (P^2+1)*r^2 = M, X = u + sg*P*r.
+small r of X^2 - (P^2+1)*r^2 = M, X = u + sg*P*r.  The paper deciders'
+cross-checks of x^2 - (P^2+1)*y^2 = -p^(2l+1) also run on the class search
+whatever the class bound: sqrt(P^2+1) = [P; 2P], so each walk is a few
+steps where enumeration would scan up to sqrt(p^(2l+1)) values of y.
 
 Both report the same canonical witnesses: one minimal-y representative
 per solution class and its conjugate, with x >= 0.  Only factorize() and
@@ -224,14 +227,23 @@ def solve_complete(prob: PellianProblem) -> PellianOutcome:
 @lru_cache(maxsize=CACHE_SIZE)
 def _solve_complete_cached(d: int, n: int) -> PellianOutcome:
     prob = PellianProblem(d, n)
-    t, u = pell_fundamental(d)
     bound = class_bound(d, n)
-    if bound <= ENUM_BOUND_LIMIT:
-        raw = solve_brute(prob, bound)
-        method = "bounded-enumeration"
-    else:
-        raw = _cf_class_solutions(d, n)
-        method = "cf-classes"
+    if bound > ENUM_BOUND_LIMIT:
+        return _class_search_outcome(d, n)
+    return _outcome(d, n, solve_brute(prob, bound), "bounded-enumeration", bound)
+
+
+def _class_search_outcome(d: int, n: int) -> PellianOutcome:
+    """solve_complete's outcome by the class search, whatever the class bound;
+    search_bound_used is still the class bound."""
+    return _outcome(d, n, _cf_class_solutions(d, n), "cf-classes", class_bound(d, n))
+
+
+def _outcome(d: int, n: int, raw: list[tuple[int, int]], method: str,
+             bound: int) -> PellianOutcome:
+    """The verdict and class representatives of x^2 - d*y^2 = n from `raw`, a
+    solution with y > 0 in every class (y = 0 is added here when n is square)."""
+    t, u = pell_fundamental(d)
     rt = is_perfect_square(n)
     if rt is not None:
         raw.append((rt, 0))
@@ -317,8 +329,8 @@ def decide_paper_equation(p: int, k: int, l: int) -> PellianOutcome:
 
     Three routes (Fujita chain with prime descent, the residue check for
     l = k, read off the class search of +p^(2k-2t+1) and the solution stream,
-    descent to l = k), each confirmed by solve_complete of -p^(2l+1), whose
-    search covers every y, small y included; a mismatch is fatal.
+    descent to l = k), each confirmed by the class search of -p^(2l+1), which
+    finds a solution in every class if there is one; a hit is fatal.
     """
     if p == 2 or not is_prime(p):
         raise ValueError("p must be an odd prime")
@@ -344,7 +356,7 @@ def decide_paper_equation(p: int, k: int, l: int) -> PellianOutcome:
         if inner.verdict != UNSOLVABLE:  # pragma: no cover
             raise RuntimeError("descent target unexpectedly solvable")
         certificate = {"multiplier": p ** (k - l), "reduces_to": (p, k, k)}
-    check = _solve_complete_cached(d, n)
+    check = _class_search_outcome(d, n)
     if check.verdict != UNSOLVABLE:
         raise RuntimeError(
             f"fatal discrepancy: complete search found {check.witnesses} "
@@ -369,12 +381,12 @@ def _mod5_certificate(d: int, n: int) -> dict:
 
 
 def p2_decide(k: int, l: int) -> PellianOutcome:
-    """Decide x^2 - (2^(2k+2)+1)*y^2 = -2^(2l+1), cross-checked with solve_complete."""
+    """Decide x^2 - (2^(2k+2)+1)*y^2 = -2^(2l+1), cross-checked with the class search."""
     if not 0 <= l <= k:
         raise ValueError("l must satisfy 0 <= l <= k")
     d = 2 ** (2 * k + 2) + 1
     n = -(2 ** (2 * l + 1))
-    check = _solve_complete_cached(d, n)
+    check = _class_search_outcome(d, n)
     if k % 2 == 0:
         cert = _mod5_certificate(d, n)
         out = PellianOutcome(UNSOLVABLE, (), "residue", check.search_bound_used, cert)

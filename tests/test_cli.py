@@ -1,6 +1,7 @@
 """CLI behavior: parsing, exit codes, JSON output, report determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -186,12 +187,38 @@ def test_workers_merge_order_matches_serial():
     ("tm-ii-1-desk", "--limit", "3"),
     ("dubo", "--samples", "0"),
     ("lemma3", "--samples", "-5"),
+    ("fifumi-desk", "--c-max", "5"),
+    ("fifumi-desk", "--c-max", "0"),
+    ("tm-ii-1-desk", "--c-max", "0"),
 ])
 def test_verify_empty_sweep_is_usage_error(capsys, argv):
     # a sweep that checks nothing must not report CONFIRMED
     code, out, err = run(capsys, "verify", *argv)
     assert code == 2 and not out
     assert err.startswith("error: ")
+    if "--c-max" in argv:
+        assert "c_max" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("p2-prop", "--k-max", "-3"),
+    ("worley", "--samples", "0"),
+])
+def test_verify_rejects_unread_option(capsys, argv):
+    # an option the claim does not read would be silently ignored
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and not out
+    assert err.startswith("error: ") and argv[1] in err
+
+
+def test_verify_tm1_scaled(capsys):
+    # the fatal check of every (p, k, l) runs on the class search, not on
+    # enumeration of up to isqrt(p^(2l+1)) + 1 values of y
+    start = time.monotonic()
+    code, out, _ = run(capsys, "--json", "verify", "tm1", "--p-max", "1000", "--k-max", "5")
+    assert time.monotonic() - start < 60
+    assert code == 0
+    assert json.loads(out)["status"] == "CONFIRMED"
 
 
 def test_verify_unwritable_out_is_usage_error(tmp_path, capsys):

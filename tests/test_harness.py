@@ -1,10 +1,12 @@
 """Sweep harness: every claim confirms at reduced scale, reports are stable."""
 
 import json
+from dataclasses import fields, replace
 
 import pytest
 
 from pelltuples.harness import (
+    CLAIM_OPTIONS,
     CLAIMS,
     CONFIRMED,
     ClaimReport,
@@ -41,6 +43,9 @@ def test_claims_registry_complete():
         "tm1", "p2-prop", "fujita", "dubo", "worley", "lemma3", "prop26",
         "fifumi-desk", "tm-ii-1-desk", "tm-ii-2", "pairs",
     }
+    assert set(CLAIM_OPTIONS) == set(CLAIMS)
+    names = {f.name for f in fields(SweepConfig)}
+    assert all(set(opts) <= names for opts in CLAIM_OPTIONS.values())
 
 
 SMALL = {
@@ -64,6 +69,18 @@ def test_claim_confirms_small(claim_id):
     assert isinstance(rep, ClaimReport)
     assert rep.status == CONFIRMED, rep.body()
     assert rep.evidence, claim_id
+
+
+@pytest.mark.parametrize("claim_id", sorted(CLAIMS))
+def test_claim_reads_no_other_option(claim_id):
+    # verify rejects every option outside CLAIM_OPTIONS, so none may change a
+    # body (workers never does, so it is not varied here)
+    base = SMALL[claim_id]
+    body = run_claim(claim_id, base).body()
+    for f in fields(SweepConfig):
+        if f.name not in CLAIM_OPTIONS[claim_id] and f.name != "workers":
+            varied = replace(base, **{f.name: 7})
+            assert run_claim(claim_id, varied).body() == body, (claim_id, f.name)
 
 
 def test_report_json_shape():

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from pelltuples import pellian
 from pelltuples.arith import factorize, is_perfect_square, is_prime, isqrt
 from pelltuples.contfrac import ExpansionCapExceeded
 from pelltuples.pellian import (
@@ -26,6 +27,7 @@ from pelltuples.pellian import (
     solve_complete,
     _cf_class_solutions,
     _class_rep,
+    _class_search_outcome,
     _residue_hits,
     _sqrt_mod,
 )
@@ -469,6 +471,65 @@ def test_p2_decide():
     assert out3.certificate == {"family_witness": (30, 2)}
     # Odd k with small l falls back to the fujita chain.
     assert p2_decide(3, 1).verdict == UNSOLVABLE
+
+
+def _paper_equations():
+    """(p, d, n) of x^2 - (p^(2k+2)+1)*y^2 = -p^(2l+1) for the small paper grid
+    and the whole p = 2 proposition grid."""
+    for p, k_max in [(3, 3), (5, 3), (7, 3), (11, 3), (13, 3), (2, 9)]:
+        for k in range(k_max + 1):
+            for l in range(k + 1):
+                yield p, p ** (2 * k + 2) + 1, -(p ** (2 * l + 1))
+
+
+def test_paper_check_matches_enumeration():
+    # the deciders' check runs on the class search; enumeration over every y up
+    # to the class bound stays its independent oracle
+    solvable = 0
+    for p, d, n in _paper_equations():
+        bound = class_bound(d, n)
+        oracle = tuple(sorted(_reps(d, solve_brute(PellianProblem(d, n), bound))))
+        out = _class_search_outcome(d, n)
+        assert out.witnesses == oracle, (d, n)
+        assert out.verdict == (SOLVABLE if oracle else UNSOLVABLE), (d, n)
+        assert out.search_bound_used == bound, (d, n)
+        solvable += bool(oracle)
+        assert p == 2 or not oracle, (d, n)
+    assert solvable == 15  # p = 2, odd k, k/2 < l <= k
+
+
+def test_paper_deciders_never_enumerate(monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("solve_brute called")
+
+    monkeypatch.setattr(pellian, "solve_brute", no_enumeration)
+    decide_paper_equation.cache_clear()
+    pellian._solve_complete_cached.cache_clear()
+    for p in (3, 5, 7, 11, 13, 47):
+        for k in range(4):
+            for l in range(k + 1):
+                assert decide_paper_equation(p, k, l).verdict == UNSOLVABLE
+    for k in range(10):
+        for l in range(k + 1):
+            p2_decide(k, l)
+    decide_paper_equation.cache_clear()
+
+
+def test_paper_check_hit_is_fatal(monkeypatch):
+    # No odd prime gives the check a hit (that is the theorem), so let 9 pass as
+    # prime: P = 9^3 and x^2 - (P^2+1)*y^2 = -9 has the solution (3*P, 3).
+    big_p = 9**3
+    d, n = big_p**2 + 1, -9
+    assert _cf_class_solutions(d, n)
+    monkeypatch.setattr(pellian, "is_prime", lambda q: True)
+    monkeypatch.setattr(pellian, "_cf_class_solutions", lambda d, n: [(3 * big_p, 3)])
+    with pytest.raises(RuntimeError, match="fatal discrepancy"):
+        decide_paper_equation(9, 2, 0)
+    # and a check that misses the p = 2 family's solutions is fatal too
+    monkeypatch.setattr(pellian, "_cf_class_solutions", lambda d, n: [])
+    with pytest.raises(RuntimeError, match="fatal discrepancy"):
+        p2_decide(1, 1)
+    decide_paper_equation.cache_clear()
 
 
 def test_all_solutions_stream_examples():
