@@ -7,13 +7,12 @@ confirmed, 1 = claim violated, 2 = usage, input or output-file error.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from dataclasses import fields
 
 from .contfrac import ExpansionCapExceeded, QuadIrr, convergents, expand
-from .harness import CLAIM_OPTIONS, CLAIMS, SweepConfig, deep_dec, run_claim
+from .harness import CLAIM_OPTIONS, CLAIMS, SweepConfig, deep_dec, dump_json, run_claim
 from .pellian import PellianProblem, solve_complete
 from .zring import RingElem, check_tuple, find_admissible_pairs
 
@@ -30,13 +29,6 @@ def parse_elem(text: str, t: int) -> RingElem:
     return RingElem(re_part, im_part, t)
 
 
-def _emit(doc, compact: bool):
-    if compact:
-        print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
-    else:
-        print(json.dumps(doc, sort_keys=True, indent=2))
-
-
 def cmd_cf(args) -> int:
     alpha = QuadIrr(args.d, args.s, args.t)
     exp = expand(alpha)
@@ -50,7 +42,7 @@ def cmd_cf(args) -> int:
         "period_len": exp.period_len,
         "convergents": [list(conv.pair(m)) for m in range(upto + 1)],
     })
-    _emit(doc, args.json)
+    print(dump_json(doc, args.json))
     return 0
 
 
@@ -65,7 +57,7 @@ def cmd_pell(args) -> int:
         "witnesses": [list(w) for w in oc.witnesses],
         "search_bound_used": oc.search_bound_used,
     })
-    _emit(doc, args.json)
+    print(dump_json(doc, args.json))
     return 0
 
 
@@ -80,7 +72,7 @@ def cmd_tuple(args) -> int:
         "witnesses": {f"{i},{j}": str(w) for (i, j), w in report.witnesses.items()},
         "failing_pair": list(report.failing_pair) if report.failing_pair else None,
     })
-    _emit(doc, args.json)
+    print(dump_json(doc, args.json))
     return 0
 
 
@@ -89,7 +81,7 @@ def cmd_pairs(args) -> int:
     doc = deep_dec({"limit": args.limit,
                     "pairs": [{"p": p, "k": k, "q": q, "l_exp": l}
                               for p, k, q, l in found]})
-    _emit(doc, args.json)
+    print(dump_json(doc, args.json))
     return 0
 
 
@@ -108,9 +100,8 @@ def cmd_verify(args) -> int:
             fh.write(text + "\n")
     if args.jsonl:
         for rec in report.body()["evidence"]:
-            print(json.dumps(rec, sort_keys=True, separators=(",", ":")))
-        print(json.dumps({"claim_id": report.claim_id, "status": report.status},
-                         sort_keys=True, separators=(",", ":")))
+            print(dump_json(rec, compact=True))
+        print(dump_json({"claim_id": report.claim_id, "status": report.status}, compact=True))
     else:
         print(text)
     return 0 if report.status == "CONFIRMED" else 1

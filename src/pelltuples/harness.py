@@ -9,6 +9,7 @@ header field).
 from __future__ import annotations
 
 import json
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -78,9 +79,14 @@ class ClaimReport:
     def to_json(self, compact: bool = False) -> str:
         doc = self.body()
         doc["header"] = {"elapsed": round(self.elapsed, 6), "version": __version__}
-        if compact:
-            return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-        return json.dumps(doc, sort_keys=True, indent=2)
+        return dump_json(doc, compact)
+
+
+def dump_json(doc, compact: bool) -> str:
+    """The JSON text of every report and CLI document: sorted keys, compact or indented."""
+    if compact:
+        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return json.dumps(doc, sort_keys=True, indent=2)
 
 
 def deep_dec(obj):
@@ -101,6 +107,8 @@ def odd_primes_upto(n: int) -> list[int]:
 
 
 def _map_ordered(fn, items, workers: int):
+    # the pool starts all its processes up front, so start no more than can run
+    workers = min(workers, len(items), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(it) for it in items]
     with ProcessPoolExecutor(max_workers=workers) as ex:
@@ -167,7 +175,7 @@ def _fujita_one_k(bigk: int) -> dict:
 
 
 def claim_fujita(cfg: SweepConfig) -> ClaimReport:
-    limit = cfg.limit or 60
+    limit = 60 if cfg.limit is None else cfg.limit
     if limit < 2:
         raise ValueError("fujita needs limit >= 2")
     evidence = _map_ordered(_fujita_one_k, list(range(2, limit + 1)), cfg.workers)
@@ -300,6 +308,8 @@ def claim_lemma3(cfg: SweepConfig) -> ClaimReport:
 
 
 def claim_prop26(cfg: SweepConfig) -> ClaimReport:
+    if cfg.n_max < 1 or cfg.j_max < 1:
+        raise ValueError("prop26 needs n_max >= 1 and j_max >= 1")
     evidence = []
     inventory = set()
     ok = True
@@ -385,7 +395,7 @@ def claim_fifumi(cfg: SweepConfig) -> ClaimReport:
 def claim_tmii1(cfg: SweepConfig) -> ClaimReport:
     evidence = []
     ok = True
-    limit = cfg.limit or 50
+    limit = 50 if cfg.limit is None else cfg.limit
     pairs = find_admissible_pairs(limit)
     if not pairs:
         raise ValueError(f"tm-ii-1-desk found no admissible pairs up to limit {limit}")
@@ -441,7 +451,9 @@ REQUIRED_PAIRS = [(5, 1, 3, 1), (5, 2, 7, 1), (13, 4, 239, 1),
 
 
 def claim_pairs(cfg: SweepConfig) -> ClaimReport:
-    limit = cfg.limit or 50
+    limit = 50 if cfg.limit is None else cfg.limit
+    if limit < 3:
+        raise ValueError("pairs needs limit >= 3: there is no odd prime to search")
     found = find_admissible_pairs(limit)
     missing = [t for t in REQUIRED_PAIRS if t not in found]
     evidence = [{"p": p, "k": k, "q": q, "l_exp": l} for p, k, q, l in found]

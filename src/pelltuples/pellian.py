@@ -221,16 +221,10 @@ def _cf_class_solutions(d: int, n: int) -> list[tuple[int, int]]:
 
 def solve_complete(prob: PellianProblem) -> PellianOutcome:
     """Certified decision with one fundamental witness per solution class."""
-    return _solve_complete_cached(prob.d, prob.n)
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _solve_complete_cached(d: int, n: int) -> PellianOutcome:
-    prob = PellianProblem(d, n)
-    bound = class_bound(d, n)
+    bound = class_bound(prob.d, prob.n)
     if bound > ENUM_BOUND_LIMIT:
-        return _class_search_outcome(d, n)
-    return _outcome(d, n, solve_brute(prob, bound), "bounded-enumeration", bound)
+        return _class_search_outcome(prob.d, prob.n)
+    return _outcome(prob.d, prob.n, solve_brute(prob, bound), "bounded-enumeration", bound)
 
 
 def _class_search_outcome(d: int, n: int) -> PellianOutcome:

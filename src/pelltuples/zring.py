@@ -2,8 +2,8 @@
 
 Ring elements are a + b*sqrt(-t) with integer a, b and a fixed positive t
 per ring; t = 0 embeds plain integers.  Square detection, the triple
-extension identities and the {1, n^2+1, -c, d} quadruple family are all
-done in exact integers.
+extension identities and the closed-form {1, n^2+1, -c, d} quadruple family
+are all done in exact integers.
 """
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from .pellian import (
     PellianProblem,
     PellianOutcome,
     UNSOLVABLE,
-    all_solutions_stream,
     decide_paper_equation,
 )
 
@@ -160,10 +159,13 @@ def lemma3_extend_data(a: int, b: int, c: int, l: int,
 
 
 def _pell_xy(n: int, j: int) -> tuple[int, int]:
-    """j-th positive solution (x_j, y_j) of y^2 - (n^2+1)x^2 = -1."""
-    sols = all_solutions_stream(PellianProblem(n * n + 1, -1), j)
-    yj, xj = sols[j - 1]
-    return xj, yj
+    """j-th positive solution (x_j, y_j) of y^2 - (n^2+1)x^2 = -1.  As sqrt(n^2+1) = [n; 2n],
+    y_j + x_j*sqrt(n^2+1) = e^(2j-1) for e = n + sqrt(n^2+1), and e^2 = t + u*sqrt(n^2+1)."""
+    t, u = 2 * n * n + 1, 2 * n
+    y, x = n, 1
+    for _ in range(j - 1):
+        y, x = y * t + (n * n + 1) * x * u, y * u + x * t
+    return x, y
 
 
 def prop_family(n: int, j: int, m: int) -> tuple[TupleReport, TupleReport]:

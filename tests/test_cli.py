@@ -190,14 +190,20 @@ def test_workers_merge_order_matches_serial():
     ("fifumi-desk", "--c-max", "5"),
     ("fifumi-desk", "--c-max", "0"),
     ("tm-ii-1-desk", "--c-max", "0"),
+    ("fujita", "--limit", "0"),
+    ("pairs", "--limit", "0"),
+    ("tm-ii-1-desk", "--limit", "0"),
+    ("prop26", "--n-max", "0"),
+    ("prop26", "--j-max", "0"),
 ])
 def test_verify_empty_sweep_is_usage_error(capsys, argv):
-    # a sweep that checks nothing must not report CONFIRMED
+    # a sweep that checks nothing must not report CONFIRMED, and an explicit
+    # 0 is not replaced by the default
     code, out, err = run(capsys, "verify", *argv)
     assert code == 2 and not out
     assert err.startswith("error: ")
-    if "--c-max" in argv:
-        assert "c_max" in err
+    for opt in argv[1::2]:
+        assert opt[2:].replace("-", "_") in err
 
 
 @pytest.mark.parametrize("argv", [

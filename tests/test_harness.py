@@ -1,10 +1,12 @@
 """Sweep harness: every claim confirms at reduced scale, reports are stable."""
 
 import json
+import os
 from dataclasses import fields, replace
 
 import pytest
 
+from pelltuples import harness
 from pelltuples.harness import (
     CLAIM_OPTIONS,
     CLAIMS,
@@ -96,3 +98,30 @@ def test_evidence_replays():
     rep = run_claim("tm-ii-2", SweepConfig())
     for rec in rep.evidence:
         assert rec.get("status") in (None, "ok") or rec.get("ok") in (None, True)
+
+
+def test_pool_capped_by_items_and_cpus(monkeypatch):
+    # the fork start method launches every worker up front, so --workers 5000
+    # must not ask for 5000 processes; a serial fake stands in for the pool
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    items = list(range(-15, 0))
+    for cpus, expect in ((4, [4]), (64, [15]), (None, []), (1, [])):
+        asked.clear()
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert harness._map_ordered(abs, items, 5000) == list(range(15, 0, -1))
+        assert asked == expect, cpus

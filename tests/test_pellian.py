@@ -1,11 +1,13 @@
 """Generalized Pell solver, class reduction, and the prime-power deciders."""
 
+import inspect
 import itertools
 import math
 import random
 
 import pytest
 
+import pelltuples
 from pelltuples import pellian
 from pelltuples.arith import factorize, is_perfect_square, is_prime, isqrt
 from pelltuples.contfrac import ExpansionCapExceeded
@@ -504,7 +506,6 @@ def test_paper_deciders_never_enumerate(monkeypatch):
 
     monkeypatch.setattr(pellian, "solve_brute", no_enumeration)
     decide_paper_equation.cache_clear()
-    pellian._solve_complete_cached.cache_clear()
     for p in (3, 5, 7, 11, 13, 47):
         for k in range(4):
             for l in range(k + 1):
@@ -530,6 +531,17 @@ def test_paper_check_hit_is_fatal(monkeypatch):
     with pytest.raises(RuntimeError, match="fatal discrepancy"):
         p2_decide(1, 1)
     decide_paper_equation.cache_clear()
+
+
+def test_caches_bounded_and_solve_complete_uncached():
+    # every lru_cache of the package is bounded; the only repeated queries
+    # are Pell units and the paper deciders' descent route
+    cached = {name for mod in vars(pelltuples).values() if inspect.ismodule(mod)
+              for name, fn in vars(mod).items() if hasattr(fn, "cache_info")}
+    assert cached == {"pell_fundamental", "decide_paper_equation"}
+    for name in cached:
+        assert getattr(pellian, name).cache_parameters()["maxsize"] == pellian.CACHE_SIZE
+    assert not hasattr(solve_complete, "cache_info")
 
 
 def test_all_solutions_stream_examples():

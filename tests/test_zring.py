@@ -4,8 +4,9 @@ import random
 
 import pytest
 
+from pelltuples import harness, pellian
 from pelltuples.arith import is_perfect_square, is_prime
-from pelltuples.pellian import PellianProblem, UNSOLVABLE, solve_complete
+from pelltuples.pellian import PellianProblem, UNSOLVABLE, all_solutions_stream, solve_complete
 from pelltuples.zring import (
     EXISTS_INFINITE,
     NONE,
@@ -22,6 +23,7 @@ from pelltuples.zring import (
     ring_mul,
     sqrt_in_ring,
     theorem3_classify,
+    _pell_xy,
 )
 
 
@@ -226,6 +228,32 @@ def test_prop_family_various_n_j():
                 assert plus_m.verified
                 assert plus_m.elements[0].t == n * n
                 assert check_tuple(ints, -1, t=m * m).verified
+
+
+def test_pell_xy_matches_solution_stream():
+    # the closed form against the general solver's stream of y^2 - (n^2+1)x^2 = -1
+    for n in range(1, 41):
+        stream = all_solutions_stream(PellianProblem(n * n + 1, -1), 10)
+        assert [_pell_xy(n, j) for j in range(1, 11)] == [(x, y) for y, x in stream], n
+
+
+def test_quadruple_family_runs_no_solver(monkeypatch):
+    def no_solver(*args):
+        raise AssertionError("general solver called")
+
+    for name in ("solve_complete", "solve_brute", "all_solutions_stream"):
+        monkeypatch.setattr(pellian, name, no_solver)
+    pellian.decide_paper_equation.cache_clear()
+    for n in (2, 3, 9, 40):
+        for j in (1, 2, 8):
+            plus, minus = prop_family(n, j, 1)
+            assert plus.verified and (minus.verified or minus.degenerate)
+    for p, k, q, l_exp in ((5, 1, 3, 1), (41, 1, 3, 2)):
+        for e in range(2**l_exp + 1):
+            status = theorem3_classify(p, k, q, l_exp, q**e).status
+            assert status == (EXISTS_INFINITE if e % 2 == 0 else NONE)
+    assert harness.run_claim("prop26", harness.SweepConfig()).status == harness.CONFIRMED
+    pellian.decide_paper_equation.cache_clear()
 
 
 def test_prop_family_degenerate_only_at_j1():
