@@ -20,7 +20,6 @@ from .pellian import (
     case2_residue_search,
     decide_paper_equation,
     fujita_fast_path,
-    p2_decide,
     pell_fundamental,
     solve_brute,
     solve_complete,
@@ -47,7 +46,7 @@ __all__ = [
     "lemma_db_check", "worley_candidates",
     "PellianProblem", "PellianOutcome", "PellUnit",
     "pell_fundamental", "solve_brute", "solve_complete", "fujita_fast_path",
-    "decide_paper_equation", "case2_residue_search", "p2_decide",
+    "decide_paper_equation", "case2_residue_search",
     "all_solutions_stream",
     "RingElem", "TupleReport", "ExtensionData", "ring_mul", "sqrt_in_ring",
     "check_tuple", "lemma3_extend_data", "prop_family",

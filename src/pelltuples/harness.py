@@ -27,7 +27,6 @@ from .pellian import (
     decide_paper_equation,
     fujita_fast_path,
     has_primitive_solution,
-    p2_decide,
     solve_complete,
 )
 from .zring import (
@@ -153,7 +152,7 @@ def claim_p2_prop(cfg: SweepConfig) -> ClaimReport:
     ok = True
     for k in range(10):
         for l in range(k + 1):
-            oc = p2_decide(k, l)
+            oc = decide_paper_equation(2, k, l)
             expect = SOLVABLE if (k % 2 == 1 and 2 * l > k) else UNSOLVABLE
             good = oc.verdict == expect
             ok &= good

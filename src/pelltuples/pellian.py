@@ -22,10 +22,16 @@ Two complete methods are available and cross-checked:
 _positive_solutions streams every positive solution in increasing y from one
 solution per class, by the Pell unit.  The paper's Case 2 residue check is
 read off the class search and that stream: its hits are the solutions with
-small r of X^2 - (P^2+1)*r^2 = M, X = u + sg*P*r.  The paper deciders'
-cross-checks of x^2 - (P^2+1)*y^2 = -p^(2l+1) also run on the class search
-whatever the class bound: sqrt(P^2+1) = [P; 2P], so each walk is a few
-steps where enumeration would scan up to sqrt(p^(2l+1)) values of y.
+small r of X^2 - (P^2+1)*r^2 = M, X = u + sg*P*r.
+
+decide_paper_equation decides the paper's family x^2 - (P^2+1)*y^2 =
+-p^(2l+1), P = p^(k+1), for every prime p by one of four routes: "residue"
+(mod 5 for p = 2 and even k, the Case 2 residue check for odd p and l = k),
+"fujita" (2l+1 <= k+1), "paper-family" (the explicit p = 2 solutions) and
+"descent" (odd p, l < k, onto the residue check at l = k).  Every verdict
+is cross-checked by the class search whatever the class bound:
+sqrt(P^2+1) = [P; 2P], so each walk is a few steps where enumeration would
+scan up to sqrt(p^(2l+1)) values of y.
 
 Both report the same canonical witnesses: one minimal-y representative
 per solution class and its conjugate, with x >= 0.  Only factorize() and
@@ -243,7 +249,8 @@ def _outcome(d: int, n: int, raw: list[tuple[int, int]], method: str,
         raw.append((rt, 0))
     reps = sorted({_class_rep(d, x, y, t, u) for x, y in raw})
     for x, y in reps:
-        assert x * x - d * y * y == n
+        if x * x - d * y * y != n:
+            raise RuntimeError(f"({x}, {y}) does not solve x^2 - {d}*y^2 = {n}")
     verdict = SOLVABLE if reps else UNSOLVABLE
     return PellianOutcome(verdict, tuple(reps), method, bound)
 
@@ -306,6 +313,7 @@ def _residue_hits(p: int, k: int, targets: dict[int, int]) -> tuple[tuple[int, i
     return tuple(sorted(hits, key=lambda h: (h[0], h[1], -h[3])))
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def case2_residue_search(p: int, k: int) -> tuple[tuple[int, int, int, int], ...]:
     """Every (r, u, t, sg) with u^2 - r^2 + 2*sg*r*u*p^(k+1) = p^(2k-2t+1), 0 <= t <= k,
     over coprime r, u >= 0 with r*u < p^k (expected: none): the solutions of
@@ -315,48 +323,6 @@ def case2_residue_search(p: int, k: int) -> tuple[tuple[int, int, int, int], ...
     if k < 0:
         raise ValueError("k must be >= 0")
     return _residue_hits(p, k, {p ** (2 * k - 2 * t + 1): t for t in range(k + 1)})
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def decide_paper_equation(p: int, k: int, l: int) -> PellianOutcome:
-    """Decide x^2 - (p^(2k+2)+1)*y^2 = -p^(2l+1) for odd prime p, 0 <= l <= k.
-
-    Three routes (Fujita chain with prime descent, the residue check for
-    l = k, read off the class search of +p^(2k-2t+1) and the solution stream,
-    descent to l = k), each confirmed by the class search of -p^(2l+1), which
-    finds a solution in every class if there is one; a hit is fatal.
-    """
-    if p == 2 or not is_prime(p):
-        raise ValueError("p must be an odd prime")
-    if not 0 <= l <= k:
-        raise ValueError("l must satisfy 0 <= l <= k")
-    d = p ** (2 * k + 2) + 1
-    n = -(p ** (2 * l + 1))
-    certificate: object
-    if 2 * l + 1 <= k + 1:
-        # primitive solutions are excluded outright; a non-primitive one
-        # descends by p until the same exclusion applies again
-        method = "fujita"
-        certificate = _fujita_chain(p, k, l)
-    elif l == k:
-        method = "residue"
-        hits = case2_residue_search(p, k)
-        if hits:  # pragma: no cover
-            raise RuntimeError(f"residue search found unexpected hits: {hits}")
-        certificate = {"residue_hits": 0}
-    else:
-        method = "descent"
-        inner = decide_paper_equation(p, k, k)
-        if inner.verdict != UNSOLVABLE:  # pragma: no cover
-            raise RuntimeError("descent target unexpectedly solvable")
-        certificate = {"multiplier": p ** (k - l), "reduces_to": (p, k, k)}
-    check = _class_search_outcome(d, n)
-    if check.verdict != UNSOLVABLE:
-        raise RuntimeError(
-            f"fatal discrepancy: complete search found {check.witnesses} "
-            f"for (p={p}, k={k}, l={l})"
-        )
-    return PellianOutcome(UNSOLVABLE, (), method, check.search_bound_used, certificate)
 
 
 def p2_family_witness(k: int, l: int) -> tuple[int, int]:
@@ -374,29 +340,56 @@ def _mod5_certificate(d: int, n: int) -> dict:
     return {"modulus": 5, "residue_pairs_checked": 25}
 
 
-def p2_decide(k: int, l: int) -> PellianOutcome:
-    """Decide x^2 - (2^(2k+2)+1)*y^2 = -2^(2l+1), cross-checked with the class search."""
+def decide_paper_equation(p: int, k: int, l: int) -> PellianOutcome:
+    """Decide x^2 - (p^(2k+2)+1)*y^2 = -p^(2l+1) for prime p, 0 <= l <= k.
+
+    The first route that applies gives the verdict and its certificate:
+
+    * "residue" for p = 2 and even k: no solution mod 5;
+    * "fujita" for 2l+1 <= k+1: the Fujita chain with prime descent;
+    * "paper-family" for p = 2 otherwise: SOLVABLE, with the checked
+      p2_family_witness;
+    * for odd p otherwise, the Case 2 residue check of (p, k) (a hit is
+      fatal): "residue" for l = k, and "descent" for l < k, where
+      multiplying a solution by p^(k-l) would give one at l = k.
+
+    The verdict is then confirmed by the class search of -p^(2l+1), which
+    finds a solution in every class if there is one; a disagreement is fatal.
+    """
+    if not is_prime(p):
+        raise ValueError("p must be a prime")
     if not 0 <= l <= k:
         raise ValueError("l must satisfy 0 <= l <= k")
-    d = 2 ** (2 * k + 2) + 1
-    n = -(2 ** (2 * l + 1))
-    check = _class_search_outcome(d, n)
-    if k % 2 == 0:
-        cert = _mod5_certificate(d, n)
-        out = PellianOutcome(UNSOLVABLE, (), "residue", check.search_bound_used, cert)
-    elif 2 * l > k:
+    d = p ** (2 * k + 2) + 1
+    n = -(p ** (2 * l + 1))
+    verdict = UNSOLVABLE
+    certificate: object
+    if p == 2 and k % 2 == 0:
+        method, certificate = "residue", _mod5_certificate(d, n)
+    elif 2 * l + 1 <= k + 1:
+        # primitive solutions are excluded outright; a non-primitive one
+        # descends by p until the same exclusion applies again
+        method, certificate = "fujita", _fujita_chain(p, k, l)
+    elif p == 2:
         x, y = p2_family_witness(k, l)
         if x * x - d * y * y != n:  # pragma: no cover
             raise RuntimeError("family witness does not satisfy the equation")
-        out = PellianOutcome(SOLVABLE, check.witnesses, "paper-family",
-                             check.search_bound_used, {"family_witness": (x, y)})
+        verdict, method, certificate = SOLVABLE, "paper-family", {"family_witness": (x, y)}
     else:
-        out = PellianOutcome(UNSOLVABLE, (), "fujita", check.search_bound_used,
-                             _fujita_chain(2, k, l))
-    if out.verdict != check.verdict:
-        raise RuntimeError(f"fatal discrepancy at (k={k}, l={l}): "
-                           f"{out.verdict} vs {check.verdict}")
-    return out
+        hits = case2_residue_search(p, k)
+        if hits:  # pragma: no cover
+            raise RuntimeError(f"residue search found unexpected hits: {hits}")
+        if l == k:
+            method, certificate = "residue", {"residue_hits": 0}
+        else:
+            method, certificate = "descent", {"multiplier": p ** (k - l), "reduces_to": (p, k, k)}
+    check = _class_search_outcome(d, n)
+    if verdict != check.verdict:
+        raise RuntimeError(
+            f"fatal discrepancy at (p={p}, k={k}, l={l}): {verdict}, but the "
+            f"complete search found {check.witnesses or 'no solution'}"
+        )
+    return PellianOutcome(verdict, check.witnesses, method, check.search_bound_used, certificate)
 
 
 def _positive_solutions(d: int, sols) -> Iterator[tuple[int, int]]:

@@ -22,7 +22,6 @@ from pelltuples.pellian import (
     class_bound,
     decide_paper_equation,
     has_primitive_solution,
-    p2_decide,
     p2_family_witness,
     solve_brute,
     solve_complete,
@@ -126,7 +125,7 @@ def test_criterion_05_p2_proposition():
     ok = True
     for k in range(1, 10, 2):
         for l in range(k // 2 + 1, k + 1):
-            out = p2_decide(k, l)
+            out = decide_paper_equation(2, k, l)
             ok &= out.verdict == SOLVABLE and out.method == "paper-family"
             x, y = out.certificate["family_witness"]
             ok &= (x, y) == p2_family_witness(k, l)
@@ -135,7 +134,7 @@ def test_criterion_05_p2_proposition():
     for k in range(0, 9, 2):
         d = 2 ** (2 * k + 2) + 1
         for l in range(k + 1):
-            out = p2_decide(k, l)
+            out = decide_paper_equation(2, k, l)
             ok &= out.verdict == UNSOLVABLE
             ok &= out.certificate is not None and out.certificate.get("modulus") == 5
             ok &= solve_complete(PellianProblem(d, -(2 ** (2 * l + 1)))).verdict == UNSOLVABLE

@@ -1,12 +1,13 @@
 """Sweep harness: every claim confirms at reduced scale, reports are stable."""
 
+import hashlib
 import json
 import os
 from dataclasses import fields, replace
 
 import pytest
 
-from pelltuples import harness
+from pelltuples import harness, pellian
 from pelltuples.harness import (
     CLAIM_OPTIONS,
     CLAIMS,
@@ -14,6 +15,7 @@ from pelltuples.harness import (
     ClaimReport,
     SweepConfig,
     deep_dec,
+    dump_json,
     fifumi_b_values,
     odd_primes_upto,
     run_claim,
@@ -125,3 +127,36 @@ def test_pool_capped_by_items_and_cpus(monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         assert harness._map_ordered(abs, items, 5000) == list(range(15, 0, -1))
         assert asked == expect, cpus
+
+
+#: SHA-256 of dump_json(body, compact=True) for every claim at its defaults:
+#: the behaviour contract a refactor must keep byte for byte
+BODY_SHA256 = {
+    "dubo": "6efb651959bab96915654834f1159e8939f68388c348d30062f904321b7bb2e5",
+    "fifumi-desk": "035121ba3e824b252ca979791cd78ba2c973b88373834b11a1d804cc8bbd10dd",
+    "fujita": "cbd7132964306697f49a2da39e2e2b963c1de17008bdec0ffc9956fea5f66078",
+    "lemma3": "1784b93c11c03263b449c408716b038485de7aa6ee360af7fad52e79ea53312f",
+    "p2-prop": "7b224e5b501958c6d8da30161e3173597f7ace568846d8d25da40c4e948a0a35",
+    "pairs": "ae517cd10ecb88b96d3c77e982bd10b89b7a4519bf16fea51c713486a39881cf",
+    "prop26": "e96edf830268da924d2edc39609654f4669ef1541f0c7f13aff9ab279b5e5ff4",
+    "tm-ii-1-desk": "006699e38bfe671a96391457b83ba58977a654c80d8c4fb63099409200d5d310",
+    "tm-ii-2": "c79d7bd0559aa65d2b8375635959885927352feb01225377da7db529805cf4a4",
+    "tm1": "400fd8f0478d738abed9035c19e66cdcaee84ff9874976a6ef4523b568f7f6c3",
+    "worley": "11147b2560871fc2751e42496426f4996f632e1aa65af536c53e4ae8c32eb756",
+}
+
+
+@pytest.mark.parametrize("claim_id", sorted(CLAIMS))
+def test_default_body_pinned(claim_id):
+    body = dump_json(run_claim(claim_id, SweepConfig()).body(), compact=True)
+    assert hashlib.sha256(body.encode()).hexdigest() == BODY_SHA256[claim_id]
+
+
+def test_tm1_runs_each_residue_check_once():
+    # 14 odd primes p <= 50 and k <= 3: the sweep's own residue record misses,
+    # and the decider's residue and descent routes hit (0, 1, 1, 2 per k)
+    pellian.case2_residue_search.cache_clear()
+    run_claim("tm1", SweepConfig())
+    info = pellian.case2_residue_search.cache_info()
+    assert (info.misses, info.hits) == (56, 56)
+    pellian.case2_residue_search.cache_clear()

@@ -1,9 +1,13 @@
-"""Generalized Pell solver, class reduction, and the prime-power deciders."""
+"""Generalized Pell solver, class reduction, and the paper's equation decider."""
 
+import hashlib
 import inspect
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -22,7 +26,6 @@ from pelltuples.pellian import (
     decide_paper_equation,
     fujita_fast_path,
     has_primitive_solution,
-    p2_decide,
     p2_family_witness,
     pell_fundamental,
     solve_brute,
@@ -30,6 +33,7 @@ from pelltuples.pellian import (
     _cf_class_solutions,
     _class_rep,
     _class_search_outcome,
+    _fujita_chain,
     _residue_hits,
     _sqrt_mod,
 )
@@ -445,7 +449,7 @@ def test_decide_paper_equation_methods():
 
 def test_decide_paper_equation_validation():
     with pytest.raises(ValueError):
-        decide_paper_equation(4, 1, 1)  # not an odd prime
+        decide_paper_equation(4, 1, 1)  # not a prime
     with pytest.raises(ValueError):
         decide_paper_equation(3, 1, 2)  # l > k
 
@@ -461,18 +465,59 @@ def test_p2_family_witness_values():
 
 
 def test_p2_decide():
-    out = p2_decide(1, 1)
+    out = decide_paper_equation(2, 1, 1)
     assert out.verdict == SOLVABLE
     assert out.method == "paper-family"
     assert out.certificate == {"family_witness": (3, 1)}
-    out2 = p2_decide(2, 0)
+    out2 = decide_paper_equation(2, 2, 0)
     assert out2.verdict == UNSOLVABLE
     assert out2.certificate is not None
     assert out2.certificate.get("modulus") == 5
-    out3 = p2_decide(3, 3)
+    out3 = decide_paper_equation(2, 3, 3)
     assert out3.certificate == {"family_witness": (30, 2)}
     # Odd k with small l falls back to the fujita chain.
-    assert p2_decide(3, 1).verdict == UNSOLVABLE
+    assert decide_paper_equation(2, 3, 1).verdict == UNSOLVABLE
+
+
+def test_p2_dispatch_matches_former_p2_decide():
+    # the method table, witnesses, bounds and certificates of the former
+    # p2_decide(k, l): mod 5 for even k, the family for odd k and l > k/2,
+    # the Fujita chain otherwise
+    rows = []
+    for k in range(10):
+        for l in range(k + 1):
+            d, n = 2 ** (2 * k + 2) + 1, -(2 ** (2 * l + 1))
+            out = decide_paper_equation(2, k, l)
+            check = _class_search_outcome(d, n)
+            assert out.witnesses == check.witnesses, (k, l)
+            assert out.search_bound_used == check.search_bound_used == class_bound(d, n)
+            if k % 2 == 0:
+                assert out.method == "residue" and out.verdict == UNSOLVABLE
+                assert out.certificate == {"modulus": 5, "residue_pairs_checked": 25}
+            elif 2 * l > k:
+                assert out.method == "paper-family" and out.verdict == SOLVABLE
+                assert out.certificate == {"family_witness": p2_family_witness(k, l)}
+            else:
+                assert out.method == "fujita" and out.verdict == UNSOLVABLE
+                assert out.certificate == _fujita_chain(2, k, l)
+            rows.append((k, l, out))
+    # SHA-256 of the same rows from p2_decide before it was folded in
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "f67990ef2557185274811ff51834f7cab7e4bd2ebf337b8de715510c2b6d7053")
+
+
+def test_descent_reads_residue_check_without_recursion(monkeypatch):
+    decide = decide_paper_equation
+
+    def no_recursion(*args):
+        raise AssertionError("decide_paper_equation called itself")
+
+    monkeypatch.setattr(pellian, "decide_paper_equation", no_recursion)
+    case2_residue_search.cache_clear()
+    out = decide(3, 3, 2)
+    assert (out.verdict, out.witnesses, out.method) == (UNSOLVABLE, (), "descent")
+    assert out.certificate == {"multiplier": 3, "reduces_to": (3, 3, 3)}
+    assert case2_residue_search.cache_info().misses == 1
 
 
 def _paper_equations():
@@ -505,15 +550,15 @@ def test_paper_deciders_never_enumerate(monkeypatch):
         raise AssertionError("solve_brute called")
 
     monkeypatch.setattr(pellian, "solve_brute", no_enumeration)
-    decide_paper_equation.cache_clear()
+    case2_residue_search.cache_clear()
     for p in (3, 5, 7, 11, 13, 47):
         for k in range(4):
             for l in range(k + 1):
                 assert decide_paper_equation(p, k, l).verdict == UNSOLVABLE
     for k in range(10):
         for l in range(k + 1):
-            p2_decide(k, l)
-    decide_paper_equation.cache_clear()
+            decide_paper_equation(2, k, l)
+    case2_residue_search.cache_clear()
 
 
 def test_paper_check_hit_is_fatal(monkeypatch):
@@ -529,19 +574,40 @@ def test_paper_check_hit_is_fatal(monkeypatch):
     # and a check that misses the p = 2 family's solutions is fatal too
     monkeypatch.setattr(pellian, "_cf_class_solutions", lambda d, n: [])
     with pytest.raises(RuntimeError, match="fatal discrepancy"):
-        p2_decide(1, 1)
-    decide_paper_equation.cache_clear()
+        decide_paper_equation(2, 1, 1)
+    case2_residue_search.cache_clear()
 
 
 def test_caches_bounded_and_solve_complete_uncached():
     # every lru_cache of the package is bounded; the only repeated queries
-    # are Pell units and the paper deciders' descent route
+    # are Pell units and the Case 2 residue check of each (p, k)
     cached = {name for mod in vars(pelltuples).values() if inspect.ismodule(mod)
               for name, fn in vars(mod).items() if hasattr(fn, "cache_info")}
-    assert cached == {"pell_fundamental", "decide_paper_equation"}
+    assert cached == {"pell_fundamental", "case2_residue_search"}
     for name in cached:
         assert getattr(pellian, name).cache_parameters()["maxsize"] == pellian.CACHE_SIZE
     assert not hasattr(solve_complete, "cache_info")
+
+
+def test_outcome_rejects_non_solution(monkeypatch):
+    # 5^2 - 10*1^2 = 15, so (5, 1) must not pass as a solution of N = -3
+    monkeypatch.setattr(pellian, "_cf_class_solutions", lambda d, n: [(5, 1)])
+    with pytest.raises(RuntimeError, match="does not solve"):
+        _class_search_outcome(10, -3)
+
+
+def test_outcome_rejects_non_solution_under_optimize():
+    # python -O strips assert statements; the witness check must survive it
+    code = ("from pelltuples import pellian\n"
+            "pellian._cf_class_solutions = lambda d, n: [(5, 1)]\n"
+            "try:\n"
+            "    pellian._class_search_outcome(10, -3)\n"
+            "except RuntimeError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n")
+    src = os.path.dirname(os.path.dirname(pelltuples.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-O", "-c", code], env=env).returncode == 0
 
 
 def test_all_solutions_stream_examples():

@@ -243,7 +243,7 @@ def test_quadruple_family_runs_no_solver(monkeypatch):
 
     for name in ("solve_complete", "solve_brute", "all_solutions_stream"):
         monkeypatch.setattr(pellian, name, no_solver)
-    pellian.decide_paper_equation.cache_clear()
+    pellian.case2_residue_search.cache_clear()
     for n in (2, 3, 9, 40):
         for j in (1, 2, 8):
             plus, minus = prop_family(n, j, 1)
@@ -253,7 +253,7 @@ def test_quadruple_family_runs_no_solver(monkeypatch):
             status = theorem3_classify(p, k, q, l_exp, q**e).status
             assert status == (EXISTS_INFINITE if e % 2 == 0 else NONE)
     assert harness.run_claim("prop26", harness.SweepConfig()).status == harness.CONFIRMED
-    pellian.decide_paper_equation.cache_clear()
+    pellian.case2_residue_search.cache_clear()
 
 
 def test_prop_family_degenerate_only_at_j1():
