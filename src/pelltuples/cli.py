@@ -139,16 +139,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pairs = sub.add_parser("pairs", allow_abbrev=False,
                              help="list (p,k,q,l) with 2p^k = q^(2^l)+1")
-    p_pairs.add_argument("--limit", type=int, default=50)
+    p_pairs.add_argument("--limit", type=int, default=CLAIM_OPTIONS["pairs"]["limit"])
     p_pairs.set_defaults(func=cmd_pairs)
 
-    p_verify = sub.add_parser("verify", allow_abbrev=False, help="run a claim sweep")
+    p_verify = sub.add_parser("verify", allow_abbrev=False, help="run a claim sweep",
+                              description="Each sweep option names the claims that read "
+                                          "it, with the claim's default in parentheses.")
     p_verify.add_argument("claim_id", choices=sorted(CLAIMS))
     for f in fields(SweepConfig):
-        readers = [c for c in sorted(CLAIM_OPTIONS) if f.name in CLAIM_OPTIONS[c]]
-        default = "60 for fujita, 50 elsewhere" if f.default is None else f.default
+        readers = [f"{c} ({opts[f.name]})" for c, opts in sorted(CLAIM_OPTIONS.items())
+                   if f.name in opts]
         p_verify.add_argument(_option(f.name), type=int, default=None,
-                              help=f"read by {', '.join(readers)} (default {default})")
+                              help=f"read by {', '.join(readers)}")
     p_verify.add_argument("--out", type=str, default=None)
     p_verify.add_argument("--jsonl", action="store_true",
                           help="stream evidence records as JSON lines")

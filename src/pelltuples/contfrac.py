@@ -97,14 +97,18 @@ class ExpansionCapExceeded(RuntimeError):
     pass
 
 
-def walk(d: int, s: int, t: int, periods: int = 1,
-         max_terms: int = 100_000) -> Iterator[tuple[int, int, int]]:
+#: terms walk() takes to find a period before it raises ExpansionCapExceeded
+MAX_TERMS = 100_000
+
+
+def walk(d: int, s: int, t: int, periods: int = 1) -> Iterator[tuple[int, int, int]]:
     """Yield (a_n, s_{n+1}, t_{n+1}) for (s + sqrt(d))/t through the preperiod
     and `periods` periods, for non-square d and t | d - s^2.
 
     The period is the first repeated (s_n, t_n) pair; if none repeats within
-    max_terms terms, ExpansionCapExceeded is raised.
+    MAX_TERMS terms, ExpansionCapExceeded is raised.
     """
+    max_terms = MAX_TERMS  # a local: the loop below is the class search's hot path
     f = isqrt(d)
     if f * f == d:
         raise ValueError(f"d={d} is a perfect square")
@@ -130,11 +134,11 @@ def walk(d: int, s: int, t: int, periods: int = 1,
         n += 1
 
 
-def expand(alpha: QuadIrr, max_terms: int = 100_000) -> CFExpansion:
+def expand(alpha: QuadIrr) -> CFExpansion:
     """Continued fraction of alpha, with period detected from (s_n, t_n)."""
     quots: list[int] = []
     aux: list[tuple[int, int]] = [(alpha.s, alpha.t)]
-    for a, s, t in walk(alpha.d, alpha.s, alpha.t, max_terms=max_terms):
+    for a, s, t in walk(alpha.d, alpha.s, alpha.t):
         quots.append(a)
         aux.append((s, t))
     # the last state repeats the first state of the period, and only that one

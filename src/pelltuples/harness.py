@@ -5,10 +5,17 @@ per-case evidence with every integer serialized as a decimal string so
 arbitrarily large values survive JSON round-trips.  Reports are
 byte-deterministic for a fixed config (elapsed time lives in a separate
 header field).
+
+A claim's options are its keyword parameters, with their defaults:
+`CLAIM_OPTIONS` is read off the signatures once, at import, and
+`run_claim` passes each claim the `SweepConfig` fields that are set and
+that it reads.
 """
 from __future__ import annotations
 
+import inspect
 import json
+import math
 import os
 import random
 import time
@@ -17,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__
-from .arith import is_perfect_square, is_prime, isqrt
+from .arith import factorize, is_perfect_square, is_prime, isqrt
 from .contfrac import QuadIrr, expand, lemma_db_check, worley_candidates, convergents
 from .pellian import (
     PellianProblem,
@@ -47,15 +54,17 @@ PARTIAL = "PARTIAL"
 
 @dataclass
 class SweepConfig:
-    p_max: int = 50
-    k_max: int = 3
-    c_max: int = 10_000
-    n_max: int = 20
-    j_max: int = 5
-    limit: int | None = None   # per-claim default: 60 for fujita, 50 elsewhere
-    samples: int = 500
-    seed: int = 0
-    workers: int = 1
+    """Sweep options; None is "not set", so the claim's own default applies."""
+
+    p_max: int | None = None
+    k_max: int | None = None
+    c_max: int | None = None
+    n_max: int | None = None
+    j_max: int | None = None
+    limit: int | None = None
+    samples: int | None = None
+    seed: int | None = None
+    workers: int | None = None
 
 
 @dataclass
@@ -114,6 +123,12 @@ def _map_ordered(fn, items, workers: int):
         return list(ex.map(fn, items))
 
 
+def _checked(claim_id: str, config: dict, evidence: list) -> ClaimReport:
+    """The report of a claim whose every evidence record carries its own `ok`."""
+    ok = all(rec["ok"] for rec in evidence)
+    return ClaimReport(claim_id, CONFIRMED if ok else VIOLATED, config, evidence)
+
+
 # ---------------------------------------------------------------------------
 # per-claim sweeps
 
@@ -136,29 +151,24 @@ def _tm1_one_prime(args) -> list[dict]:
     return records
 
 
-def claim_tm1(cfg: SweepConfig) -> ClaimReport:
-    primes = odd_primes_upto(cfg.p_max)
-    if not primes or cfg.k_max < 0:
-        raise ValueError("tm1 needs p_max >= 3 and k_max >= 0")
-    chunks = _map_ordered(_tm1_one_prime, [(p, cfg.k_max) for p in primes], cfg.workers)
+def claim_tm1(p_max: int = 50, k_max: int = 3, workers: int = 1) -> ClaimReport:
+    primes = odd_primes_upto(p_max)
+    if not primes or k_max < 0 or workers < 1:
+        raise ValueError("tm1 needs p_max >= 3, k_max >= 0 and workers >= 1")
+    chunks = _map_ordered(_tm1_one_prime, [(p, k_max) for p in primes], workers)
     evidence = [rec for chunk in chunks for rec in chunk]
-    ok = all(rec["ok"] for rec in evidence)
-    return ClaimReport("tm1", CONFIRMED if ok else VIOLATED,
-                       {"p_max": cfg.p_max, "k_max": cfg.k_max}, evidence)
+    return _checked("tm1", {"p_max": p_max, "k_max": k_max}, evidence)
 
 
-def claim_p2_prop(cfg: SweepConfig) -> ClaimReport:
+def claim_p2_prop() -> ClaimReport:
     evidence = []
-    ok = True
     for k in range(10):
         for l in range(k + 1):
             oc = decide_paper_equation(2, k, l)
             expect = SOLVABLE if (k % 2 == 1 and 2 * l > k) else UNSOLVABLE
-            good = oc.verdict == expect
-            ok &= good
             evidence.append({"k": k, "l": l, "verdict": oc.verdict,
-                             "method": oc.method, "ok": good})
-    return ClaimReport("p2-prop", CONFIRMED if ok else VIOLATED, {"k_max": 9}, evidence)
+                             "method": oc.method, "ok": oc.verdict == expect})
+    return _checked("p2-prop", {"k_max": 9}, evidence)
 
 
 def _fujita_one_k(bigk: int) -> dict:
@@ -173,52 +183,55 @@ def _fujita_one_k(bigk: int) -> dict:
     return {"K": bigk, "n_checked": 2 * (bigk - 1), "violations": violations}
 
 
-def claim_fujita(cfg: SweepConfig) -> ClaimReport:
-    limit = 60 if cfg.limit is None else cfg.limit
-    if limit < 2:
-        raise ValueError("fujita needs limit >= 2")
-    evidence = _map_ordered(_fujita_one_k, list(range(2, limit + 1)), cfg.workers)
+def claim_fujita(limit: int = 60, workers: int = 1) -> ClaimReport:
+    if limit < 2 or workers < 1:
+        raise ValueError("fujita needs limit >= 2 and workers >= 1")
+    evidence = _map_ordered(_fujita_one_k, list(range(2, limit + 1)), workers)
     ok = all(not rec["violations"] for rec in evidence)
     return ClaimReport("fujita", CONFIRMED if ok else VIOLATED, {"K_max": limit}, evidence)
 
 
-def _random_dubo_instance(rng: random.Random):
+def _sampled_claim(claim_id: str, draw, samples: int, seed: int) -> ClaimReport:
+    """Check `samples` cases, each drawn and checked by draw(rng) from one
+    generator seeded with `seed`; the evidence keeps the first 10 records,
+    every failing one and a summary."""
+    if samples < 1:
+        raise ValueError(f"{claim_id} needs samples >= 1")
+    rng = random.Random(seed)
+    evidence = []
+    for i in range(samples):
+        rec = draw(rng)
+        if i < 10 or not rec["ok"]:
+            evidence.append(rec)
+    ok = all(rec["ok"] for rec in evidence)  # every failing record was kept
+    evidence.append({"samples": samples, "all_ok": ok})
+    return ClaimReport(claim_id, CONFIRMED if ok else VIOLATED,
+                       {"samples": samples, "seed": seed}, evidence)
+
+
+def _dubo_case(rng: random.Random) -> dict:
     while True:
         alpha = rng.randint(1, 10_000)
         beta = rng.randint(1, 10_000)
         if is_perfect_square(alpha * beta) is None:
-            return alpha, beta
+            break
+    exp = expand(QuadIrr(alpha * beta, 0, beta))
+    n = rng.randint(0, exp.preperiod_len + exp.period_len + 5)
+    r = rng.randint(0, 100)
+    u = rng.randint(0, 100)
+    try:
+        val, good = lemma_db_check(alpha, beta, n, r, u), True
+    except AssertionError:
+        val, good = None, False
+    return {"alpha": alpha, "beta": beta, "n": n, "r": r, "u": u, "value": val, "ok": good}
 
 
-def claim_dubo(cfg: SweepConfig) -> ClaimReport:
-    if cfg.samples < 1:
-        raise ValueError("dubo needs samples >= 1")
-    rng = random.Random(cfg.seed)
-    evidence = []
-    ok = True
-    for i in range(cfg.samples):
-        alpha, beta = _random_dubo_instance(rng)
-        exp = expand(QuadIrr(alpha * beta, 0, beta))
-        n = rng.randint(0, exp.preperiod_len + exp.period_len + 5)
-        r = rng.randint(0, 100)
-        u = rng.randint(0, 100)
-        try:
-            val = lemma_db_check(alpha, beta, n, r, u)
-            good = True
-        except AssertionError:
-            val, good = None, False
-        ok &= good
-        if i < 10 or not good:
-            evidence.append({"alpha": alpha, "beta": beta, "n": n, "r": r,
-                             "u": u, "value": val, "ok": good})
-    evidence.append({"samples": cfg.samples, "all_ok": ok})
-    return ClaimReport("dubo", CONFIRMED if ok else VIOLATED,
-                       {"samples": cfg.samples, "seed": cfg.seed}, evidence)
+def claim_dubo(samples: int = 500, seed: int = 0) -> ClaimReport:
+    return _sampled_claim("dubo", _dubo_case, samples, seed)
 
 
 def _worley_good_approximations(alpha: QuadIrr, c: Fraction, b_max: int):
     """All coprime (a, b), 1 <= b <= b_max, with |alpha - a/b| < c/b^2 (exact)."""
-    import math
     out = []
     for b in range(1, b_max + 1):
         # candidate numerators near alpha*b
@@ -236,8 +249,8 @@ def _worley_good_approximations(alpha: QuadIrr, c: Fraction, b_max: int):
     return out
 
 
-def claim_worley(cfg: SweepConfig) -> ClaimReport:
-    rng = random.Random(cfg.seed)
+def claim_worley(seed: int = 0) -> ClaimReport:
+    rng = random.Random(seed)
     irrationals = [QuadIrr(10, 0, 1), QuadIrr(2, 0, 1), QuadIrr(5, 1, 2)]
     for _ in range(7):
         d = rng.randint(2, 400)
@@ -245,7 +258,6 @@ def claim_worley(cfg: SweepConfig) -> ClaimReport:
             d = rng.randint(2, 400)
         irrationals.append(QuadIrr(d, rng.randint(-3, 3), rng.choice([1, 2, 3])))
     evidence = []
-    ok = True
     b_max = 60
     for alpha in irrationals:
         # least m >= 1 with q_m > b_max; q_m >= 2^(m//2), so m <= 2*bit_length(b_max)
@@ -256,12 +268,9 @@ def claim_worley(cfg: SweepConfig) -> ClaimReport:
             cands |= {(-a, -b) for a, b in cands}
             missing = [ab for ab in _worley_good_approximations(alpha, c, b_max)
                        if ab not in cands]
-            good = not missing
-            ok &= good
             evidence.append({"alpha": (alpha.d, alpha.s, alpha.t),
-                             "c": str(c), "missing": missing, "ok": good})
-    return ClaimReport("worley", CONFIRMED if ok else VIOLATED,
-                       {"b_max": b_max, "seed": cfg.seed}, evidence)
+                             "c": str(c), "missing": missing, "ok": not missing})
+    return _checked("worley", {"b_max": b_max, "seed": seed}, evidence)
 
 
 def _random_dl_triple(rng: random.Random):
@@ -281,40 +290,29 @@ def _random_dl_triple(rng: random.Random):
         return a, b, c, l, r, a + r, b + r
 
 
-def claim_lemma3(cfg: SweepConfig) -> ClaimReport:
-    if cfg.samples < 1:
-        raise ValueError("lemma3 needs samples >= 1")
-    rng = random.Random(cfg.seed)
-    count = cfg.samples
-    evidence = []
-    ok = True
-    for i in range(count):
-        a, b, c, l, r, s, tp = _random_dl_triple(rng)
-        try:
-            data = lemma3_extend_data(a, b, c, l, r, s, tp)
-            good = True
-            rec = {"a": a, "b": b, "c": c, "l": l, "e": data.e,
-                   "x": data.x, "y": data.y, "z": data.z, "ok": True}
-        except AssertionError as exc:
-            good = False
-            rec = {"a": a, "b": b, "c": c, "l": l, "ok": False, "error": str(exc)}
-        ok &= good
-        if i < 10 or not good:
-            evidence.append(rec)
-    evidence.append({"samples": count, "all_ok": ok})
-    return ClaimReport("lemma3", CONFIRMED if ok else VIOLATED,
-                       {"samples": count, "seed": cfg.seed}, evidence)
+def _lemma3_case(rng: random.Random) -> dict:
+    a, b, c, l, r, s, tp = _random_dl_triple(rng)
+    try:
+        data = lemma3_extend_data(a, b, c, l, r, s, tp)
+    except AssertionError as exc:
+        return {"a": a, "b": b, "c": c, "l": l, "ok": False, "error": str(exc)}
+    return {"a": a, "b": b, "c": c, "l": l, "e": data.e,
+            "x": data.x, "y": data.y, "z": data.z, "ok": True}
 
 
-def claim_prop26(cfg: SweepConfig) -> ClaimReport:
-    if cfg.n_max < 1 or cfg.j_max < 1:
+def claim_lemma3(samples: int = 500, seed: int = 0) -> ClaimReport:
+    return _sampled_claim("lemma3", _lemma3_case, samples, seed)
+
+
+def claim_prop26(n_max: int = 20, j_max: int = 5) -> ClaimReport:
+    if n_max < 1 or j_max < 1:
         raise ValueError("prop26 needs n_max >= 1 and j_max >= 1")
     evidence = []
     inventory = set()
     ok = True
-    for n in range(1, cfg.n_max + 1):
+    for n in range(1, n_max + 1):
         divisors_of_n = [m for m in range(1, n + 1) if n % m == 0]
-        for j in range(1, cfg.j_max + 1):
+        for j in range(1, j_max + 1):
             plus, minus = prop_family(n, j, 1)
             for tag, rep in (("+", plus), ("-", minus)):
                 elems = tuple(e.re for e in rep.elements)
@@ -336,7 +334,7 @@ def claim_prop26(cfg: SweepConfig) -> ClaimReport:
             ok = False
             evidence.append({"missing_required": list(required)})
     return ClaimReport("prop26", CONFIRMED if ok else VIOLATED,
-                       {"n_max": cfg.n_max, "j_max": cfg.j_max}, evidence)
+                       {"n_max": n_max, "j_max": j_max}, evidence)
 
 
 def fifumi_b_values(limit: int) -> list[int]:
@@ -344,7 +342,6 @@ def fifumi_b_values(limit: int) -> list[int]:
     def odd_prime_power(v: int) -> bool:
         if v < 3 or v % 2 == 0:
             return False
-        from .arith import factorize
         return len(factorize(v)) == 1
     out = []
     r = 1
@@ -376,48 +373,37 @@ def _require_c_pairs(bs: list[int], c_max: int) -> None:
                              f"of the form x^2+1 to check")
 
 
-def claim_fifumi(cfg: SweepConfig) -> ClaimReport:
+def claim_fifumi(c_max: int = 10_000) -> ClaimReport:
     evidence = []
-    ok = True
     bs = fifumi_b_values(200)
-    _require_c_pairs(bs, cfg.c_max)
+    _require_c_pairs(bs, c_max)
     for b in bs:
-        found = integer_quadruple_search(b, cfg.c_max)
-        good = not found
-        ok &= good
-        evidence.append({"b": b, "c_max": cfg.c_max,
-                         "quadruples": [list(q) for q in found], "ok": good})
-    return ClaimReport("fifumi-desk", CONFIRMED if ok else VIOLATED,
-                       {"c_max": cfg.c_max}, evidence)
+        found = integer_quadruple_search(b, c_max)
+        evidence.append({"b": b, "c_max": c_max,
+                         "quadruples": [list(q) for q in found], "ok": not found})
+    return _checked("fifumi-desk", {"c_max": c_max}, evidence)
 
 
-def claim_tmii1(cfg: SweepConfig) -> ClaimReport:
+def claim_tmii1(limit: int = 50, c_max: int = 10_000) -> ClaimReport:
     evidence = []
-    ok = True
-    limit = 50 if cfg.limit is None else cfg.limit
     pairs = find_admissible_pairs(limit)
     if not pairs:
         raise ValueError(f"tm-ii-1-desk found no admissible pairs up to limit {limit}")
-    _require_c_pairs([2 * p**k for p, k, _, _ in pairs], cfg.c_max)
+    _require_c_pairs([2 * p**k for p, k, _, _ in pairs], c_max)
     for p, k, q, l_exp in pairs:
         b = 2 * p**k
         for t in range(2, 21, 2):
             res = theorem3_classify(p, k, q, l_exp, t)
-            good = res.status == NONE
-            ok &= good
-            evidence.append({"p": p, "k": k, "t": t, "status": res.status, "ok": good})
-        found = integer_quadruple_search(b, cfg.c_max)
-        good = not found
-        ok &= good
+            evidence.append({"p": p, "k": k, "t": t, "status": res.status,
+                             "ok": res.status == NONE})
+        found = integer_quadruple_search(b, c_max)
         evidence.append({"b": b, "kind": "integer-quadruple-search",
-                         "quadruples": [list(qd) for qd in found], "ok": good})
-    return ClaimReport("tm-ii-1-desk", CONFIRMED if ok else VIOLATED,
-                       {"limit": limit, "c_max": cfg.c_max}, evidence)
+                         "quadruples": [list(qd) for qd in found], "ok": not found})
+    return _checked("tm-ii-1-desk", {"limit": limit, "c_max": c_max}, evidence)
 
 
-def claim_tmii2(cfg: SweepConfig) -> ClaimReport:
+def claim_tmii2() -> ClaimReport:
     evidence = []
-    ok = True
     targets = [(5, 1, 3, 1), (41, 1, 3, 2)]
     for p, k, q, l_exp in targets:
         top = 2**l_exp
@@ -435,13 +421,10 @@ def claim_tmii2(cfg: SweepConfig) -> ClaimReport:
                     and res.certificate.verdict == UNSOLVABLE
                 evidence.append({"p": p, "k": k, "t": t, "status": res.status,
                                  "ok": good})
-            ok &= good
         res = theorem3_classify(p, k, q, l_exp, 2)
-        good = res.status == NONE
-        ok &= good
-        evidence.append({"p": p, "k": k, "t": 2, "status": res.status, "ok": good})
-    return ClaimReport("tm-ii-2", CONFIRMED if ok else VIOLATED,
-                       {"pairs": targets}, evidence)
+        evidence.append({"p": p, "k": k, "t": 2, "status": res.status,
+                         "ok": res.status == NONE})
+    return _checked("tm-ii-2", {"pairs": targets}, evidence)
 
 
 #: entries the sweep must at minimum rediscover
@@ -449,8 +432,7 @@ REQUIRED_PAIRS = [(5, 1, 3, 1), (5, 2, 7, 1), (13, 4, 239, 1),
                   (29, 2, 41, 1), (41, 1, 3, 2)]
 
 
-def claim_pairs(cfg: SweepConfig) -> ClaimReport:
-    limit = 50 if cfg.limit is None else cfg.limit
+def claim_pairs(limit: int = 50) -> ClaimReport:
     if limit < 3:
         raise ValueError("pairs needs limit >= 3: there is no odd prime to search")
     found = find_admissible_pairs(limit)
@@ -478,26 +460,19 @@ CLAIMS = {
 }
 
 
-#: the SweepConfig fields each claim reads
+#: the SweepConfig fields each claim reads, with their defaults: a claim's
+#: keyword parameters, read once here
 CLAIM_OPTIONS = {
-    "tm1": ("p_max", "k_max", "workers"),
-    "p2-prop": (),
-    "fujita": ("limit", "workers"),
-    "dubo": ("samples", "seed"),
-    "worley": ("seed",),
-    "lemma3": ("samples", "seed"),
-    "prop26": ("n_max", "j_max"),
-    "fifumi-desk": ("c_max",),
-    "tm-ii-1-desk": ("limit", "c_max"),
-    "tm-ii-2": (),
-    "pairs": ("limit",),
+    claim_id: {name: par.default for name, par in inspect.signature(fn).parameters.items()}
+    for claim_id, fn in CLAIMS.items()
 }
 
 
 def run_claim(claim_id: str, cfg: SweepConfig) -> ClaimReport:
-    if claim_id not in CLAIMS:
-        raise KeyError(claim_id)
+    fn = CLAIMS[claim_id]
+    given = {name: getattr(cfg, name) for name in CLAIM_OPTIONS[claim_id]
+             if getattr(cfg, name) is not None}
     start = time.monotonic()
-    report = CLAIMS[claim_id](cfg)
+    report = fn(**given)
     report.elapsed = time.monotonic() - start
     return report

@@ -1,12 +1,13 @@
 """CLI behavior: parsing, exit codes, JSON output, report determinism."""
 
+import inspect
 import json
 import time
 
 import pytest
 
 from pelltuples.cli import main, parse_elem
-from pelltuples.harness import SweepConfig, run_claim
+from pelltuples.harness import CLAIM_OPTIONS, SweepConfig, run_claim
 from pelltuples.zring import RingElem
 
 
@@ -195,6 +196,8 @@ def test_workers_merge_order_matches_serial():
     ("tm-ii-1-desk", "--limit", "0"),
     ("prop26", "--n-max", "0"),
     ("prop26", "--j-max", "0"),
+    ("fujita", "--workers", "-4", "--limit", "3"),
+    ("tm1", "--workers", "0"),
 ])
 def test_verify_empty_sweep_is_usage_error(capsys, argv):
     # a sweep that checks nothing must not report CONFIRMED, and an explicit
@@ -240,3 +243,28 @@ def test_verify_options_are_not_abbreviated(capsys):
         main(["verify", "tm-ii-2", "--json"])
     assert exc.value.code == 2
     assert "--json" in capsys.readouterr().err
+
+
+def test_verify_help_names_readers_with_defaults(capsys, monkeypatch):
+    # the defaults come from the claim signatures, not from a copy in the CLI
+    monkeypatch.setenv("COLUMNS", "1000")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    for text in ("fujita (60)", "pairs (50)", "tm-ii-1-desk (50)"):
+        assert text in out
+    for claim_id, opts in CLAIM_OPTIONS.items():
+        for default in opts.values():
+            assert f"{claim_id} ({default})" in out
+
+
+def test_cli_runs_no_signature_reflection(capsys, monkeypatch):
+    # cli.main builds its parser on every call (one per pell-wide query), so
+    # claim options are read off the signatures once, at import
+    def no_reflection(*args, **kwargs):
+        raise AssertionError("inspect.signature called")
+
+    monkeypatch.setattr(inspect, "signature", no_reflection)
+    assert run(capsys, "pell", "10", "--", "-3")[0] == 0
+    assert run(capsys, "verify", "pairs")[0] == 0

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from pelltuples import contfrac
 from pelltuples.arith import is_perfect_square, isqrt
 from pelltuples.contfrac import (
     CFExpansion,
@@ -103,9 +104,10 @@ def test_expand_sqrt_one_more_than_square_power():
         assert (e.preperiod_len, e.period_len) == (1, 1)
 
 
-def test_expand_cap():
+def test_expand_cap(monkeypatch):
+    monkeypatch.setattr(contfrac, "MAX_TERMS", 3)
     with pytest.raises(ExpansionCapExceeded):
-        expand(QuadIrr(1234567891, 0, 1), max_terms=3)
+        expand(QuadIrr(1234567891, 0, 1))
 
 
 def _random_quadirr(rng):
@@ -165,11 +167,13 @@ def test_walk_rejects_bad_input():
         next(walk(10, 0, 0))
 
 
-def test_walk_cap():
+def test_walk_cap(monkeypatch):
     # sqrt(10) repeats (s, t) = (3, 1) at n = 2, so a cap of 3 terms finds it
-    assert len(list(walk(10, 0, 1, max_terms=3))) == 2
+    monkeypatch.setattr(contfrac, "MAX_TERMS", 3)
+    assert len(list(walk(10, 0, 1))) == 2
+    monkeypatch.setattr(contfrac, "MAX_TERMS", 2)
     with pytest.raises(ExpansionCapExceeded):
-        list(walk(10, 0, 1, max_terms=2))
+        list(walk(10, 0, 1))
 
 
 @st.composite

@@ -1,6 +1,7 @@
 """Sweep harness: every claim confirms at reduced scale, reports are stable."""
 
 import hashlib
+import inspect
 import json
 import os
 from dataclasses import fields, replace
@@ -127,6 +128,21 @@ def test_pool_capped_by_items_and_cpus(monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         assert harness._map_ordered(abs, items, 5000) == list(range(15, 0, -1))
         assert asked == expect, cpus
+
+
+def test_claim_options_are_sweep_fields():
+    # a claim's options are its keyword parameters; each is a SweepConfig field
+    # with an int default, and no field is a knob that no claim reads
+    names = {f.name for f in fields(SweepConfig)}
+    read = set()
+    for claim_id, fn in CLAIMS.items():
+        params = inspect.signature(fn).parameters
+        for name, par in params.items():
+            assert name in names, (claim_id, name)
+            assert type(par.default) is int, (claim_id, name)
+            read.add(name)
+        assert CLAIM_OPTIONS[claim_id] == {n: par.default for n, par in params.items()}
+    assert read == names
 
 
 #: SHA-256 of dump_json(body, compact=True) for every claim at its defaults:
