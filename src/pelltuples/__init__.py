@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .arith import is_perfect_square, is_prime, isqrt
 from .contfrac import (
     CFExpansion,
-    ConvergentSeq,
     QuadIrr,
     convergents,
     expand,
@@ -42,7 +41,7 @@ from .zring import (
 __all__ = [
     "__version__",
     "isqrt", "is_perfect_square", "is_prime",
-    "QuadIrr", "CFExpansion", "ConvergentSeq", "expand", "convergents",
+    "QuadIrr", "CFExpansion", "expand", "convergents",
     "lemma_db_check", "worley_candidates",
     "PellianProblem", "PellianOutcome", "PellUnit",
     "pell_fundamental", "solve_brute", "solve_complete", "fujita_fast_path",

@@ -6,6 +6,7 @@ is used anywhere.
 from __future__ import annotations
 
 import math
+from math import isqrt  # re-exported: exact floor square root, ValueError below 0
 
 #: factorize() trial-divides up to this bound
 FACTOR_TRIAL_BOUND = 10**7
@@ -23,13 +24,6 @@ _WITNESSES_LARGE = (
     67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137,
     139, 149, 151, 157, 163, 167, 173,
 )
-
-
-def isqrt(n: int) -> int:
-    """Exact floor square root of a non-negative integer."""
-    if n < 0:
-        raise ValueError("isqrt of negative integer")
-    return math.isqrt(n)
 
 
 def is_perfect_square(n: int) -> int | None:

@@ -10,6 +10,7 @@ import argparse
 import re
 import sys
 from dataclasses import fields
+from itertools import islice
 
 from .contfrac import ExpansionCapExceeded, QuadIrr, convergents, expand
 from .harness import CLAIM_OPTIONS, CLAIMS, SweepConfig, deep_dec, dump_json, run_claim
@@ -32,15 +33,16 @@ def parse_elem(text: str, t: int) -> RingElem:
 def cmd_cf(args) -> int:
     alpha = QuadIrr(args.d, args.s, args.t)
     exp = expand(alpha)
-    upto = max(exp.preperiod_len + exp.period_len, 2)
-    conv = convergents(exp, upto)
+    # the convergents m = 0 .. max(j + L, 2)
+    count = max(exp.preperiod_len + exp.period_len, 2) + 1
+    conv = islice(convergents(a for a, _, _ in exp.terms()), count)
     doc = deep_dec({
         "input": {"d": args.d, "s": args.s, "t": args.t},
         "preperiod": exp.quotients[:exp.preperiod_len],
         "period": exp.quotients[exp.preperiod_len:],
         "preperiod_len": exp.preperiod_len,
         "period_len": exp.period_len,
-        "convergents": [list(conv.pair(m)) for m in range(upto + 1)],
+        "convergents": [list(pq) for pq in conv],
     })
     print(dump_json(doc, args.json))
     return 0

@@ -9,14 +9,17 @@ integer recurrence
 
 which stays in exact integers as long as t | d - s^2.  The expansion is
 periodic; the period is detected from the first repeated (s_n, t_n) pair.
-`walk` is the one copy of this recurrence: `expand` records its terms, and
-the Pell class search keeps convergents in the same loop.
+`walk` is the one copy of this recurrence: `expand` records its terms,
+`CFExpansion.terms` repeats them past the period, `convergents` turns any
+partial quotients into (p_m, q_m), and the Pell class search keeps
+convergents in the same loop as the walk.
 """
 from __future__ import annotations
 
-from collections.abc import Iterator
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import cycle, islice
 
 from .arith import is_perfect_square, isqrt
 
@@ -75,22 +78,12 @@ class CFExpansion:
     period_len: int               # L
     aux: list[tuple[int, int]]    # (s_n, t_n) for n = 0 .. j+L
 
-    def quotient(self, n: int) -> int:
-        if n < 0:
-            raise IndexError(n)
-        k = self.preperiod_len + self.period_len
-        if n < k:
-            return self.quotients[n]
-        return self.quotients[self.preperiod_len + (n - self.preperiod_len) % self.period_len]
-
-    def aux_at(self, n: int) -> tuple[int, int]:
-        """(s_n, t_n), unrolling the period as needed."""
-        if n < 0:
-            raise IndexError(n)
-        k = self.preperiod_len + self.period_len
-        if n <= k:
-            return self.aux[n]
-        return self.aux[self.preperiod_len + (n - self.preperiod_len) % self.period_len]
+    def terms(self) -> Iterator[tuple[int, int, int]]:
+        """Yield (a_n, s_{n+1}, t_{n+1}) for n = 0, 1, ..., the rows of `walk`,
+        repeating the period without end."""
+        rows = [(a, s, t) for a, (s, t) in zip(self.quotients, self.aux[1:])]
+        yield from rows
+        yield from cycle(rows[self.preperiod_len:])
 
 
 class ExpansionCapExceeded(RuntimeError):
@@ -146,33 +139,12 @@ def expand(alpha: QuadIrr) -> CFExpansion:
     return CFExpansion(alpha, quots, j, len(quots) - j, aux)
 
 
-@dataclass
-class ConvergentSeq:
-    """Convergents (p_m, q_m) for m = -1 .. upto, with (p_-1, q_-1) = (1, 0)."""
-
-    pairs: list[tuple[int, int]] = field(default_factory=list)
-
-    def pair(self, m: int) -> tuple[int, int]:
-        if m < -1:
-            raise IndexError(m)
-        return self.pairs[m + 1]
-
-
-def convergents(exp: CFExpansion, upto: int) -> ConvergentSeq:
-    """Exact convergents through index `upto`, unrolling the period."""
-    if upto < 0:
-        raise ValueError("upto must be >= 0")
-    pairs = [(1, 0)]
-    p_prev, q_prev = 1, 0
-    p_prev2, q_prev2 = 0, 1
-    for m in range(upto + 1):
-        a = exp.quotient(m)
-        p = a * p_prev + p_prev2
-        q = a * q_prev + q_prev2
-        pairs.append((p, q))
-        p_prev2, q_prev2 = p_prev, q_prev
-        p_prev, q_prev = p, q
-    return ConvergentSeq(pairs)
+def convergents(quotients: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """Yield the convergents (p_m, q_m), m = 0, 1, ..., of [a_0; a_1, ...]."""
+    p0, q0, p, q = 0, 1, 1, 0
+    for a in quotients:
+        p0, q0, p, q = p, q, a * p + p0, a * q + q0
+        yield p, q
 
 
 def lemma_db_check(alpha: int, beta: int, n: int, r: int, u: int) -> int:
@@ -185,14 +157,14 @@ def lemma_db_check(alpha: int, beta: int, n: int, r: int, u: int) -> int:
     """
     if alpha <= 0 or beta <= 0:
         raise ValueError("alpha, beta must be positive")
+    if n < 0:
+        raise ValueError("n must be >= 0")
     if is_perfect_square(alpha * beta) is not None:
         raise ValueError("alpha*beta must not be a perfect square")
-    exp = expand(QuadIrr(alpha * beta, 0, beta))
-    conv = convergents(exp, n + 1)
-    pn, qn = conv.pair(n)
-    pn1, qn1 = conv.pair(n + 1)
+    rows = list(islice(expand(QuadIrr(alpha * beta, 0, beta)).terms(), n + 2))
+    (pn, qn), (pn1, qn1) = list(convergents(a for a, _, _ in rows))[n:]
     lhs = alpha * (r * qn1 + u * qn) ** 2 - beta * (r * pn1 + u * pn) ** 2
-    (_, t1), (s2, t2) = exp.aux_at(n + 1), exp.aux_at(n + 2)
+    (_, _, t1), (_, s2, t2) = rows[n:]
     rhs = (-1) ** n * (u * u * t1 + 2 * r * u * s2 - r * r * t2)
     if lhs != rhs:
         raise AssertionError(f"identity violated: lhs={lhs} rhs={rhs}")
@@ -210,7 +182,7 @@ class WorleyCandidate:
 
 
 def worley_candidates(alpha: QuadIrr, c, m_max: int) -> list[WorleyCandidate]:
-    """All (m, r, u, sign) with m <= m_max, r,u >= 0 and r*u < 2c.
+    """All (m, r, u, sign) with -1 <= m <= m_max, r,u >= 0 and r*u < 2c.
 
     c is exact (int or Fraction).  Candidates where r or u is zero are
     capped at the largest integer below 2c (their scalings are redundant
@@ -219,16 +191,16 @@ def worley_candidates(alpha: QuadIrr, c, m_max: int) -> list[WorleyCandidate]:
     c = Fraction(c)
     if c <= 0:
         raise ValueError("c must be positive")
+    if m_max < -1:
+        raise ValueError("m_max must be >= -1")
     twice = 2 * c
     # largest integer strictly below 2c
     lt = (twice.numerator - 1) // twice.denominator
     cap = max(lt, 1)
-    exp = expand(alpha)
-    conv = convergents(exp, m_max + 1)
+    # (p_m, q_m) for m = -1 .. m_max + 1
+    conv = [(1, 0), *islice(convergents(a for a, _, _ in expand(alpha).terms()), m_max + 2)]
     out: list[WorleyCandidate] = []
-    for m in range(-1, m_max + 1):
-        pm, qm = conv.pair(m)
-        pm1, qm1 = conv.pair(m + 1)
+    for m, ((pm, qm), (pm1, qm1)) in enumerate(zip(conv, conv[1:]), -1):
         for r in range(cap + 1):
             for u in range(cap + 1):
                 if r == 0 and u == 0:

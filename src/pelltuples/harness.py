@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from . import __version__
 from .arith import factorize, is_perfect_square, is_prime, isqrt
-from .contfrac import QuadIrr, expand, lemma_db_check, worley_candidates, convergents
+from .contfrac import QuadIrr, convergents, expand, lemma_db_check, worley_candidates
 from .pellian import (
     PellianProblem,
     SOLVABLE,
@@ -260,9 +260,9 @@ def claim_worley(seed: int = 0) -> ClaimReport:
     evidence = []
     b_max = 60
     for alpha in irrationals:
-        # least m >= 1 with q_m > b_max; q_m >= 2^(m//2), so m <= 2*bit_length(b_max)
-        conv = convergents(expand(alpha), 2 * b_max.bit_length())
-        m_max = next(m for m, (_, q) in enumerate(conv.pairs[2:], 1) if q > b_max)
+        # least m >= 1 with q_m > b_max
+        conv = convergents(a for a, _, _ in expand(alpha).terms())
+        m_max = next(m for m, (_, q) in enumerate(conv) if m >= 1 and q > b_max)
         for c in (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)):
             cands = {(w.a, w.b) for w in worley_candidates(alpha, c, m_max)}
             cands |= {(-a, -b) for a, b in cands}
@@ -329,8 +329,12 @@ def claim_prop26(n_max: int = 20, j_max: int = 5) -> ClaimReport:
                 elif not rep.degenerate:
                     ok = False
                 evidence.append(rec)
+    if all(rec["degenerate"] for rec in evidence):
+        raise ValueError(f"prop26 at n_max={n_max}, j_max={j_max} meets only "
+                         f"degenerate branches: there is no quadruple to check")
+    # the required quadruples inside the sweep: n^2 + 1 is the second element
     for required in ((1, 5, -3, 65), (1, 10, -8, 325)):
-        if required not in inventory:
+        if isqrt(required[1] - 1) <= n_max and required not in inventory:
             ok = False
             evidence.append({"missing_required": list(required)})
     return ClaimReport("prop26", CONFIRMED if ok else VIOLATED,
@@ -427,16 +431,17 @@ def claim_tmii2() -> ClaimReport:
     return _checked("tm-ii-2", {"pairs": targets}, evidence)
 
 
-#: entries the sweep must at minimum rediscover
+#: entries the sweep must at minimum rediscover, each once limit reaches its p
 REQUIRED_PAIRS = [(5, 1, 3, 1), (5, 2, 7, 1), (13, 4, 239, 1),
                   (29, 2, 41, 1), (41, 1, 3, 2)]
 
 
 def claim_pairs(limit: int = 50) -> ClaimReport:
-    if limit < 3:
-        raise ValueError("pairs needs limit >= 3: there is no odd prime to search")
+    required = [t for t in REQUIRED_PAIRS if t[0] <= limit]
+    if not required:
+        raise ValueError(f"pairs at limit={limit} checks no required pair: none has p <= limit")
     found = find_admissible_pairs(limit)
-    missing = [t for t in REQUIRED_PAIRS if t not in found]
+    missing = [t for t in required if t not in found]
     evidence = [{"p": p, "k": k, "q": q, "l_exp": l} for p, k, q, l in found]
     ok = not missing
     if missing:

@@ -107,6 +107,8 @@ def _pqa_first_hit(d: int, z: int, m: int) -> tuple[int, int] | None:
         want = -want
     else:
         return None
+    # inline, not contfrac.convergents: on the class search's hot path this
+    # skips a generator resume per quotient
     p0, q0, p, q = 0, 1, 1, 0
     for a in quots:
         p0, q0, p, q = p, q, a * p + p0, a * q + q0

@@ -1,8 +1,13 @@
 """CLI behavior: parsing, exit codes, JSON output, report determinism."""
 
+import hashlib
 import inspect
 import json
+import math
+import shlex
 import time
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +38,42 @@ def test_cf_sqrt10(capsys):
     assert doc["preperiod"] == ["3"]
     assert doc["period"] == ["6"]
     assert ["19", "6"] in doc["convergents"]
+
+
+def _cf_grid():
+    """(d, s, t) for every non-square d in 2..30, s in -3..3 and t in {±1, ±2, ±3}."""
+    return [(d, s, t) for d in range(2, 31) if math.isqrt(d) ** 2 != d
+            for s in range(-3, 4) for t in (-3, -2, -1, 1, 2, 3)]
+
+
+#: SHA-256 of f"{rc}:{stdout}" of `--json cf d s t`, concatenated over _cf_grid()
+CF_GRID_SHA256 = "97c70100936e3f68ae45da7442a5b34aa3a4238579d5074d224807ed3eb38b4e"
+
+
+def test_cf_grid_pinned(capsys):
+    h = hashlib.sha256()
+    for d, s, t in _cf_grid():
+        code, out, _ = run(capsys, "--json", "cf", str(d), str(s), str(t))
+        h.update(f"{code}:{out}".encode())
+    assert h.hexdigest() == CF_GRID_SHA256
+
+
+def test_cf_convergents_are_prefix_values(capsys):
+    # oracle: the m-th printed convergent is the value of [a_0; a_1, ..., a_m],
+    # folded from the back in Fractions over the printed preperiod and period
+    for d, s, t in _cf_grid():
+        code, out, _ = run(capsys, "--json", "cf", str(d), str(s), str(t))
+        assert code == 0
+        doc = json.loads(out)
+        pre = [int(a) for a in doc["preperiod"]]
+        period = [int(a) for a in doc["period"]]
+        for m, (p, q) in enumerate(doc["convergents"]):
+            quots = [pre[i] if i < len(pre) else period[(i - len(pre)) % len(period)]
+                     for i in range(m + 1)]
+            value = Fraction(quots[-1])
+            for a in reversed(quots[:-1]):
+                value = a + 1 / value
+            assert Fraction(int(p), int(q)) == value, (d, s, t, m)
 
 
 def test_cf_rejects_square_d(capsys):
@@ -198,6 +239,8 @@ def test_workers_merge_order_matches_serial():
     ("prop26", "--j-max", "0"),
     ("fujita", "--workers", "-4", "--limit", "3"),
     ("tm1", "--workers", "0"),
+    ("pairs", "--limit", "4"),
+    ("prop26", "--n-max", "1", "--j-max", "1"),
 ])
 def test_verify_empty_sweep_is_usage_error(capsys, argv):
     # a sweep that checks nothing must not report CONFIRMED, and an explicit
@@ -207,6 +250,33 @@ def test_verify_empty_sweep_is_usage_error(capsys, argv):
     assert err.startswith("error: ")
     for opt in argv[1::2]:
         assert opt[2:].replace("-", "_") in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("pairs", "--limit", "40"),
+    ("prop26", "--n-max", "2"),
+])
+def test_verify_small_sweep_checks_only_required_entries_in_range(capsys, argv):
+    # (41, 1, 3, 2) lies beyond limit 40, and (1, 10, -8, 325) has n = 3 > 2
+    code, out, _ = run(capsys, "--json", "verify", *argv)
+    assert code == 0
+    assert json.loads(out)["status"] == "CONFIRMED"
+
+
+def _readme_cli_examples():
+    """The `pelltuples ...` lines of the README's CLI block, as argv lists."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("pelltuples ")]
+
+
+def test_readme_cli_examples_run(capsys):
+    examples = _readme_cli_examples()
+    assert len(examples) >= 5
+    for argv in examples:
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
 
 
 @pytest.mark.parametrize("argv", [

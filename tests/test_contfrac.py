@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import assume, given, settings
@@ -84,7 +85,7 @@ def test_expand_sqrt10():
     assert e.quotients == [3, 6]
     assert e.preperiod_len == 1
     assert e.period_len == 1
-    assert [e.quotient(n) for n in range(6)] == [3, 6, 6, 6, 6, 6]
+    assert [a for a, _, _ in islice(e.terms(), 6)] == [3, 6, 6, 6, 6, 6]
 
 
 def test_expand_sqrt2_and_golden():
@@ -132,7 +133,7 @@ def test_expansion_state_invariants_random():
             assert t_n != 0
             assert (d - s_n * s_n) % t_n == 0
             if n >= 1:
-                a = e.quotient(n - 1)
+                a = e.quotients[n - 1]
                 s_prev, t_prev = e.aux[n - 1]
                 assert s_n == a * t_prev - s_prev
                 assert t_n == (d - s_n * s_n) // t_prev
@@ -155,7 +156,7 @@ def test_walk_runs_the_preperiod_and_whole_periods():
         for periods in (1, 2, 3):
             terms = list(walk(alpha.d, alpha.s, alpha.t, periods))
             assert len(terms) == e.preperiod_len + periods * e.period_len
-            assert terms == [(e.quotient(n), *e.aux_at(n + 1)) for n in range(len(terms))]
+            assert terms == list(islice(e.terms(), len(terms)))
 
 
 def test_walk_rejects_bad_input():
@@ -199,14 +200,25 @@ def test_pqa_identity(start):
         assert g * g - d * q * q == (-1) ** (i + 1) * t * m
 
 
+def _convergents(e, count):
+    """The first `count` convergents of the expansion e."""
+    return list(islice(convergents(a for a, _, _ in e.terms()), count))
+
+
 def test_convergents_examples():
-    c = convergents(expand(QuadIrr(10, 0, 1)), 3)
-    assert c.pair(0) == (3, 1)
-    assert c.pair(1) == (19, 6)
-    assert c.pair(2) == (117, 37)
-    c26 = convergents(expand(QuadIrr(26, 0, 1)), 1)
-    assert c26.pair(0) == (5, 1)
-    assert c26.pair(1) == (51, 10)
+    c = _convergents(expand(QuadIrr(10, 0, 1)), 4)
+    assert c[0] == (3, 1)
+    assert c[1] == (19, 6)
+    assert c[2] == (117, 37)
+    c26 = _convergents(expand(QuadIrr(26, 0, 1)), 2)
+    assert c26[0] == (5, 1)
+    assert c26[1] == (51, 10)
+
+
+def test_convergents_of_any_quotients():
+    # [1; 2, 2, 2] -> 1, 3/2, 7/5, 17/12; a finite list ends the generator
+    assert list(convergents([1, 2, 2, 2])) == [(1, 1), (3, 2), (7, 5), (17, 12)]
+    assert list(convergents([])) == []
 
 
 def test_convergents_determinant_and_quality():
@@ -215,17 +227,17 @@ def test_convergents_determinant_and_quality():
         alpha = _random_quadirr(rng)
         e = expand(alpha)
         upto = e.preperiod_len + 2 * e.period_len + 3
-        c = convergents(e, upto)
+        c = _convergents(e, upto + 1)
         prev = (1, 0)
         for m in range(upto + 1):
-            p, q = c.pair(m)
+            p, q = c[m]
             assert p * prev[1] - prev[0] * q in (1, -1)
             prev = (p, q)
         # |alpha - p_m/q_m| < 1/(q_m q_{m+1}), checked exactly:
         # q_{m+1} |q_m alpha - p_m| < 1.
         for m in range(upto):
-            p, q = c.pair(m)
-            p2, q2 = c.pair(m + 1)
+            p, q = c[m]
+            p2, q2 = c[m + 1]
             # alpha = (s + sqrt d)/t; q*alpha - p = (q*s - p*t + q*sqrt d)/t
             a = q * alpha.s - p * alpha.t
             b = q
@@ -243,6 +255,21 @@ def test_lemma_db_examples():
     assert lemma_db_check(10, 1, 0, 1, 0) == -1
     assert lemma_db_check(10, 1, 0, 0, 1) == 1
     assert lemma_db_check(2, 1, 0, 1, 1) == 2
+
+
+@pytest.mark.parametrize("n", [-1, -2])
+def test_lemma_db_rejects_negative_n(n):
+    with pytest.raises(ValueError, match="n must be"):
+        lemma_db_check(10, 1, n, 1, 1)
+
+
+def test_worley_candidates_index_domain():
+    with pytest.raises(ValueError, match="m_max"):
+        worley_candidates(QuadIrr(10, 0, 1), 1, -2)
+    # m = -1 alone pairs (p_0, q_0) = (3, 1) with (p_-1, q_-1) = (1, 0)
+    cands = worley_candidates(QuadIrr(10, 0, 1), 1, -1)
+    assert {w.m for w in cands} == {-1}
+    assert (-1, 1, 1, -1, 2, 1) in [(w.m, w.r, w.u, w.sign, w.a, w.b) for w in cands]
 
 
 def test_lemma_db_randoms():
