@@ -160,9 +160,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+#: the parser of every main() call, built by the first one rather than at
+#: import, so that importing this module stays cheap
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, KeyError, ExpansionCapExceeded, OSError) as exc:

@@ -8,7 +8,8 @@ integer recurrence
     t_{n+1} = (d - s_{n+1}^2) / t_n
 
 which stays in exact integers as long as t | d - s^2.  The expansion is
-periodic; the period is detected from the first repeated (s_n, t_n) pair.
+periodic, and purely periodic from its first reduced complete quotient on
+(Galois), so the period is the run from that state to its first return.
 `walk` is the one copy of this recurrence: `expand` records its terms,
 `CFExpansion.terms` repeats them past the period, `convergents` turns any
 partial quotients into (p_m, q_m), and the Pell class search keeps
@@ -98,8 +99,10 @@ def walk(d: int, s: int, t: int, periods: int = 1) -> Iterator[tuple[int, int, i
     """Yield (a_n, s_{n+1}, t_{n+1}) for (s + sqrt(d))/t through the preperiod
     and `periods` periods, for non-square d and t | d - s^2.
 
-    The period is the first repeated (s_n, t_n) pair; if none repeats within
-    MAX_TERMS terms, ExpansionCapExceeded is raised.
+    The period opens at the first reduced state, 0 < s <= f and
+    f - s < t <= f + s with f = isqrt(d) (then (s + sqrt(d))/t > 1 and its
+    conjugate lies in (-1, 0)), and closes when that state comes back; if it
+    has not come back within MAX_TERMS terms, ExpansionCapExceeded is raised.
     """
     max_terms = MAX_TERMS  # a local: the loop below is the class search's hot path
     f = isqrt(d)
@@ -107,17 +110,18 @@ def walk(d: int, s: int, t: int, periods: int = 1) -> Iterator[tuple[int, int, i
         raise ValueError(f"d={d} is a perfect square")
     if t == 0 or (d - s * s) % t:
         raise ValueError("t must be a nonzero divisor of d - s^2")
-    seen: dict[tuple[int, int], int] = {}
     n, end = 0, -1
+    j, s0, t0 = -1, None, None  # the first reduced state (s_j, t_j)
     while n != end:
         if end < 0:
             if n == max_terms:
                 raise ExpansionCapExceeded(f"no period within {max_terms} terms")
-            j = seen.setdefault((s, t), n)
-            if j < n:
+            if s == s0 and t == t0:
                 # the period has n - j terms; run periods - 1 more of them
                 end = n + (n - j) * (periods - 1)
                 continue
+            if j < 0 and 0 < s <= f and f - s < t <= f + s:
+                j, s0, t0 = n, s, t
         # floor((s + sqrt(d))/t); for t < 0 the value is irrational, so its
         # floor is -floor((s + sqrt(d))/|t|) - 1
         a = (s + f) // t if t > 0 else -((s + f) // -t) - 1
@@ -128,7 +132,7 @@ def walk(d: int, s: int, t: int, periods: int = 1) -> Iterator[tuple[int, int, i
 
 
 def expand(alpha: QuadIrr) -> CFExpansion:
-    """Continued fraction of alpha, with period detected from (s_n, t_n)."""
+    """Continued fraction of alpha: the preperiod and one period of walk."""
     quots: list[int] = []
     aux: list[tuple[int, int]] = [(alpha.s, alpha.t)]
     for a, s, t in walk(alpha.d, alpha.s, alpha.t):
@@ -181,8 +185,9 @@ class WorleyCandidate:
     b: int          # r*q_{m+1} + sign*u*q_m
 
 
-def worley_candidates(alpha: QuadIrr, c, m_max: int) -> list[WorleyCandidate]:
-    """All (m, r, u, sign) with -1 <= m <= m_max, r,u >= 0 and r*u < 2c.
+def worley_candidates(exp: CFExpansion, c, m_max: int) -> list[WorleyCandidate]:
+    """All (m, r, u, sign) with -1 <= m <= m_max, r,u >= 0 and r*u < 2c, over
+    the convergents of the expansion exp.
 
     c is exact (int or Fraction).  Candidates where r or u is zero are
     capped at the largest integer below 2c (their scalings are redundant
@@ -198,7 +203,7 @@ def worley_candidates(alpha: QuadIrr, c, m_max: int) -> list[WorleyCandidate]:
     lt = (twice.numerator - 1) // twice.denominator
     cap = max(lt, 1)
     # (p_m, q_m) for m = -1 .. m_max + 1
-    conv = [(1, 0), *islice(convergents(a for a, _, _ in expand(alpha).terms()), m_max + 2)]
+    conv = [(1, 0), *islice(convergents(a for a, _, _ in exp.terms()), m_max + 2)]
     out: list[WorleyCandidate] = []
     for m, ((pm, qm), (pm1, qm1)) in enumerate(zip(conv, conv[1:]), -1):
         for r in range(cap + 1):

@@ -260,11 +260,12 @@ def claim_worley(seed: int = 0) -> ClaimReport:
     evidence = []
     b_max = 60
     for alpha in irrationals:
+        exp = expand(alpha)
         # least m >= 1 with q_m > b_max
-        conv = convergents(a for a, _, _ in expand(alpha).terms())
+        conv = convergents(a for a, _, _ in exp.terms())
         m_max = next(m for m, (_, q) in enumerate(conv) if m >= 1 and q > b_max)
         for c in (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)):
-            cands = {(w.a, w.b) for w in worley_candidates(alpha, c, m_max)}
+            cands = {(w.a, w.b) for w in worley_candidates(exp, c, m_max)}
             cands |= {(-a, -b) for a, b in cands}
             missing = [ab for ab in _worley_good_approximations(alpha, c, b_max)
                        if ab not in cands]

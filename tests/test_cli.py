@@ -11,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
+from pelltuples import cli
 from pelltuples.cli import main, parse_elem
-from pelltuples.harness import CLAIM_OPTIONS, SweepConfig, run_claim
+from pelltuples.harness import CLAIM_OPTIONS, SweepConfig, dump_json, run_claim
 from pelltuples.zring import RingElem
 
 
@@ -330,11 +331,55 @@ def test_verify_help_names_readers_with_defaults(capsys, monkeypatch):
 
 
 def test_cli_runs_no_signature_reflection(capsys, monkeypatch):
-    # cli.main builds its parser on every call (one per pell-wide query), so
-    # claim options are read off the signatures once, at import
+    # claim options are read off the signatures once, at import, so neither
+    # building the parser (on the first main call) nor parsing reflects
+    monkeypatch.setattr(cli, "_parser", None)
+
     def no_reflection(*args, **kwargs):
         raise AssertionError("inspect.signature called")
 
     monkeypatch.setattr(inspect, "signature", no_reflection)
     assert run(capsys, "pell", "10", "--", "-3")[0] == 0
     assert run(capsys, "verify", "pairs")[0] == 0
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+
+    def counting_build():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    for argv in (("pell", "10", "--", "-3"), ("cf", "10", "0", "1"), ("verify", "pairs")):
+        assert run(capsys, *argv)[0] == 0
+    assert len(built) == 1
+
+
+def test_parser_reuse_carries_no_state(capsys):
+    # --json on one call does not stick to the next
+    code, compact, _ = run(capsys, "--json", "pell", "10", "--", "-3")
+    assert code == 0 and compact.count("\n") == 1
+    code, indented, _ = run(capsys, "pell", "10", "--", "-3")
+    assert code == 0 and indented.count("\n") > 1
+    assert json.loads(compact) == json.loads(indented)
+    # nor does a sweep option: the second tm1 runs at its defaults
+    assert run(capsys, "verify", "tm1", "--p-max", "7")[0] == 0
+    code, out, _ = run(capsys, "verify", "tm1")
+    doc = json.loads(out)
+    del doc["header"]
+    assert code == 0
+    assert dump_json(doc, compact=True) == \
+        dump_json(run_claim("tm1", SweepConfig()).body(), compact=True)
+
+
+def test_parser_survives_usage_error(capsys):
+    assert run(capsys, "pell", "10", "--", "-1")[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["pell", "10"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run(capsys, "pell", "10", "--", "-1")
+    assert code == 0 and json.loads(out)["verdict"] == "SOLVABLE"

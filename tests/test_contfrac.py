@@ -177,6 +177,64 @@ def test_walk_cap(monkeypatch):
         list(walk(10, 0, 1))
 
 
+def _walk_seen_dict(d, s, t, periods):
+    """The rows of walk(d, s, t, periods), with the period found as the first
+    repeated (s_n, t_n) pair of a dict of every state seen: an oracle for
+    walk, which remembers only its first reduced state."""
+    f = math.isqrt(d)
+    seen = {}
+    rows = []
+    n, end = 0, -1
+    while n != end:
+        if end < 0:
+            j = seen.setdefault((s, t), n)
+            if j < n:
+                end = n + (n - j) * (periods - 1)
+                continue
+        a = (s + f) // t if t > 0 else -((s + f) // -t) - 1
+        s = a * t - s
+        t = (d - s * s) // t
+        rows.append((a, s, t))
+        n += 1
+    return rows
+
+
+def _walk_starts(rng, count):
+    """(d, s, t) with t | d - s^2: random ones (d = s^2 - t*c, t of either
+    sign), the state that opens each one's period, and starts just outside
+    the reduced ones, 0 < (s + sqrt(d))/t < 1 with conjugate in (-1, 0)."""
+    starts = []
+    while len(starts) < 3 * count:
+        s = rng.randint(-300, 300)
+        t = rng.choice([-1, 1]) * rng.randint(1, 300)
+        d = s * s - t * rng.randint(-3000, 3000)
+        if d < 2 or math.isqrt(d) ** 2 == d:
+            continue
+        e = expand(QuadIrr(d, s, t))
+        starts += [(d, s, t), (d, *e.aux[e.preperiod_len])]
+        # sqrt(d) < t - s when c < t - 2s
+        s = rng.randint(1, 100)
+        t = rng.randint(2 * s + 2, 400)
+        d = s * s + t * rng.randint(1, t - 2 * s - 1)
+        if math.isqrt(d) ** 2 != d:
+            starts.append((d, s, t))
+    return starts
+
+
+def test_walk_matches_seen_dict_oracle():
+    kinds = {"t < 0": 0, "not reduced": 0, "reduced": 0, "below 1": 0}
+    for d, s, t in _walk_starts(random.Random(14), 1000):
+        f = math.isqrt(d)
+        reduced = 0 < s <= f and f - s < t <= f + s
+        kinds["reduced" if reduced else "not reduced"] += 1
+        kinds["t < 0"] += t < 0
+        kinds["below 1"] += 0 < s + f < t
+        for periods in (1, 2, 3):
+            assert list(walk(d, s, t, periods)) == _walk_seen_dict(d, s, t, periods), \
+                (d, s, t, periods)
+    assert min(kinds.values()) >= 200, kinds
+
+
 @st.composite
 def _pqa_start(draw):
     """(d, z, m) with d >= 2 non-square and m | z^2 - d, m of either sign."""
@@ -265,9 +323,9 @@ def test_lemma_db_rejects_negative_n(n):
 
 def test_worley_candidates_index_domain():
     with pytest.raises(ValueError, match="m_max"):
-        worley_candidates(QuadIrr(10, 0, 1), 1, -2)
+        worley_candidates(expand(QuadIrr(10, 0, 1)), 1, -2)
     # m = -1 alone pairs (p_0, q_0) = (3, 1) with (p_-1, q_-1) = (1, 0)
-    cands = worley_candidates(QuadIrr(10, 0, 1), 1, -1)
+    cands = worley_candidates(expand(QuadIrr(10, 0, 1)), 1, -1)
     assert {w.m for w in cands} == {-1}
     assert (-1, 1, 1, -1, 2, 1) in [(w.m, w.r, w.u, w.sign, w.a, w.b) for w in cands]
 
@@ -288,7 +346,7 @@ def test_lemma_db_randoms():
 
 
 def test_worley_example_sqrt10():
-    cands = worley_candidates(QuadIrr(10, 0, 1), Fraction(3, 2), 0)
+    cands = worley_candidates(expand(QuadIrr(10, 0, 1)), Fraction(3, 2), 0)
     hits = [(w.m, w.r, w.u, w.sign, w.a, w.b) for w in cands]
     assert (0, 1, 1, 1, 22, 7) in hits
     for w in cands:
@@ -300,7 +358,7 @@ def test_worley_covers_good_approximations():
     # candidate (up to sign of the pair).
     alpha = QuadIrr(10, 0, 1)
     c = Fraction(3, 2)
-    cands = worley_candidates(alpha, c, 8)
+    cands = worley_candidates(expand(alpha), c, 8)
     pairs = {(w.a, w.b) for w in cands} | {(-w.a, -w.b) for w in cands}
     for b in range(1, 50):
         for a in range(3 * b - 2, 3 * b + 4):

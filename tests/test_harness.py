@@ -8,7 +8,7 @@ from dataclasses import fields, replace
 
 import pytest
 
-from pelltuples import harness, pellian
+from pelltuples import contfrac, harness, pellian
 from pelltuples.harness import (
     CLAIM_OPTIONS,
     CLAIMS,
@@ -176,3 +176,18 @@ def test_tm1_runs_each_residue_check_once():
     info = pellian.case2_residue_search.cache_info()
     assert (info.misses, info.hits) == (56, 56)
     pellian.case2_residue_search.cache_clear()
+
+
+def test_worley_expands_each_irrational_once(monkeypatch):
+    # 10 irrationals; worley_candidates reads the claim's expansion
+    calls = []
+    expand = contfrac.expand
+
+    def counting_expand(alpha):
+        calls.append(alpha)
+        return expand(alpha)
+
+    monkeypatch.setattr(harness, "expand", counting_expand)
+    monkeypatch.setattr(contfrac, "expand", counting_expand)
+    assert harness.claim_worley().status == CONFIRMED
+    assert len(calls) == 10
