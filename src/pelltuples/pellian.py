@@ -7,17 +7,18 @@ Two complete methods are available and cross-checked:
 * the Lagrange-Matthews-Mollin class search above it: for every f^2 | N
   and every root z of z^2 = D (mod |N/f^2|), read off the factorization
   of N, with 2z <= |N/f^2|, one pass of contfrac.walk over
-  (z + sqrt(D))/Q_0, Q_0 = |N/f^2|, through the preperiod and two periods.
-  The PQa identity G_i^2 - D*q_i^2 = (-1)^(i+1) * t_{i+1} * Q_0,
-  G_i = Q_0*p_i - z*q_i (J. P. Robertson, "Solving the generalized Pell
-  equation x^2 - Dy^2 = N", 2004), makes step i a solution exactly when
-  (-1)^(i+1) * t_{i+1} is the sign of N/f^2.  The walk keeps only the
-  partial quotients and stops at its first hit, where the convergent
-  (p_i, q_i) is built once.  One hit per root suffices: every hit of root
-  z has G = -z*B (mod Q_0), so by Nagell's criterion any two of them
-  differ by a unit of norm 1 and lie in one class; and root Q_0 - z gives
-  the conjugate classes, which the class representative merges.  The Pell
-  unit is the first hit of the walk of sqrt(D).
+  (z + sqrt(D))/Q_0, Q_0 = |N/f^2|, through the preperiod and one period,
+  plus the copied period for an odd one.  The PQa identity
+  G_i^2 - D*q_i^2 = (-1)^(i+1) * t_{i+1} * Q_0, G_i = Q_0*p_i - z*q_i
+  (J. P. Robertson, "Solving the generalized Pell equation x^2 - Dy^2 = N",
+  2004), makes step i a solution exactly when (-1)^(i+1) * t_{i+1} is the
+  sign of N/f^2.  The walk stops at its first hit, where the convergent
+  (p_i, q_i) is built once from its rows.  One hit per root
+  suffices: every hit of root z has G = -z*B (mod Q_0), so by Nagell's
+  criterion any two of them differ by a unit of norm 1 and lie in one
+  class; and root Q_0 - z gives the conjugate classes, which the class
+  representative merges.  The Pell unit comes from half the period of
+  sqrt(D), a palindrome.
 
 _positive_solutions streams every positive solution in increasing y from one
 solution per class, by the Pell unit.  The paper's Case 2 residue check is
@@ -42,13 +43,14 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 from .arith import factorize, is_perfect_square, is_prime, isqrt
-from .contfrac import walk
+from .contfrac import convergents, walk
 
 SOLVABLE = "SOLVABLE"
 UNSOLVABLE = "UNSOLVABLE"
@@ -90,35 +92,74 @@ class PellUnit(NamedTuple):
 
 def _pqa_first_hit(d: int, z: int, m: int) -> tuple[int, int] | None:
     """The first (G, B) with G^2 - d*B^2 = m on the walk of (z + sqrt(d))/|m|
-    through the preperiod and two periods, for m | z^2 - d; None if none.
+    through the preperiod and one period, plus the copied period for an odd
+    one, for m | z^2 - d; None if none.
 
-    The walk keeps only its partial quotients, so the convergent (p_i, q_i)
-    of the hit is built once from them, and a walk without a hit does no
-    big-integer arithmetic.
+    A state repeats its t one period on, with the parity of its step flipped
+    when the period length L is odd.  The period's states are reduced, so
+    their t is positive, and t = 1 only at (f, 1), f = isqrt(d) (J. P.
+    Robertson, 2004).  So a walk with no hit in its first period has one
+    later only at that row of an odd period, one period on, and the rows up
+    to it are the period's, copied; a second period would find nothing
+    else.  The convergent (p_i, q_i) of the hit is built once from the rows,
+    so a walk without a hit does no big-integer arithmetic.
     """
     m_abs = abs(m)
     # step i is a hit when (-1)^(i+1) * t_{i+1} = sign(m); want flips each step
     want = -1 if m > 0 else 1
-    quots = []
-    for a, _, t in walk(d, z, m_abs, periods=2):
-        quots.append(a)
-        if t == want:
+    rows = []
+    for row in walk(d, z, m_abs):
+        rows.append(row)
+        if row[2] == want:
             break
         want = -want
     else:
-        return None
+        # no hit in the first period: a later one needs t = 1 in an odd period
+        ts = [t for _, _, t in rows]
+        if 1 not in ts:
+            return None
+        # the last state repeats the first state of the period j, and only
+        # that one (as in contfrac.expand)
+        states = [(z, m_abs), *(row[1:] for row in rows)]
+        j = states.index(states[-1])
+        if (len(rows) - j) % 2 == 0 or 1 not in ts[j:]:
+            return None
+        rows += rows[j:ts.index(1, j) + 1]
     # inline, not contfrac.convergents: on the class search's hot path this
     # skips a generator resume per quotient
     p0, q0, p, q = 0, 1, 1, 0
-    for a in quots:
+    for a, _, _ in rows:
         p0, q0, p, q = p, q, a * p + p0, a * q + q0
     return m_abs * p - z * q, q
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def pell_fundamental(d: int) -> PellUnit:
-    """Least (t, u) with t^2 - d*u^2 = 1: the first hit of the walk of sqrt(d)."""
-    return PellUnit(*_pqa_first_hit(d, 0, 1))
+    """Least (t, u) with t^2 - d*u^2 = 1, from half the period of sqrt(d).
+
+    The period of sqrt(d) is a palindrome, so the walk stops at its centre,
+    the first h with s_h = s_{h+1} (period 2h) or t_h = t_{h+1} (period
+    2h+1; h = 0 for d = f^2 + 1), and the unit is composed from the
+    convergents p_{h-2} .. p_h there (M. J. Jacobson Jr. and H. C. Williams,
+    "Solving the Pell Equation", Springer 2009, ch. 5).  The convergents are
+    built only once the centre is found, and walk()'s cap of MAX_TERMS terms
+    leaves periods below 2 * MAX_TERMS in reach.
+    """
+    quots, s_h, t_h = [], 0, 1  # (s_0, t_0); s_1 = isqrt(d) > 0
+    for a, s, t in walk(d, 0, 1):
+        quots.append(a)
+        if s == s_h or t == t_h:
+            break
+        s_h, t_h = s, t
+    # (p_{h-2}, q_{h-2}), (p_{h-1}, q_{h-1}), (p_h, q_h), with (p_{-2}, q_{-2}) =
+    # (0, 1) and (p_{-1}, q_{-1}) = (1, 0)
+    conv = itertools.chain([(0, 1), (1, 0)], convergents(quots))
+    (p2, q2), (p1, q1), (p, q) = deque(conv, maxlen=3)
+    if s == s_h:
+        return PellUnit(p1 * q + p2 * q1, q1 * (q + q2))
+    # x^2 - d*y^2 = -1, and the unit is its square
+    x, y = p * q + p1 * q1, q * q + q1 * q1
+    return PellUnit(x * x + d * y * y, 2 * x * y)
 
 
 def class_bound(d: int, n: int) -> int:

@@ -114,8 +114,9 @@ def test_pell_large_prime_n(capsys):
 
 
 def test_expansion_cap_is_usage_error(capsys):
-    # sqrt(100000000019) has no period within expand()'s 100,000-term cap
-    for argv in (("pell", "100000000019", "1"), ("cf", "100000000019", "0", "1")):
+    # sqrt(100000000006) has period 371,174: `cf` finds no period within the
+    # walk's 100,000-term cap, and `pell` no centre of it for the Pell unit
+    for argv in (("pell", "100000000006", "1"), ("cf", "100000000006", "0", "1")):
         code, out, err = run(capsys, *argv)
         assert code == 2 and not out
         assert err.startswith("error: no period within")

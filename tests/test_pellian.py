@@ -12,7 +12,7 @@ import sys
 import pytest
 
 import pelltuples
-from pelltuples import pellian
+from pelltuples import contfrac, pellian
 from pelltuples.arith import factorize, is_perfect_square, is_prime, isqrt
 from pelltuples.contfrac import ExpansionCapExceeded
 from pelltuples.pellian import (
@@ -100,16 +100,62 @@ def _pell_fundamental_oracle(d):
     return next((t, u) for t, u in (conv[ell - 1], conv[2 * ell - 1]) if t * t - d * u * u == 1)
 
 
+#: D of long period: the six of test_class_search_matches_three_pass_long_period
+#: (periods 392, 400, 402, 414, 380 and 405) and four more of odd period
+#: (417, 415, 399 and 389)
+LONG_PERIOD_DS = (340891, 343631, 662859, 848541, 853324, 958381,
+                  998329, 997813, 996617, 994853)
+
+
 def test_pell_fundamental_matches_expand_route():
-    for d in range(2, 5001):
+    for d in (*range(2, 5001), *LONG_PERIOD_DS):
         if is_perfect_square(d) is None:
             assert pell_fundamental(d) == _pell_fundamental_oracle(d), d
+    parities = {_expand_oracle(d, 0, 1)[2] % 2 for d in LONG_PERIOD_DS}
+    assert parities == {0, 1}
 
 
 def test_pell_fundamental_cap():
-    # sqrt(100000000019) has no period within the walk's 100,000-term cap
+    # sqrt(100000000006) has period 371,174, so the walk reaches no centre of
+    # the period within its 100,000-term cap
     with pytest.raises(ExpansionCapExceeded):
-        pell_fundamental(100000000019)
+        pell_fundamental(100000000006)
+
+
+def test_pell_fundamental_reaches_twice_the_cap(monkeypatch):
+    # the unit walk stops at the centre of the period, so under a cap of 50
+    # terms it reaches the units of periods below 100 and no further
+    monkeypatch.setattr(contfrac, "MAX_TERMS", 50)
+    for d, ell in ((1381, 67), (1366, 70), (4603, 98), (4801, 99)):
+        assert _expand_oracle(d, 0, 1)[2] == ell
+        assert pell_fundamental.__wrapped__(d) == _pell_fundamental_oracle(d), d
+    for d, ell in ((4924, 100), (3469, 115), (3931, 130)):
+        assert _expand_oracle(d, 0, 1)[2] == ell
+        with pytest.raises(ExpansionCapExceeded):
+            pell_fundamental.__wrapped__(d)
+
+
+def _counting_walk(monkeypatch):
+    """Wrap pellian.walk; the returned list gets the row count of each walk."""
+    counts = []
+    walk = pellian.walk
+
+    def counting_walk(*args, **kwargs):
+        counts.append(0)
+        for row in walk(*args, **kwargs):
+            counts[-1] += 1
+            yield row
+
+    monkeypatch.setattr(pellian, "walk", counting_walk)
+    return counts
+
+
+def test_pell_fundamental_walks_half_the_period(monkeypatch):
+    counts = _counting_walk(monkeypatch)
+    for d in (*range(2, 2001), *LONG_PERIOD_DS):
+        if is_perfect_square(d) is None:
+            pell_fundamental.__wrapped__(d)
+            assert counts.pop() <= _expand_oracle(d, 0, 1)[2] // 2 + 1, d
 
 
 def test_class_bound_examples():
@@ -276,6 +322,76 @@ def test_class_search_matches_three_pass_long_period():
         assert is_prime(abs(n)) and 380 <= _expand_oracle(d, 0, 1)[2] <= 420
         total += len(_assert_matches_three_pass(d, n))
     assert total > 0
+
+
+def _first_hit_row(d, z, m):
+    """(i, j, L): the first step i of the preperiod and two periods with
+    G_i^2 - d*q_i^2 = m (None if none), the preperiod j and the period L of
+    the walk of (z + sqrt(d))/|m|, from the oracles."""
+    m_abs = abs(m)
+    quots, j, ell = _expand_oracle(d, z, m_abs)
+    for i, (p, q) in enumerate(_convergents_oracle(quots, j, j + 2 * ell - 1)):
+        if (m_abs * p - z * q) ** 2 - d * q * q == m:
+            return i, j, ell
+    return None, j, ell
+
+
+def _walked_roots(d, n):
+    """(m, z) for every root that the class search of (d, n) walks."""
+    return [(m, z) for _, m, roots in _root_walks(d, n) for z in roots if 2 * z <= abs(m)]
+
+
+def test_class_walk_without_hit_runs_one_period(monkeypatch):
+    counts = _counting_walk(monkeypatch)
+    misses = 0
+    for d in range(2, 201):
+        if is_perfect_square(d) is not None:
+            continue
+        for n in range(-50, 51):
+            if n == 0:
+                continue
+            for m, z in _walked_roots(d, n):
+                i, j, ell = _first_hit_row(d, z, m)
+                if i is None:
+                    assert pellian._pqa_first_hit(d, z, m) is None
+                    assert counts.pop() <= j + ell, (d, z, m)
+                    misses += 1
+    assert misses > 1000
+
+
+def test_class_walk_paths(monkeypatch):
+    # each path of _pqa_first_hit, named, with the (d, n) whose roots take it
+    counts = _counting_walk(monkeypatch)
+    paths = {
+        "hit in the first period": [(13, -1), (13, 12), (991, -10000019)],
+        # the hit is the (f, 1) row of an odd period, one period on
+        "hit in the copied period": [(13, 1), (29, 1), (61, 1)],
+        # the period is every row of the walk
+        "reduced start": [(13, 3), (13, 4), (13, 12), (13, 16)],
+        "even period, no hit": [(3, -1), (7, -1), (34, -1)],
+    }
+    for name, cases in paths.items():
+        for d, n in cases:
+            taken = set()
+            for m, z in _walked_roots(d, n):
+                i, j, ell = _first_hit_row(d, z, m)
+                hit = pellian._pqa_first_hit(d, z, m)
+                walked = counts.pop()
+                assert hit == next(iter(_three_pass_root_hits(d, z, m)), None), (d, z, m)
+                if i is None:
+                    assert walked <= j + ell
+                    taken.add("even period, no hit" if ell % 2 == 0 else "no hit")
+                else:
+                    if i < j + ell:
+                        assert walked == i + 1
+                        taken.add("hit in the first period" if i >= j else "hit in the preperiod")
+                    else:
+                        assert walked == j + ell and ell % 2 == 1
+                        taken.add("hit in the copied period")
+                if j == 0:
+                    taken.add("reduced start")
+            assert name in taken, (name, d, n)
+            _assert_matches_three_pass(d, n)
 
 
 def test_root_walk_hits_share_one_class():
