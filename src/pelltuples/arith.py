@@ -17,8 +17,7 @@ DETERMINISTIC_PRIMALITY_BOUND = 1 << 64
 _WITNESSES_BELOW_2_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # for n >= 2**64 we fall back to strong-probable-prime tests with the first
-# forty primes as bases; callers can ask is_prime_certain() to find out
-# whether the answer was deterministic
+# forty primes as bases
 _WITNESSES_LARGE = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
     67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137,
@@ -63,11 +62,6 @@ def is_prime(n: int) -> bool:
             return n == p
     witnesses = _WITNESSES_BELOW_2_64 if n < DETERMINISTIC_PRIMALITY_BOUND else _WITNESSES_LARGE
     return all(_strong_probable_prime(n, a) for a in witnesses)
-
-
-def is_prime_certain(n: int) -> bool:
-    """True when is_prime(n) is a deterministic answer rather than probabilistic."""
-    return n < DETERMINISTIC_PRIMALITY_BOUND
 
 
 def factorize(n: int) -> dict[int, int]:

@@ -10,7 +10,8 @@ integer recurrence
 which stays in exact integers as long as t | d - s^2.  The expansion is
 periodic, and purely periodic from its first reduced complete quotient on
 (Galois), so the period is the run from that state to its first return.
-`walk` is the one copy of this recurrence: `expand` records its terms,
+`walk` is the one copy of this recurrence and `period_start` the one finder
+of where its period opens: `expand` records the rows of one period,
 `CFExpansion.terms` repeats them past the period, `convergents` turns any
 partial quotients into (p_m, q_m), and the Pell class search keeps
 convergents in the same loop as the walk.
@@ -71,20 +72,25 @@ def _sign_a_plus_b_sqrt(a: int, b: int, d: int) -> int:
 
 @dataclass
 class CFExpansion:
-    """Preperiod + period of quotients with the (s_n, t_n) side sequences."""
+    """The rows (a_n, s_{n+1}, t_{n+1}) of `walk` through the preperiod of
+    preperiod_len rows and one period; the last row's state repeats the
+    state that opens the period."""
 
-    alpha: QuadIrr
-    quotients: list[int]          # a_0 .. a_{j+L-1}
-    preperiod_len: int            # j
-    period_len: int               # L
-    aux: list[tuple[int, int]]    # (s_n, t_n) for n = 0 .. j+L
+    rows: list[tuple[int, int, int]]
+    preperiod_len: int
+
+    @property
+    def quotients(self) -> list[int]:
+        return [a for a, _, _ in self.rows]
+
+    @property
+    def period_len(self) -> int:
+        return len(self.rows) - self.preperiod_len
 
     def terms(self) -> Iterator[tuple[int, int, int]]:
-        """Yield (a_n, s_{n+1}, t_{n+1}) for n = 0, 1, ..., the rows of `walk`,
-        repeating the period without end."""
-        rows = [(a, s, t) for a, (s, t) in zip(self.quotients, self.aux[1:])]
-        yield from rows
-        yield from cycle(rows[self.preperiod_len:])
+        """Yield the rows, repeating the period without end."""
+        yield from self.rows
+        yield from cycle(self.rows[self.preperiod_len:])
 
 
 class ExpansionCapExceeded(RuntimeError):
@@ -95,52 +101,48 @@ class ExpansionCapExceeded(RuntimeError):
 MAX_TERMS = 100_000
 
 
-def walk(d: int, s: int, t: int, periods: int = 1) -> Iterator[tuple[int, int, int]]:
+def walk(d: int, s: int, t: int) -> Iterator[tuple[int, int, int]]:
     """Yield (a_n, s_{n+1}, t_{n+1}) for (s + sqrt(d))/t through the preperiod
-    and `periods` periods, for non-square d and t | d - s^2.
+    and one period, for non-square d and t | d - s^2.
 
     The period opens at the first reduced state, 0 < s <= f and
     f - s < t <= f + s with f = isqrt(d) (then (s + sqrt(d))/t > 1 and its
-    conjugate lies in (-1, 0)), and closes when that state comes back; if it
-    has not come back within MAX_TERMS terms, ExpansionCapExceeded is raised.
+    conjugate lies in (-1, 0)), and closes when that state comes back, the
+    state of the last row; if it has not come back within MAX_TERMS terms,
+    ExpansionCapExceeded is raised.
     """
-    max_terms = MAX_TERMS  # a local: the loop below is the class search's hot path
     f = isqrt(d)
     if f * f == d:
         raise ValueError(f"d={d} is a perfect square")
     if t == 0 or (d - s * s) % t:
         raise ValueError("t must be a nonzero divisor of d - s^2")
-    n, end = 0, -1
-    j, s0, t0 = -1, None, None  # the first reduced state (s_j, t_j)
-    while n != end:
-        if end < 0:
-            if n == max_terms:
-                raise ExpansionCapExceeded(f"no period within {max_terms} terms")
-            if s == s0 and t == t0:
-                # the period has n - j terms; run periods - 1 more of them
-                end = n + (n - j) * (periods - 1)
-                continue
-            if j < 0 and 0 < s <= f and f - s < t <= f + s:
-                j, s0, t0 = n, s, t
+    s0 = t0 = None  # the first reduced state
+    for _ in range(MAX_TERMS):
+        if s == s0 and t == t0:
+            return
+        if s0 is None and 0 < s <= f and f - s < t <= f + s:
+            s0, t0 = s, t
         # floor((s + sqrt(d))/t); for t < 0 the value is irrational, so its
         # floor is -floor((s + sqrt(d))/|t|) - 1
         a = (s + f) // t if t > 0 else -((s + f) // -t) - 1
         s = a * t - s
         t = (d - s * s) // t
         yield a, s, t
-        n += 1
+    raise ExpansionCapExceeded(f"no period within {MAX_TERMS} terms")
+
+
+def period_start(s: int, t: int, rows: list[tuple[int, int, int]]) -> int:
+    """The index j of the period's first state (s_j, t_j), for the rows of a
+    walk from (s_0, t_0) = (s, t) that ends as the period closes: the last
+    row's state repeats state j, and no other state."""
+    states = [(s, t), *(row[1:] for row in rows)]
+    return states.index(states[-1])
 
 
 def expand(alpha: QuadIrr) -> CFExpansion:
     """Continued fraction of alpha: the preperiod and one period of walk."""
-    quots: list[int] = []
-    aux: list[tuple[int, int]] = [(alpha.s, alpha.t)]
-    for a, s, t in walk(alpha.d, alpha.s, alpha.t):
-        quots.append(a)
-        aux.append((s, t))
-    # the last state repeats the first state of the period, and only that one
-    j = aux.index(aux[-1])
-    return CFExpansion(alpha, quots, j, len(quots) - j, aux)
+    rows = list(walk(alpha.d, alpha.s, alpha.t))
+    return CFExpansion(rows, period_start(alpha.s, alpha.t, rows))
 
 
 def convergents(quotients: Iterable[int]) -> Iterator[tuple[int, int]]:

@@ -49,7 +49,6 @@ from .zring import (
 
 CONFIRMED = "CONFIRMED"
 VIOLATED = "VIOLATED"
-PARTIAL = "PARTIAL"
 
 
 @dataclass

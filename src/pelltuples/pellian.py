@@ -50,7 +50,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .arith import factorize, is_perfect_square, is_prime, isqrt
-from .contfrac import convergents, walk
+from .contfrac import convergents, period_start, walk
 
 SOLVABLE = "SOLVABLE"
 UNSOLVABLE = "UNSOLVABLE"
@@ -92,8 +92,9 @@ class PellUnit(NamedTuple):
 
 def _pqa_first_hit(d: int, z: int, m: int) -> tuple[int, int] | None:
     """The first (G, B) with G^2 - d*B^2 = m on the walk of (z + sqrt(d))/|m|
-    through the preperiod and one period, plus the copied period for an odd
-    one, for m | z^2 - d; None if none.
+    through the preperiod and one period, then, for an odd period, the
+    period's rows again from where period_start says it opens, for
+    m | z^2 - d; None if none.
 
     A state repeats its t one period on, with the parity of its step flipped
     when the period length L is odd.  The period's states are reduced, so
@@ -118,10 +119,7 @@ def _pqa_first_hit(d: int, z: int, m: int) -> tuple[int, int] | None:
         ts = [t for _, _, t in rows]
         if 1 not in ts:
             return None
-        # the last state repeats the first state of the period j, and only
-        # that one (as in contfrac.expand)
-        states = [(z, m_abs), *(row[1:] for row in rows)]
-        j = states.index(states[-1])
+        j = period_start(z, m_abs, rows)
         if (len(rows) - j) % 2 == 0 or 1 not in ts[j:]:
             return None
         rows += rows[j:ts.index(1, j) + 1]
@@ -309,10 +307,6 @@ class FujitaCertificate:
 
     k: int
     n: int
-
-    @property
-    def d(self) -> int:
-        return self.k * self.k + 1
 
 
 def fujita_fast_path(k: int, n: int) -> FujitaCertificate | None:

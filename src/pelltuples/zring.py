@@ -144,6 +144,8 @@ def lemma3_extend_data(a: int, b: int, c: int, l: int,
     a*e+l^2, b*e+l^2, c*e+l^2 are the squares of x, y, z and that the
     closed-form identity for c holds in exact rationals.
     """
+    if l == 0:
+        raise ValueError("l must be nonzero")
     if a * b + l != r * r or a * c + l != s * s or b * c + l != tp * tp:
         raise ValueError("pair roots do not match the D(l) triple")
     e = l * (a + b + c) + 2 * a * b * c - 2 * r * s * tp
@@ -248,6 +250,8 @@ def theorem3_classify(p: int, k: int, q: int, l_exp: int, t: int) -> ClassifyRes
     """
     if t < 1:
         raise ValueError("t must be positive")
+    if l_exp < 1:
+        raise ValueError("l_exp must be >= 1")
     b = 2 * p**k
     if not (is_prime(p) and p % 2 == 1 and is_prime(q) and q % 2 == 1):
         raise ValueError("p and q must be odd primes")

@@ -10,7 +10,6 @@ from pelltuples.arith import (
     factorize,
     is_perfect_square,
     is_prime,
-    is_prime_certain,
     isqrt,
 )
 
@@ -73,12 +72,6 @@ def test_is_prime_known_values():
     # Mersenne prime well above 32 bits.
     assert is_prime(2**61 - 1)
     assert not is_prime(2**67 - 1)
-
-
-def test_is_prime_certain_flags_determinism_range():
-    assert is_prime_certain(2)
-    assert is_prime_certain(2**64 - 1)
-    assert not is_prime_certain(2**64)
 
 
 def test_factorize_examples():

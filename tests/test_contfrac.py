@@ -18,6 +18,7 @@ from pelltuples.contfrac import (
     convergents,
     expand,
     lemma_db_check,
+    period_start,
     walk,
     worley_candidates,
 )
@@ -129,23 +130,26 @@ def test_expansion_state_invariants_random():
         alpha = _random_quadirr(rng)
         e = expand(alpha)
         d = alpha.d
-        for n, (s_n, t_n) in enumerate(e.aux):
+        quotients = e.quotients
+        # (s_n, t_n) for n = 0 .. j+L, read off the rows
+        states = [(alpha.s, alpha.t), *(row[1:] for row in e.rows)]
+        for n, (s_n, t_n) in enumerate(states):
             assert t_n != 0
             assert (d - s_n * s_n) % t_n == 0
             if n >= 1:
-                a = e.quotients[n - 1]
-                s_prev, t_prev = e.aux[n - 1]
+                a = quotients[n - 1]
+                s_prev, t_prev = states[n - 1]
                 assert s_n == a * t_prev - s_prev
                 assert t_n == (d - s_n * s_n) // t_prev
         # Inside the periodic part the state is reduced:
         # 0 < t_n and |s_n| < sqrt(d).
         for n in range(e.preperiod_len, e.preperiod_len + e.period_len):
-            s_n, t_n = e.aux[n]
+            s_n, t_n = states[n]
             assert 0 < t_n
             assert s_n * s_n < d
         # Partial quotients are positive beyond index 0.
-        for n in range(1, len(e.quotients)):
-            assert e.quotients[n] >= 1
+        for n in range(1, len(quotients)):
+            assert quotients[n] >= 1
 
 
 def test_walk_runs_the_preperiod_and_whole_periods():
@@ -153,10 +157,13 @@ def test_walk_runs_the_preperiod_and_whole_periods():
     for _ in range(300):
         alpha = _random_quadirr(rng)
         e = expand(alpha)
+        j, ell = e.preperiod_len, e.period_len
+        rows = list(walk(alpha.d, alpha.s, alpha.t))
+        assert rows == e.rows and len(rows) == j + ell
         for periods in (1, 2, 3):
-            terms = list(walk(alpha.d, alpha.s, alpha.t, periods))
-            assert len(terms) == e.preperiod_len + periods * e.period_len
-            assert terms == list(islice(e.terms(), len(terms)))
+            terms = list(islice(e.terms(), j + periods * ell))
+            assert terms[:j + ell] == rows
+            assert terms[j:] == rows[j:] * periods
 
 
 def test_walk_rejects_bad_input():
@@ -178,9 +185,10 @@ def test_walk_cap(monkeypatch):
 
 
 def _walk_seen_dict(d, s, t, periods):
-    """The rows of walk(d, s, t, periods), with the period found as the first
-    repeated (s_n, t_n) pair of a dict of every state seen: an oracle for
-    walk, which remembers only its first reduced state."""
+    """The rows of the walk of (s + sqrt(d))/t through the preperiod and
+    `periods` periods, with the period found as the first repeated
+    (s_n, t_n) pair of a dict of every state seen: an oracle for walk, which
+    remembers only its first reduced state, and for period_start."""
     f = math.isqrt(d)
     seen = {}
     rows = []
@@ -211,7 +219,8 @@ def _walk_starts(rng, count):
         if d < 2 or math.isqrt(d) ** 2 == d:
             continue
         e = expand(QuadIrr(d, s, t))
-        starts += [(d, s, t), (d, *e.aux[e.preperiod_len])]
+        # the last row's state opens the period
+        starts += [(d, s, t), (d, *e.rows[-1][1:])]
         # sqrt(d) < t - s when c < t - 2s
         s = rng.randint(1, 100)
         t = rng.randint(2 * s + 2, 400)
@@ -229,9 +238,26 @@ def test_walk_matches_seen_dict_oracle():
         kinds["reduced" if reduced else "not reduced"] += 1
         kinds["t < 0"] += t < 0
         kinds["below 1"] += 0 < s + f < t
-        for periods in (1, 2, 3):
-            assert list(walk(d, s, t, periods)) == _walk_seen_dict(d, s, t, periods), \
-                (d, s, t, periods)
+        assert list(walk(d, s, t)) == _walk_seen_dict(d, s, t, 1), (d, s, t)
+        for periods in (2, 3):
+            oracle = _walk_seen_dict(d, s, t, periods)
+            terms = expand(QuadIrr(d, s, t)).terms()
+            assert list(islice(terms, len(oracle))) == oracle, (d, s, t, periods)
+    assert min(kinds.values()) >= 200, kinds
+
+
+def test_period_start_matches_seen_dict_oracle():
+    kinds = {"t < 0": 0, "j = 0": 0, "j > 0": 0}
+    for d, s, t in _walk_starts(random.Random(14), 1000):
+        rows = list(walk(d, s, t))
+        # the oracle's first repeated state is the state at index j of the
+        # walk, and its preperiod is j rows long
+        one, two = _walk_seen_dict(d, s, t, 1), _walk_seen_dict(d, s, t, 2)
+        ell = len(two) - len(one)
+        j = period_start(s, t, rows)
+        assert j == len(one) - ell, (d, s, t)
+        kinds["t < 0"] += t < 0
+        kinds["j = 0" if j == 0 else "j > 0"] += 1
     assert min(kinds.values()) >= 200, kinds
 
 
@@ -251,8 +277,10 @@ def test_pqa_identity(start):
     # Robertson (2004): G_i^2 - d*B_i^2 = (-1)^(i+1) * Q_{i+1} * Q_0, with
     # G_i = Q_0*A_i - P_0*B_i, (A_i, B_i) the convergents, (P, Q) = (s, t)
     d, z, m = start
+    e = expand(QuadIrr(d, z, m))
     p0, q0, p, q = 0, 1, 1, 0
-    for i, (a, _, t) in enumerate(walk(d, z, m, periods=2)):
+    rows = islice(e.terms(), e.preperiod_len + 2 * e.period_len)
+    for i, (a, _, t) in enumerate(rows):
         p0, q0, p, q = p, q, a * p + p0, a * q + q0
         g = m * p - z * q
         assert g * g - d * q * q == (-1) ** (i + 1) * t * m

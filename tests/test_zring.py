@@ -165,6 +165,12 @@ def test_lemma3_rejects_inconsistent_witnesses():
         lemma3_extend_data(1, 2, 5, -1, 1, 2, 4)  # 2*5 - 1 != 4^2
 
 
+def test_lemma3_rejects_l_zero():
+    # a D(0) triple: 1*4, 1*9 and 4*9 are squares, but e/l is undefined
+    with pytest.raises(ValueError, match="l must be nonzero"):
+        lemma3_extend_data(1, 4, 9, 0, 2, 3, 6)
+
+
 def test_lemma3_random_triples():
     rng = random.Random(21)
     checked = 0
@@ -315,6 +321,9 @@ def test_theorem3_validation():
         theorem3_classify(5, 1, 3, 1, 0)
     with pytest.raises(ValueError):
         theorem3_classify(7, 1, 3, 1, 3)  # 2*7 != 3^2 + 1
+    # 2*3 = 5^(2^0) + 1, but the theorem needs l >= 1
+    with pytest.raises(ValueError, match="l_exp must be >= 1"):
+        theorem3_classify(3, 1, 5, 0, 1)
 
 
 def test_integer_quadruple_search_empty_cases():
