@@ -48,9 +48,11 @@ class RingElem:
 
 def as_elem(v, t: int) -> RingElem:
     if isinstance(v, RingElem):
-        if v.im != 0 and v.t != t:
+        if v.t == t:
+            return v
+        if v.im != 0:
             raise ValueError(f"mixed rings: t={v.t} vs t={t}")
-        return RingElem(v.re, v.im, t)
+        return RingElem(v.re, 0, t)
     return RingElem(int(v), 0, t)
 
 
@@ -61,33 +63,42 @@ def ring_mul(a: RingElem, b: RingElem) -> RingElem:
     return RingElem(a.re * b.re - t * a.im * b.im, a.re * b.im + a.im * b.re, t)
 
 
-def ring_add_int(a: RingElem, n: int) -> RingElem:
-    return RingElem(a.re + n, a.im, a.t)
+def _root(re: int, im: int, t: int) -> tuple[int, int] | None:
+    """The canonical (x, y) with (x + y*sqrt(-t))^2 = re + im*sqrt(-t), or None.
 
-
-def sqrt_in_ring(z: RingElem) -> list[RingElem]:
-    """The canonical w with w^2 = z (re > 0, or re = 0 and im >= 0), or [].
-
-    If w = x + y*sqrt(-t) squares to z then x^2 - t*y^2 = re and 2*x*y = im,
+    Canonical means x > 0, or x = 0 and y >= 0.  If w = x + y*sqrt(-t)
+    squares to z = re + im*sqrt(-t) then x^2 - t*y^2 = re and 2*x*y = im,
     and the norm N(w) = x^2 + t*y^2 is the exact square root nw of
-    N(z) = re^2 + t*im^2 (just |re| when im = 0).  So x^2 = (nw + re)/2 and
-    t*y^2 = (nw - re)/2, and y takes the sign of im.  Z[sqrt(-t)] is an
+    N(z) = re^2 + t*im^2.  So x^2 = (nw + re)/2 and t*y^2 = (nw - re)/2,
+    and y takes the sign of im.  When im = 0, 2*x*y = 0, so re >= 0 is a
+    square iff re = x^2 and re < 0 iff re = -t*y^2: one isqrt decides it
+    (t = 0 embeds the integers, where im is always 0).  Z[sqrt(-t)] is an
     integral domain, so the only roots are +-w and exactly one of them is
-    canonical: the list holds one root, or none when z is not a square.
+    canonical.
     """
-    t, re, im = z.t, z.re, z.im
-    if t == 0:
-        r = is_perfect_square(re)
-        return [RingElem(r, 0, 0)] if r is not None else []
-    nw = abs(re) if im == 0 else is_perfect_square(re * re + t * im * im)
+    if im == 0:
+        if re >= 0:
+            x = isqrt(re)
+            return (x, 0) if x * x == re else None
+        if t == 0:
+            return None
+        y = isqrt(-re // t)
+        return (0, y) if t * y * y == -re else None
+    nw = is_perfect_square(re * re + t * im * im)
     if nw is None or (nw + re) % 2:
-        return []
+        return None
     x = is_perfect_square((nw + re) // 2)
     ty2, rem = divmod((nw - re) // 2, t)
     y = is_perfect_square(ty2) if rem == 0 else None
     if x is None or y is None or 2 * x * y != abs(im):
-        return []
-    return [RingElem(x, y if im >= 0 else -y, t)]
+        return None
+    return x, (y if im > 0 else -y)
+
+
+def sqrt_in_ring(z: RingElem) -> list[RingElem]:
+    """The canonical w with w^2 = z (re > 0, or re = 0 and im >= 0), or []."""
+    root = _root(z.re, z.im, z.t)
+    return [RingElem(*root, z.t)] if root is not None else []
 
 
 @dataclass
@@ -108,21 +119,24 @@ def check_tuple(elements, n: int, t: int = 0) -> TupleReport:
     """Verify that every pairwise product plus n is a square in Z[sqrt(-t)].
 
     Elements may be ints or RingElems sharing the ring's t.  Zero or
-    duplicate elements are rejected.
+    duplicate elements are rejected.  Each pair value is formed on the
+    integer parts and its root taken by _root; only witnesses become
+    RingElems.
     """
     elems = tuple(as_elem(e, t) for e in elements)
     if any(e.is_zero() for e in elems):
         raise ValueError("tuple elements must be nonzero")
     if len(set(elems)) != len(elems):
         raise ValueError("tuple elements must be pairwise distinct")
+    parts = [(e.re, e.im) for e in elems]
     witnesses: dict[tuple[int, int], RingElem] = {}
-    for i in range(len(elems)):
-        for j in range(i + 1, len(elems)):
-            val = ring_add_int(ring_mul(elems[i], elems[j]), n)
-            roots = sqrt_in_ring(val)
-            if not roots:
+    for i, (a, b) in enumerate(parts):
+        for j in range(i + 1, len(parts)):
+            c, d = parts[j]
+            root = _root(a * c - t * b * d + n, a * d + b * c, t)
+            if root is None:
                 return TupleReport(elems, n, t, False, witnesses, (i, j))
-            witnesses[(i, j)] = roots[0]
+            witnesses[(i, j)] = RingElem(*root, t)
     return TupleReport(elems, n, t, True, witnesses)
 
 

@@ -12,6 +12,7 @@ from pelltuples.zring import (
     NONE,
     UNDECIDED_BY_PAPER,
     RingElem,
+    TupleReport,
     as_elem,
     check_tuple,
     find_admissible_pairs,
@@ -19,7 +20,6 @@ from pelltuples.zring import (
     lemma3_extend_data,
     prop_family,
     remark2_reduction,
-    ring_add_int,
     ring_mul,
     sqrt_in_ring,
     theorem3_classify,
@@ -42,7 +42,6 @@ def test_ring_mul_examples():
     b = RingElem(4, -1, 3)
     # (1 + 2w)(4 - w) = 4 - w + 8w - 2w^2 = 4 + 7w + 6 = 10 + 7w, w^2 = -3
     assert ring_mul(a, b) == RingElem(10, 7, 3)
-    assert ring_add_int(a, 5) == RingElem(6, 2, 3)
 
 
 def test_ring_mul_rejects_mixed_rings():
@@ -53,7 +52,10 @@ def test_ring_mul_rejects_mixed_rings():
 def test_as_elem():
     assert as_elem(7, 4) == RingElem(7, 0, 4)
     assert as_elem(RingElem(1, 2, 4), 4) == RingElem(1, 2, 4)
-    with pytest.raises(ValueError):
+    e = RingElem(1, 2, 4)
+    assert as_elem(e, e.t) is e  # frozen, so shared rather than copied
+    assert as_elem(RingElem(5, 0, 4), 9) == RingElem(5, 0, 9)  # integers move between rings
+    with pytest.raises(ValueError, match="mixed rings"):
         as_elem(RingElem(1, 2, 4), 9)
 
 
@@ -64,6 +66,20 @@ def test_sqrt_in_ring_examples():
     assert sqrt_in_ring(RingElem(-4, 0, 0)) == []
     # (2 + 3w)^2 = 4 - 9t + 12w with t = 1: -5 + 12w
     assert RingElem(2, 3, 1) in sqrt_in_ring(RingElem(-5, 12, 1))
+    # im = 0: re >= 0 must be x^2, re < 0 must be -t*y^2
+    assert sqrt_in_ring(RingElem(-10, 0, 4)) == []  # 4 does not divide -10
+    assert sqrt_in_ring(RingElem(-12, 0, 4)) == []  # -12 = -4*3, 3 not a square
+    assert sqrt_in_ring(RingElem(-7 * 11**2, 0, 7)) == [RingElem(0, 11, 7)]
+    for t in (0, 1, 7):
+        assert sqrt_in_ring(RingElem(0, 0, t)) == [RingElem(0, 0, t)]
+    s = 4 * 10**74 + 12345678901234567890123
+    assert len(str(s * s)) == 150
+    for t in (0, 3):
+        assert sqrt_in_ring(RingElem(s * s, 0, t)) == [RingElem(s, 0, t)]
+        assert sqrt_in_ring(RingElem(s * s + 1, 0, t)) == []
+    assert sqrt_in_ring(RingElem(-3 * s * s, 0, 3)) == [RingElem(0, s, 3)]
+    # a pair value of 0 has the root 0
+    assert check_tuple((1, -1), 1).witnesses == {(0, 1): RingElem(0, 0, 0)}
 
 
 def test_sqrt_in_ring_complete_small():
@@ -145,6 +161,142 @@ def test_check_tuple_rejects_degenerate_input():
         check_tuple((1, 5, -3, 1), -1, t=4)  # duplicate
     with pytest.raises(ValueError):
         check_tuple((0, 3, 8), 1)
+
+
+def _sqrt_by_norm(z):
+    """sqrt_in_ring as it was before the integer kernel: the root read off the norm."""
+    t, re, im = z.t, z.re, z.im
+    if t == 0:
+        r = is_perfect_square(re)
+        return [RingElem(r, 0, 0)] if r is not None else []
+    nw = abs(re) if im == 0 else is_perfect_square(re * re + t * im * im)
+    if nw is None or (nw + re) % 2:
+        return []
+    x = is_perfect_square((nw + re) // 2)
+    ty2, rem = divmod((nw - re) // 2, t)
+    y = is_perfect_square(ty2) if rem == 0 else None
+    if x is None or y is None or 2 * x * y != abs(im):
+        return []
+    return [RingElem(x, y if im >= 0 else -y, t)]
+
+
+def _check_tuple_per_pair(elements, n, t):
+    """check_tuple's earlier route: each pair value built as a RingElem and
+    handed to sqrt_in_ring, which must agree with _sqrt_by_norm."""
+    elems = []
+    for v in elements:
+        if not isinstance(v, RingElem):
+            v = RingElem(int(v), 0, t)
+        elif v.im != 0 and v.t != t:
+            raise ValueError(f"mixed rings: t={v.t} vs t={t}")
+        elems.append(RingElem(v.re, v.im, t))
+    elems = tuple(elems)
+    if any(e.is_zero() for e in elems):
+        raise ValueError("tuple elements must be nonzero")
+    if len(set(elems)) != len(elems):
+        raise ValueError("tuple elements must be pairwise distinct")
+    witnesses = {}
+    for i in range(len(elems)):
+        for j in range(i + 1, len(elems)):
+            p = ring_mul(elems[i], elems[j])
+            val = RingElem(p.re + n, p.im, t)
+            roots = sqrt_in_ring(val)
+            assert roots == _sqrt_by_norm(val), val
+            if not roots:
+                return TupleReport(elems, n, t, False, witnesses, (i, j))
+            witnesses[(i, j)] = roots[0]
+    return TupleReport(elems, n, t, True, witnesses)
+
+
+def _outcome(check, elements, n, t):
+    try:
+        r = check(elements, n, t)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+    return (r.elements, r.n, r.t, r.verified, list(r.witnesses.items()), r.failing_pair,
+            r.degenerate, r.note)
+
+
+def _random_tuple(rng, t):
+    """2-5 elements, ints and RingElems mixed; often a planted D(n)-tuple.
+
+    With ac + n = r^2 and b = a + c + 2r, ab + n = (a + r)^2 and
+    bc + n = (c + r)^2 in any commutative ring; a = 1 needs no division.
+    For n = +-1 the extension d = a + b + c + 2n*abc +- 2*r*s*u adds a
+    fourth element; this triple is regular, so one of the two d is 0.
+    """
+    def elem(lo, hi):
+        return RingElem(rng.randint(lo, hi), 0 if t == 0 else rng.randint(lo, hi), t)
+
+    def add(*zs):
+        return RingElem(sum(z.re for z in zs), sum(z.im for z in zs), t)
+
+    def scale(k, z):
+        return RingElem(k * z.re, k * z.im, t)
+
+    n = rng.randint(-5, 5)
+    size = rng.randint(2, 5)
+    if rng.random() < 0.6:
+        one = RingElem(1, 0, t)
+        r = elem(-30, 30)
+        c = add(ring_mul(r, r), RingElem(-n, 0, t))
+        b = add(one, c, scale(2, r))
+        elems = [one, b, c]
+        if n in (1, -1) and size >= 4:
+            s, u = add(one, r), add(c, r)
+            abc, rsu = ring_mul(b, c), ring_mul(ring_mul(r, s), u)
+            ds = [add(one, b, c, scale(2 * n, abc), scale(2 * sg, rsu)) for sg in (1, -1)]
+            elems.append(rng.choice([d for d in ds if not d.is_zero()] or ds))
+        elems = elems[:size]
+        while len(elems) < size:
+            elems.append(elem(-50, 50))
+        rng.shuffle(elems)
+    else:
+        elems = [elem(-50, 50) for _ in range(size)]
+    out = []
+    for e in elems:
+        if e.im == 0 and rng.random() < 0.5:
+            out.append(e.re if rng.random() < 0.7 else RingElem(e.re, 0, rng.choice(_RING_TS)))
+        else:
+            out.append(e)
+    return out, n
+
+
+_RING_TS = (0, 1, 2, 3, 4, 7, 9, 25)
+_REJECTIONS = ("tuple elements must be nonzero", "tuple elements must be pairwise distinct")
+
+
+def test_check_tuple_matches_per_pair_route():
+    rng = random.Random(1717)
+    kinds = {True: 0, False: 0, "ValueError": 0}
+    for _ in range(2400):
+        t = rng.choice(_RING_TS)
+        elements, n = _random_tuple(rng, t)
+        want = _outcome(_check_tuple_per_pair, elements, n, t)
+        assert _outcome(check_tuple, elements, n, t) == want, (elements, n, t)
+        if want[0] == "ValueError":
+            assert want[1] in _REJECTIONS, want
+            kinds["ValueError"] += 1
+        else:
+            kinds[want[3]] += 1
+    assert kinds[True] >= 600 and kinds[False] >= 600 and kinds["ValueError"] >= 10, kinds
+    # every prop_family branch, as integers in each subring t = m^2 with m | n,
+    # and as the RingElems prop_family returns in Z[sqrt(-n^2)]
+    checked = 0
+    for n in range(1, 13):
+        for j in range(1, 5):
+            for rep in prop_family(n, j, 1):
+                ints = [e.re for e in rep.elements]
+                cases = [(rep.elements, n * n)]
+                cases += [(ints, m * m) for m in range(1, n + 1) if n % m == 0]
+                for elements, t in cases:
+                    want = _outcome(_check_tuple_per_pair, elements, -1, t)
+                    assert _outcome(check_tuple, elements, -1, t) == want, (n, j, t)
+                    if want[0] == "ValueError":
+                        assert rep.degenerate and want[1] in _REJECTIONS, want
+                    else:
+                        checked += want[3]
+    assert checked > 300
 
 
 def test_lemma3_extension_examples():
