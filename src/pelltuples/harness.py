@@ -19,7 +19,6 @@ import math
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -118,6 +117,9 @@ def _map_ordered(fn, items, workers: int):
     workers = min(workers, len(items), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(it) for it in items]
+    # imported here, not at the top: a process that runs no pool never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(fn, items))
 

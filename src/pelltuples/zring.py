@@ -269,7 +269,15 @@ def theorem3_classify(p: int, k: int, q: int, l_exp: int, t: int) -> ClassifyRes
     b = 2 * p**k
     if not (is_prime(p) and p % 2 == 1 and is_prime(q) and q % 2 == 1):
         raise ValueError("p and q must be odd primes")
-    if b != q ** (2**l_exp) + 1:
+    # b - 1 = q^(2^l_exp) iff l_exp square roots of it end at q; stopping at the
+    # first non-square or root below q ends within log2(bit length of b) steps
+    # and builds no power of q
+    root = b - 1
+    for _ in range(l_exp):
+        if root is None or root < q:
+            break
+        root = is_perfect_square(root)
+    if root != q:
         raise ValueError(f"2*{p}^{k} != {q}^(2^{l_exp}) + 1")
     if t % 2 == 0:
         return ClassifyResult(NONE, reason="even t cannot divide b-1")

@@ -4,6 +4,8 @@ import hashlib
 import inspect
 import json
 import os
+import subprocess
+import sys
 from dataclasses import fields, replace
 
 import pytest
@@ -121,13 +123,34 @@ def test_pool_capped_by_items_and_cpus(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     items = list(range(-15, 0))
     for cpus, expect in ((4, [4]), (64, [15]), (None, []), (1, [])):
         asked.clear()
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         assert harness._map_ordered(abs, items, 5000) == list(range(15, 0, -1))
         assert asked == expect, cpus
+
+
+def test_pool_modules_load_only_when_a_sweep_runs_a_pool():
+    # a fresh interpreter: importing the package and its CLI leaves the pool's
+    # modules unloaded; a two-worker sweep loads them (cpu_count is pinned to 2
+    # so that a one-CPU host still runs the pool)
+    code = ("import json, os, sys\n"
+            "bare = set(sys.modules)\n"
+            "import pelltuples, pelltuples.cli\n"
+            "pool = ['multiprocessing', 'concurrent.futures']\n"
+            "cold = [m for m in pool if m in sys.modules and m not in bare]\n"
+            "from pelltuples.harness import SweepConfig, run_claim\n"
+            "os.cpu_count = lambda: 2\n"
+            "rep = run_claim('fujita', SweepConfig(limit=12, workers=2))\n"
+            "print(json.dumps([cold, rep.status,"
+            " 'concurrent.futures.process' in sys.modules]))\n")
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert json.loads(out) == [[], CONFIRMED, True]
 
 
 def test_claim_options_are_sweep_fields():

@@ -1,6 +1,7 @@
 """Arithmetic in Z[sqrt(-t)], tuple verification, and the quadruple families."""
 
 import random
+import time
 
 import pytest
 
@@ -476,6 +477,34 @@ def test_theorem3_validation():
     # 2*3 = 5^(2^0) + 1, but the theorem needs l >= 1
     with pytest.raises(ValueError, match="l_exp must be >= 1"):
         theorem3_classify(3, 1, 5, 0, 1)
+
+
+def test_theorem3_power_check_matches_power():
+    # the square-root chain accepts exactly the 2p^k = q^(2^l_exp) + 1, eight on
+    # this grid, among them (5, 1, 3, 1), (41, 1, 3, 2), (5, 2, 7, 1), (29, 2, 41, 1)
+    accepted = 0
+    primes = [p for p in range(3, 400, 2) if is_prime(p)]
+    for q in (p for p in primes if p < 50):
+        for l_exp in range(1, 5):
+            for p in primes:
+                for k in range(1, 4):
+                    equal = 2 * p**k == q ** (2**l_exp) + 1
+                    try:
+                        theorem3_classify(p, k, q, l_exp, q)
+                    except ValueError as exc:
+                        assert not equal and str(exc) == f"2*{p}^{k} != {q}^(2^{l_exp}) + 1"
+                    else:
+                        assert equal, (p, k, q, l_exp)
+                        accepted += 1
+    assert accepted == 8
+
+
+def test_theorem3_power_check_fails_fast():
+    # 3^(2^22) has 6.6 million bits; the check must reject 2*5 without building it
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^2\*5\^1 != 3\^\(2\^22\) \+ 1$"):
+        theorem3_classify(5, 1, 3, 22, 1)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_integer_quadruple_search_empty_cases():
