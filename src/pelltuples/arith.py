@@ -11,6 +11,9 @@ from math import isqrt  # re-exported: exact floor square root, ValueError below
 #: factorize() trial-divides up to this bound
 FACTOR_TRIAL_BOUND = 10**7
 
+#: factorize() tests the cofactor for primality once trial division passes this
+SMALL_TRIAL_BOUND = 1 << 10
+
 #: below this bound the Miller-Rabin witness set is provably exhaustive
 DETERMINISTIC_PRIMALITY_BOUND = 1 << 64
 
@@ -67,8 +70,10 @@ def is_prime(n: int) -> bool:
 def factorize(n: int) -> dict[int, int]:
     """Trial-division factorization; prime -> exponent.
 
-    Raises ValueError when a composite cofactor survives trial division up
-    to FACTOR_TRIAL_BOUND (we never need large factorizations).
+    Trial division runs to SMALL_TRIAL_BOUND first; a cofactor below
+    DETERMINISTIC_PRIMALITY_BOUND that is_prime certifies ends it there.
+    Otherwise it goes on to FACTOR_TRIAL_BOUND and raises ValueError when a
+    composite cofactor survives (we never need large factorizations).
     """
     if n < 1:
         raise ValueError("factorize expects a positive integer")
@@ -79,16 +84,21 @@ def factorize(n: int) -> dict[int, int]:
             out[p] = out.get(p, 0) + 1
             m //= p
     f = 5
-    while f * f <= m and f <= FACTOR_TRIAL_BOUND:
-        for p in (f, f + 2):
-            while m % p == 0:
-                out[p] = out.get(p, 0) + 1
-                m //= p
-        f += 6
-    if m > 1:
-        if m <= FACTOR_TRIAL_BOUND**2 or is_prime(m):
-            out[m] = out.get(m, 0) + 1
-        else:
+    for bound in (SMALL_TRIAL_BOUND, FACTOR_TRIAL_BOUND):
+        while f * f <= m and f <= bound:
+            for p in (f, f + 2):
+                while m % p == 0:
+                    out[p] = out.get(p, 0) + 1
+                    m //= p
+            f += 6
+        # m is 1 or prime once f^2 > m; the primality test ends the division
+        # early only where it is deterministic
+        if f * f > m or (m < DETERMINISTIC_PRIMALITY_BOUND and is_prime(m)):
+            break
+    else:
+        # m > FACTOR_TRIAL_BOUND^2: below 2^64 it has just failed is_prime
+        if m < DETERMINISTIC_PRIMALITY_BOUND or not is_prime(m):
             raise ValueError(f"cannot factor {n}: composite cofactor {m}")
+    if m > 1:
+        out[m] = out.get(m, 0) + 1
     return out
-

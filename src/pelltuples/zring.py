@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import index
 
 from .arith import is_perfect_square, is_prime, isqrt
 from .pellian import (
@@ -23,9 +24,16 @@ NONE = "NONE"
 UNDECIDED_BY_PAPER = "UNDECIDED_BY_PAPER"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class RingElem:
-    """re + im*sqrt(-t); t = 0 means a plain integer (im must be 0)."""
+    """re + im*sqrt(-t); t = 0 means a plain integer (im must be 0).
+
+    A value type: equality and hash go by (re, im, t), and its fields are
+    never mutated after construction, so as_elem and the reports share
+    instances instead of copying them.  It is slotted rather than frozen
+    because a frozen dataclass pays an object.__setattr__ per field each
+    time one is built.
+    """
 
     re: int
     im: int
@@ -47,13 +55,18 @@ class RingElem:
 
 
 def as_elem(v, t: int) -> RingElem:
+    """v in Z[sqrt(-t)]: an integer, or a RingElem of this ring or with im = 0.
+
+    A value that is not an integer (a float, str or Fraction) raises
+    TypeError instead of being truncated.
+    """
     if isinstance(v, RingElem):
         if v.t == t:
             return v
         if v.im != 0:
             raise ValueError(f"mixed rings: t={v.t} vs t={t}")
         return RingElem(v.re, 0, t)
-    return RingElem(int(v), 0, t)
+    return RingElem(index(v), 0, t)
 
 
 def ring_mul(a: RingElem, b: RingElem) -> RingElem:
@@ -119,16 +132,16 @@ def check_tuple(elements, n: int, t: int = 0) -> TupleReport:
     """Verify that every pairwise product plus n is a square in Z[sqrt(-t)].
 
     Elements may be ints or RingElems sharing the ring's t.  Zero or
-    duplicate elements are rejected.  Each pair value is formed on the
-    integer parts and its root taken by _root; only witnesses become
-    RingElems.
+    duplicate elements are rejected on their integer parts (re, im), which
+    all share t.  Each pair value is formed on those parts and its root
+    taken by _root; only witnesses become RingElems.
     """
     elems = tuple(as_elem(e, t) for e in elements)
-    if any(e.is_zero() for e in elems):
-        raise ValueError("tuple elements must be nonzero")
-    if len(set(elems)) != len(elems):
-        raise ValueError("tuple elements must be pairwise distinct")
     parts = [(e.re, e.im) for e in elems]
+    if (0, 0) in parts:
+        raise ValueError("tuple elements must be nonzero")
+    if len(set(parts)) != len(parts):
+        raise ValueError("tuple elements must be pairwise distinct")
     witnesses: dict[tuple[int, int], RingElem] = {}
     for i, (a, b) in enumerate(parts):
         for j in range(i + 1, len(parts)):

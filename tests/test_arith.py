@@ -1,12 +1,16 @@
 """Integer-arithmetic helpers: squares, primality, factoring."""
 
 import math
+import random
+import time
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pelltuples import arith
 from pelltuples.arith import (
+    FACTOR_TRIAL_BOUND,
     factorize,
     is_perfect_square,
     is_prime,
@@ -88,3 +92,100 @@ def test_factorize_reconstructs(n):
         assert is_prime(p)
         prod *= p**e
     assert prod == n
+
+
+def _factorize_by_trial(n):
+    """factorize as it was before the primality test: trial division all the
+    way to FACTOR_TRIAL_BOUND, then the cofactor is prime or fails."""
+    out = {}
+    m = n
+    for p in (2, 3):
+        while m % p == 0:
+            out[p] = out.get(p, 0) + 1
+            m //= p
+    f = 5
+    while f * f <= m and f <= FACTOR_TRIAL_BOUND:
+        for p in (f, f + 2):
+            while m % p == 0:
+                out[p] = out.get(p, 0) + 1
+                m //= p
+        f += 6
+    if m > 1:
+        if m <= FACTOR_TRIAL_BOUND**2 or is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            raise ValueError(f"cannot factor {n}: composite cofactor {m}")
+    return out
+
+
+def _factor_outcome(f, n):
+    try:
+        return f(n)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _prime_near(rng, digits):
+    x = int(10**digits) + rng.randrange(int(10**digits)) | 1
+    while not is_prime(x):
+        x += 2
+    return x
+
+
+def test_factorize_matches_trial_division_small():
+    for n in range(1, 10**5 + 1):
+        assert factorize(n) == _factorize_by_trial(n), n
+
+
+def test_factorize_matches_trial_division_planted():
+    # a smooth part times a prime of 2-18 digits below 10^18, or times two
+    # primes above the small trial bound (the early primality test fails and
+    # division goes on); the old loop spends ~0.6 s on each cofactor that it
+    # trial-divides all the way to FACTOR_TRIAL_BOUND
+    rng = random.Random(1019)
+    small = [p for p in range(2, 48) if is_prime(p)]
+    cases = []
+    for i in range(10):
+        smooth = math.prod(rng.choice(small) for _ in range(rng.randrange(4)))
+        p = _prime_near(rng, 1 + 16.5 * (i + rng.random()) / 10)
+        cases.append((smooth * p, {**factorize(smooth), p: 1}))
+    for _ in range(6):
+        p, q = sorted((_prime_near(rng, rng.uniform(3.1, 4)), _prime_near(rng, rng.uniform(4, 9))))
+        cases.append((2 * p * q, {2: 1, p: 1, q: 1}))
+    for n, planted in cases:
+        assert factorize(n) == _factorize_by_trial(n) == planted, n
+    # two primes above FACTOR_TRIAL_BOUND: both raise with the same message
+    n = 3 * 10000019 * 10000079
+    assert _factor_outcome(factorize, n) == _factor_outcome(_factorize_by_trial, n) == (
+        f"cannot factor {n}: composite cofactor {10000019 * 10000079}")
+
+
+def test_factorize_prime_cofactor_is_fast():
+    # the first prime above 10^14: trial division to 10^7 took ~0.6 s
+    start = time.perf_counter()
+    assert factorize(100000000000031) == {100000000000031: 1}
+    assert factorize(8 * 100000000000031) == {2: 3, 100000000000031: 1}
+    assert time.perf_counter() - start < 0.05
+
+
+def test_factorize_small_prime_powers_skip_primality_test(monkeypatch):
+    # tm1 factorizes p^(2l+1) for small p: trial division alone must settle it
+    def no_primality_test(n):
+        raise AssertionError(f"is_prime({n}) called")
+
+    primes = [p for p in range(2, 48) if is_prime(p)]
+    monkeypatch.setattr(arith, "is_prime", no_primality_test)
+    for p in primes:
+        for j in range(1, 30):
+            assert factorize(p**j) == {p: j}
+
+
+def test_factorize_above_2_64_keeps_trial_division(monkeypatch):
+    # is_prime is only probable above 2^64, so there a cofactor goes on to the
+    # trial bound and is tested only after it, as before
+    monkeypatch.setattr(arith, "FACTOR_TRIAL_BOUND", 4096)
+    q = 2**89 - 1
+    with pytest.raises(ValueError, match=f"^cannot factor {4099 * q}: composite cofactor {4099 * q}$"):
+        factorize(4099 * q)
+    monkeypatch.setattr(arith, "is_prime", lambda n: True)  # a pseudoprime that passes every base
+    assert factorize(2003 * q) == {2003: 1, q: 1}

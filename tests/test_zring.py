@@ -1,7 +1,11 @@
 """Arithmetic in Z[sqrt(-t)], tuple verification, and the quadruple families."""
 
+import copy
+import pickle
 import random
 import time
+from dataclasses import dataclass
+from fractions import Fraction
 
 import pytest
 
@@ -36,6 +40,69 @@ def test_ring_elem_validation():
     assert RingElem(5, 0, 0).re == 5
 
 
+@dataclass(frozen=True)
+class _FrozenRingElem:
+    """RingElem as it was declared before it was slotted: the value-semantics oracle."""
+
+    re: int
+    im: int
+    t: int
+
+    def __post_init__(self):
+        if self.t < 0:
+            raise ValueError("t must be >= 0")
+        if self.t == 0 and self.im != 0:
+            raise ValueError("t=0 embeds plain integers only")
+
+    def is_zero(self) -> bool:
+        return self.re == 0 and self.im == 0
+
+    def __str__(self):
+        if self.im == 0:
+            return str(self.re)
+        return f"{self.re}{self.im:+}*sqrt(-{self.t})"
+
+
+def _built(cls, re, im, t):
+    try:
+        return cls(re, im, t)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_ring_elem_value_semantics_match_frozen_class():
+    rng = random.Random(19)
+    grid = [(0, 0, 0), (1, 0, 0), (0, 0, 4), (0, 1, 4), (5, 0, 4), (5, 0, 9)]
+    grid += [(rng.randint(-3, 3), rng.choice((0, 0, rng.randint(-3, 3))), rng.randint(-1, 4))
+             for _ in range(400)]
+    grid.append((10**40 + 1, -(10**30), 7))
+    pairs = [(_built(RingElem, *g), _built(_FrozenRingElem, *g)) for g in grid]
+    errors = {old for new, old in pairs if isinstance(old, str)}
+    assert errors == {"t must be >= 0", "t=0 embeds plain integers only"}
+    values = []
+    for new, old in pairs:
+        if isinstance(old, str):
+            assert new == old  # the same validation error
+            continue
+        assert (new.re, new.im, new.t) == (old.re, old.im, old.t)
+        assert hash(new) == hash(old)
+        assert repr(new) == repr(old).replace("_FrozenRingElem", "RingElem")
+        assert str(new) == str(old)
+        assert new.is_zero() == old.is_zero()
+        for twin in (copy.copy(new), pickle.loads(pickle.dumps(new))):
+            assert type(twin) is RingElem and twin == new and hash(twin) == hash(new)
+            assert repr(twin) == repr(new)
+        values.append((new, old))
+    assert len(values) > 250
+    for new_a, old_a in values[:120]:
+        for new_b, old_b in values[:120]:
+            assert (new_a == new_b) == (old_a == old_b)
+            assert (new_a != new_b) == (old_a != old_b)
+    assert len({new for new, _ in values}) == len({old for _, old in values})
+    assert RingElem(1, 0, 0) != (1, 0, 0)
+    assert _FrozenRingElem(1, 0, 0) != (1, 0, 0)
+
+
 def test_ring_mul_examples():
     w7 = RingElem(0, 7, 4)  # 7*sqrt(-4)
     assert ring_mul(w7, w7) == RingElem(-196, 0, 4)
@@ -54,10 +121,20 @@ def test_as_elem():
     assert as_elem(7, 4) == RingElem(7, 0, 4)
     assert as_elem(RingElem(1, 2, 4), 4) == RingElem(1, 2, 4)
     e = RingElem(1, 2, 4)
-    assert as_elem(e, e.t) is e  # frozen, so shared rather than copied
+    assert as_elem(e, e.t) is e  # fields are never mutated, so shared rather than copied
     assert as_elem(RingElem(5, 0, 4), 9) == RingElem(5, 0, 9)  # integers move between rings
     with pytest.raises(ValueError, match="mixed rings"):
         as_elem(RingElem(1, 2, 4), 9)
+
+
+def test_as_elem_takes_integers_only():
+    assert as_elem(True, 3) == RingElem(1, 0, 3)  # bool is an int subclass
+    for v in (3.5, 7.0, "7", Fraction(7), Fraction(7, 2), None):
+        with pytest.raises(TypeError):
+            as_elem(v, 2)
+    # once truncated to {1, 3, 8} and reported as a verified D(1)-triple
+    with pytest.raises(TypeError):
+        check_tuple((1, 3.5, 8.2), 1)
 
 
 def test_sqrt_in_ring_examples():
@@ -162,6 +239,22 @@ def test_check_tuple_rejects_degenerate_input():
         check_tuple((1, 5, -3, 1), -1, t=4)  # duplicate
     with pytest.raises(ValueError):
         check_tuple((0, 3, 8), 1)
+
+
+def test_check_tuple_rejects_mixed_ints_and_ring_elems():
+    distinct, nonzero = "^tuple elements must be pairwise distinct$", "^tuple elements must be nonzero$"
+    for elements, t, message in (
+        ((5, RingElem(5, 0, 4)), 4, distinct),
+        ((5, RingElem(5, 0, 4)), 9, distinct),  # an integer RingElem moves to t = 9
+        ((RingElem(1, 2, 4), 3, RingElem(1, 2, 4)), 4, distinct),
+        ((1, RingElem(0, 0, 4)), 4, nonzero),
+        ((RingElem(0, 0, 4), 7), 0, nonzero),
+        ((RingElem(0, 0, 4), 0, RingElem(0, 0, 4)), 4, nonzero),  # zero is checked first
+    ):
+        with pytest.raises(ValueError, match=message):
+            check_tuple(elements, -1, t)
+    # 5*sqrt(-4) and 5 have the parts (0, 5) and (5, 0): distinct, so checked
+    assert not check_tuple((RingElem(0, 5, 4), 5), 1, 4).verified
 
 
 def _sqrt_by_norm(z):
