@@ -452,11 +452,11 @@ def _positive_solutions(d: int, sols) -> Iterator[tuple[int, int]]:
         heapq.heapreplace(heap, (x * u + y * t, x * t + d * y * u))
 
 
-def all_solutions_stream(prob: PellianProblem, count: int) -> list[tuple[int, int]]:
-    """First `count` positive solutions in increasing y, by unit composition."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
+def all_solutions_stream(prob: PellianProblem) -> Iterator[tuple[int, int]]:
+    """Every positive solution in increasing y, by unit composition: an endless
+    iterator, sliced by the caller with itertools.islice or takewhile.  An
+    unsolvable problem raises ValueError at the call, not at the first item."""
     oc = solve_complete(prob)
     if oc.verdict != SOLVABLE:
         raise ValueError("no solutions to stream")
-    return list(itertools.islice(_positive_solutions(prob.d, oc.witnesses), count))
+    return _positive_solutions(prob.d, oc.witnesses)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations, takewhile
 from operator import index
 
 from .arith import is_perfect_square, is_prime, isqrt
@@ -16,6 +17,7 @@ from .pellian import (
     PellianProblem,
     PellianOutcome,
     UNSOLVABLE,
+    all_solutions_stream,
     decide_paper_equation,
 )
 
@@ -232,6 +234,16 @@ def prop_family(n: int, j: int, m: int) -> tuple[TupleReport, TupleReport]:
     return reports[0], reports[1]
 
 
+def _sqrt_chain(v: int) -> tuple[int, int]:
+    """(root, e): the square root of v >= 2 taken e times, while it is a square.
+    The chain ends within log2(bit length of v) roots."""
+    e = 0
+    while (r := is_perfect_square(v)) is not None:
+        v = r
+        e += 1
+    return v, e
+
+
 def find_admissible_pairs(search_limit: int) -> list[tuple[int, int, int, int]]:
     """All (p, k, q, l_exp) with 2*p^k = q^(2^l_exp) + 1, p odd prime <= limit,
     k in {1, 2, 4}, q an odd prime, l_exp >= 1."""
@@ -240,11 +252,7 @@ def find_admissible_pairs(search_limit: int) -> list[tuple[int, int, int, int]]:
         if not is_prime(p):
             continue
         for k in (1, 2, 4):
-            v = 2 * p**k - 1
-            e = 0
-            while (r := is_perfect_square(v)) is not None:
-                v = r
-                e += 1
+            v, e = _sqrt_chain(2 * p**k - 1)
             if e >= 1 and v > 2 and is_prime(v):
                 out.append((p, k, v, e))
     return sorted(out)
@@ -282,15 +290,9 @@ def theorem3_classify(p: int, k: int, q: int, l_exp: int, t: int) -> ClassifyRes
     b = 2 * p**k
     if not (is_prime(p) and p % 2 == 1 and is_prime(q) and q % 2 == 1):
         raise ValueError("p and q must be odd primes")
-    # b - 1 = q^(2^l_exp) iff l_exp square roots of it end at q; stopping at the
-    # first non-square or root below q ends within log2(bit length of b) steps
-    # and builds no power of q
-    root = b - 1
-    for _ in range(l_exp):
-        if root is None or root < q:
-            break
-        root = is_perfect_square(root)
-    if root != q:
+    # b - 1 = q^(2^l_exp) iff its square-root chain ends at q after l_exp roots,
+    # as the odd prime q is no square; the chain builds no power of q
+    if _sqrt_chain(b - 1) != (q, l_exp):
         raise ValueError(f"2*{p}^{k} != {q}^(2^{l_exp}) + 1")
     if t % 2 == 0:
         return ClassifyResult(NONE, reason="even t cannot divide b-1")
@@ -323,25 +325,22 @@ def theorem3_classify(p: int, k: int, q: int, l_exp: int, t: int) -> ClassifyRes
     return ClassifyResult(UNDECIDED_BY_PAPER, reason=f"t={t} outside the covered sets")
 
 
+def _third_elements(b: int, c_max: int) -> list[int]:
+    """Every c = x^2 + 1 <= c_max (x >= 1) with bc - 1 a square, increasing, for
+    b = r^2 + 1 >= 2.  bc - 1 = y^2 is y^2 - b*x^2 = b - 1, so the c are read off
+    that equation's solution stream, which grows geometrically in x."""
+    stream = all_solutions_stream(PellianProblem(b, b - 1))
+    return [x * x + 1 for _, x in takewhile(lambda yx: yx[1] * yx[1] + 1 <= c_max, stream)]
+
+
 def integer_quadruple_search(b: int, c_max: int) -> list[tuple[int, int, int, int]]:
     """Exhaustive search for integer D(-1)-quadruples {1, b, c, d}, 1 < c < d <= c_max.
 
-    Requires b-1 to be a perfect square, so {1, b} is a D(-1)-pair.
-    Returns every quadruple found (expected none for the covered b forms).
+    Requires b = r^2 + 1 with r >= 1, so {1, b} is a D(-1)-pair, and tests every
+    pair (c, d) of _third_elements.  Returns every quadruple found, expected none:
+    N. C. Bonciocat, M. Cipu and M. Mignotte, J. London Math. Soc. 105 (2022).
     """
-    if is_perfect_square(b - 1) is None:
-        raise ValueError(f"b-1={b - 1} is not a perfect square")
-    cands = []
-    for x in range(1, isqrt(c_max - 1) + 1):
-        c = x * x + 1
-        if c == b or c > c_max:
-            continue
-        if is_perfect_square(b * c - 1) is not None:
-            cands.append(c)
-    out = []
-    for i in range(len(cands)):
-        for j in range(i + 1, len(cands)):
-            c, d = cands[i], cands[j]
-            if is_perfect_square(c * d - 1) is not None:
-                out.append((1, b, c, d))
-    return out
+    if not is_perfect_square(b - 1):
+        raise ValueError(f"b={b} is not r^2+1 with r >= 1: {{1, b}} is no D(-1)-pair")
+    return [(1, b, c, d) for c, d in combinations(_third_elements(b, c_max), 2)
+            if is_perfect_square(c * d - 1) is not None]

@@ -292,6 +292,17 @@ def test_verify_rejects_unread_option(capsys, argv):
     assert err.startswith("error: ") and argv[1] in err
 
 
+@pytest.mark.parametrize("claim_id", ["fifumi-desk", "tm-ii-1-desk"])
+def test_verify_quadruple_search_huge_c_max(capsys, claim_id):
+    # the candidates c come off the Pell stream, O(log c_max) of them, where a
+    # scan of every x <= isqrt(c_max - 1) would never end
+    start = time.monotonic()
+    code, out, _ = run(capsys, "--json", "verify", claim_id, "--c-max", "1" + "0" * 100)
+    assert time.monotonic() - start < 10
+    assert code == 0
+    assert json.loads(out)["status"] == "CONFIRMED"
+
+
 def test_verify_tm1_scaled(capsys):
     # the fatal check of every (p, k, l) runs on the class search, not on
     # enumeration of up to isqrt(p^(2l+1)) + 1 values of y

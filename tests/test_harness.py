@@ -191,6 +191,20 @@ def test_default_body_pinned(claim_id):
     assert hashlib.sha256(body.encode()).hexdigest() == BODY_SHA256[claim_id]
 
 
+#: the same for the two quadruple searches at c_max = 10^8, from the search
+#: that scanned every x <= isqrt(c_max - 1)
+C_MAX_BODY_SHA256 = {
+    "fifumi-desk": "8ef5ac7a2da918a88037fe92845549ca3c28fc8a8966d63b2c55b9f2ae0b70fe",
+    "tm-ii-1-desk": "671e2ae2f6e0181f22e1a8b80ee3592b3ddcd5d681926edeacfd213f6d277075",
+}
+
+
+@pytest.mark.parametrize("claim_id", sorted(C_MAX_BODY_SHA256))
+def test_c_max_body_pinned(claim_id):
+    body = dump_json(run_claim(claim_id, SweepConfig(c_max=10**8)).body(), compact=True)
+    assert hashlib.sha256(body.encode()).hexdigest() == C_MAX_BODY_SHA256[claim_id]
+
+
 def test_tm1_runs_each_residue_check_once():
     # 14 odd primes p <= 50 and k <= 3: the sweep's own residue record misses,
     # and the decider's residue and descent routes hit (0, 1, 1, 2 per k)

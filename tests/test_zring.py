@@ -6,11 +6,12 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
 from pelltuples import harness, pellian
-from pelltuples.arith import is_perfect_square, is_prime
+from pelltuples.arith import is_perfect_square, is_prime, isqrt
 from pelltuples.pellian import PellianProblem, UNSOLVABLE, all_solutions_stream, solve_complete
 from pelltuples.zring import (
     EXISTS_INFINITE,
@@ -29,6 +30,7 @@ from pelltuples.zring import (
     sqrt_in_ring,
     theorem3_classify,
     _pell_xy,
+    _third_elements,
 )
 
 
@@ -485,7 +487,7 @@ def test_prop_family_various_n_j():
 def test_pell_xy_matches_solution_stream():
     # the closed form against the general solver's stream of y^2 - (n^2+1)x^2 = -1
     for n in range(1, 41):
-        stream = all_solutions_stream(PellianProblem(n * n + 1, -1), 10)
+        stream = islice(all_solutions_stream(PellianProblem(n * n + 1, -1)), 10)
         assert [_pell_xy(n, j) for j in range(1, 11)] == [(x, y) for y, x in stream], n
 
 
@@ -604,8 +606,51 @@ def test_integer_quadruple_search_empty_cases():
     assert integer_quadruple_search(2, 2000) == []
     assert integer_quadruple_search(5, 2000) == []
     assert integer_quadruple_search(10, 2000) == []
+    # no c = x^2 + 1 with x >= 1 lies below 2
+    for c_max in (-5, 0, 1):
+        assert integer_quadruple_search(5, c_max) == []
 
 
 def test_integer_quadruple_search_validation():
     with pytest.raises(ValueError):
         integer_quadruple_search(0, 100)
+    # {1, 1} is no pair, though 1 - 1 is a square
+    with pytest.raises(ValueError, match=r"^b=1 "):
+        integer_quadruple_search(1, 30)
+
+
+def _scan_third_elements(b, c_max):
+    """The c = x^2 + 1 <= c_max, c != b, with bc - 1 a square, by scanning every
+    x <= isqrt(c_max - 1): the search before it read the Pell stream (oracle)."""
+    cands = []
+    for x in range(1, isqrt(c_max - 1) + 1):
+        c = x * x + 1
+        if c == b or c > c_max:
+            continue
+        if is_perfect_square(b * c - 1) is not None:
+            cands.append(c)
+    return cands
+
+
+def test_third_elements_match_scan():
+    # every D(-1)-pair {1, r^2 + 1} with r < 200, and the tm-ii-1-desk b = 2p^k
+    # (1682 and 57122 among them)
+    tm_bs = [2 * p**k for p, k, _, _ in find_admissible_pairs(50)]
+    assert {1682, 57122} <= set(tm_bs)
+    for b in sorted({r * r + 1 for r in range(1, 200)} | set(tm_bs)):
+        scan = _scan_third_elements(b, 10**8)
+        for c_max in (2, 5, 10, 10**4, 10**6, 10**8):
+            assert _third_elements(b, c_max) == [c for c in scan if c <= c_max], (b, c_max)
+
+
+def test_third_elements_reach_planted_triple():
+    # (y, x) = 2 * (9 + 4*sqrt(5))^j solves y^2 - 5x^2 = 4, so c = x^2 + 1 makes
+    # {1, 5, c} a D(-1)-triple; j = 24 puts c near 10^60
+    y, x = 2, 0
+    for _ in range(24):
+        y, x = 9 * y + 20 * x, 4 * y + 9 * x
+    c = x * x + 1
+    assert 10**59 < c < 10**61
+    assert check_tuple((1, 5, c), -1).verified
+    assert _third_elements(5, c)[-1] == c
+    assert c in _third_elements(5, 10**61)
