@@ -67,6 +67,19 @@ def is_prime(n: int) -> bool:
     return all(_strong_probable_prime(n, a) for a in witnesses)
 
 
+def odd_primes_upto(n: int) -> list[int]:
+    """The odd primes p <= n, increasing, by a sieve of Eratosthenes over the
+    odd numbers alone: one byte per odd number, n // 2 bytes in all."""
+    # byte i stands for 2i + 1, so the odd multiples of p from p^2 on lie p bytes apart
+    size = (n + 1) // 2
+    flags = bytearray([1]) * size
+    for i in range(1, (isqrt(max(n, 0)) + 1) // 2):
+        if flags[i]:
+            p = 2 * i + 1
+            flags[p * p // 2::p] = bytes(len(range(p * p // 2, size, p)))
+    return [2 * i + 1 for i in range(1, size) if flags[i]]
+
+
 def factorize(n: int) -> dict[int, int]:
     """Trial-division factorization; prime -> exponent.
 

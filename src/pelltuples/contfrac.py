@@ -22,6 +22,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import cycle, islice
+from typing import NamedTuple
 
 from .arith import is_perfect_square, isqrt
 
@@ -167,7 +168,13 @@ def lemma_db_check(alpha: int, beta: int, n: int, r: int, u: int) -> int:
         raise ValueError("n must be >= 0")
     if is_perfect_square(alpha * beta) is not None:
         raise ValueError("alpha*beta must not be a perfect square")
-    rows = list(islice(expand(QuadIrr(alpha * beta, 0, beta)).terms(), n + 2))
+    return _lemma_db_sides(alpha, beta, expand(QuadIrr(alpha * beta, 0, beta)), n, r, u)
+
+
+def _lemma_db_sides(alpha: int, beta: int, exp: CFExpansion, n: int, r: int, u: int) -> int:
+    """lemma_db_check's check and value, given exp, the expansion of
+    sqrt(alpha*beta)/beta, for inputs that lemma_db_check accepts."""
+    rows = list(islice(exp.terms(), n + 2))
     (pn, qn), (pn1, qn1) = list(convergents(a for a, _, _ in rows))[n:]
     lhs = alpha * (r * qn1 + u * qn) ** 2 - beta * (r * pn1 + u * pn) ** 2
     (_, _, t1), (_, s2, t2) = rows[n:]
@@ -177,8 +184,7 @@ def lemma_db_check(alpha: int, beta: int, n: int, r: int, u: int) -> int:
     return rhs
 
 
-@dataclass(frozen=True)
-class WorleyCandidate:
+class WorleyCandidate(NamedTuple):
     m: int
     r: int
     u: int

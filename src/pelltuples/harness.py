@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__
-from .arith import factorize, is_perfect_square, is_prime, isqrt
-from .contfrac import QuadIrr, convergents, expand, lemma_db_check, worley_candidates
+from .arith import factorize, is_perfect_square, is_prime, isqrt, odd_primes_upto
+from .contfrac import QuadIrr, _lemma_db_sides, convergents, expand, worley_candidates
 from .pellian import (
     PellianProblem,
     SOLVABLE,
@@ -106,10 +106,6 @@ def deep_dec(obj):
     if isinstance(obj, dict):
         return {str(k): deep_dec(v) for k, v in obj.items()}
     return obj
-
-
-def odd_primes_upto(n: int) -> list[int]:
-    return [p for p in range(3, n + 1, 2) if is_prime(p)]
 
 
 def _map_ordered(fn, items, workers: int):
@@ -221,7 +217,7 @@ def _dubo_case(rng: random.Random) -> dict:
     r = rng.randint(0, 100)
     u = rng.randint(0, 100)
     try:
-        val, good = lemma_db_check(alpha, beta, n, r, u), True
+        val, good = _lemma_db_sides(alpha, beta, exp, n, r, u), True
     except AssertionError:
         val, good = None, False
     return {"alpha": alpha, "beta": beta, "n": n, "r": r, "u": u, "value": val, "ok": good}

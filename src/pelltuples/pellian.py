@@ -45,7 +45,6 @@ import itertools
 import math
 from collections import deque
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -62,20 +61,31 @@ ENUM_BOUND_LIMIT = 1_000_000
 CACHE_SIZE = 4096
 
 
-@dataclass(frozen=True)
-class PellianProblem:
+class _ProblemFields(NamedTuple):
     d: int
     n: int
 
-    def __post_init__(self):
-        if self.d < 2 or is_perfect_square(self.d) is not None:
-            raise ValueError(f"D={self.d} must be a non-square integer >= 2")
-        if self.n == 0:
+
+class PellianProblem(_ProblemFields):
+    """x^2 - d*y^2 = n: a NamedTuple checked by every constructor, _make and
+    _replace included, for non-square d >= 2 and n != 0."""
+
+    __slots__ = ()
+
+    def __new__(cls, d: int, n: int):
+        if d < 2 or is_perfect_square(d) is not None:
+            raise ValueError(f"D={d} must be a non-square integer >= 2")
+        if n == 0:
             raise ValueError("N must be nonzero")
+        return tuple.__new__(cls, (d, n))
+
+    @classmethod
+    def _make(cls, iterable) -> PellianProblem:
+        # NamedTuple's _make, behind _replace, would skip __new__'s checks
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class PellianOutcome:
+class PellianOutcome(NamedTuple):
     verdict: str
     witnesses: tuple[tuple[int, int], ...]
     method: str
@@ -162,7 +172,12 @@ def pell_fundamental(d: int) -> PellUnit:
 
 def class_bound(d: int, n: int) -> int:
     """Outward-rounded y bound containing a fundamental solution per class."""
-    t, u = pell_fundamental(d)
+    return _unit_bound(pell_fundamental(d), n)
+
+
+def _unit_bound(unit: PellUnit, n: int) -> int:
+    """class_bound for the Pell unit (t, u) of d."""
+    t, u = unit
     if n < 0:
         num, den = u * u * (-n), 2 * (t - 1)
     else:
@@ -268,32 +283,37 @@ def _cf_class_solutions(d: int, n: int) -> list[tuple[int, int]]:
 
 def solve_complete(prob: PellianProblem) -> PellianOutcome:
     """Certified decision with one fundamental witness per solution class."""
-    bound = class_bound(prob.d, prob.n)
+    d, n = prob
+    unit = pell_fundamental(d)
+    bound = _unit_bound(unit, n)
     if bound > ENUM_BOUND_LIMIT:
-        return _class_search_outcome(prob.d, prob.n)
-    return _outcome(prob.d, prob.n, solve_brute(prob, bound), "bounded-enumeration", bound)
+        return _outcome(d, n, _cf_class_solutions(d, n), "cf-classes", bound, unit)
+    return _outcome(d, n, solve_brute(prob, bound), "bounded-enumeration", bound, unit)
 
 
 def _class_search_outcome(d: int, n: int) -> PellianOutcome:
     """solve_complete's outcome by the class search, whatever the class bound;
     search_bound_used is still the class bound."""
-    return _outcome(d, n, _cf_class_solutions(d, n), "cf-classes", class_bound(d, n))
+    unit = pell_fundamental(d)
+    return _outcome(d, n, _cf_class_solutions(d, n), "cf-classes", _unit_bound(unit, n), unit)
 
 
 def _outcome(d: int, n: int, raw: list[tuple[int, int]], method: str,
-             bound: int) -> PellianOutcome:
+             bound: int, unit: PellUnit) -> PellianOutcome:
     """The verdict and class representatives of x^2 - d*y^2 = n from `raw`, a
-    solution with y > 0 in every class (y = 0 is added here when n is square)."""
-    t, u = pell_fundamental(d)
+    solution with y > 0 in every class (y = 0 is added here when n is square),
+    for the Pell unit of d."""
     rt = is_perfect_square(n)
     if rt is not None:
         raw.append((rt, 0))
+    elif not raw:
+        return PellianOutcome(UNSOLVABLE, (), method, bound)
+    t, u = unit
     reps = sorted({_class_rep(d, x, y, t, u) for x, y in raw})
     for x, y in reps:
         if x * x - d * y * y != n:
             raise RuntimeError(f"({x}, {y}) does not solve x^2 - {d}*y^2 = {n}")
-    verdict = SOLVABLE if reps else UNSOLVABLE
-    return PellianOutcome(verdict, tuple(reps), method, bound)
+    return PellianOutcome(SOLVABLE, tuple(reps), method, bound)
 
 
 def has_primitive_solution(outcome: PellianOutcome) -> bool:
@@ -301,8 +321,7 @@ def has_primitive_solution(outcome: PellianOutcome) -> bool:
     return any(math.gcd(x, y) == 1 for x, y in outcome.witnesses)
 
 
-@dataclass(frozen=True)
-class FujitaCertificate:
+class FujitaCertificate(NamedTuple):
     """No primitive solution of X^2 - (K^2+1)Y^2 = N when 1 < |N| <= K."""
 
     k: int

@@ -11,8 +11,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, takewhile
 from operator import index
+from typing import NamedTuple
 
-from .arith import is_perfect_square, is_prime, isqrt
+from .arith import is_perfect_square, is_prime, isqrt, odd_primes_upto
 from .pellian import (
     PellianProblem,
     PellianOutcome,
@@ -155,8 +156,7 @@ def check_tuple(elements, n: int, t: int = 0) -> TupleReport:
     return TupleReport(elems, n, t, True, witnesses)
 
 
-@dataclass(frozen=True)
-class ExtensionData:
+class ExtensionData(NamedTuple):
     """Integers (e, x, y, z) attached to a D(l) triple by the extension identity."""
 
     e: int
@@ -248,9 +248,7 @@ def find_admissible_pairs(search_limit: int) -> list[tuple[int, int, int, int]]:
     """All (p, k, q, l_exp) with 2*p^k = q^(2^l_exp) + 1, p odd prime <= limit,
     k in {1, 2, 4}, q an odd prime, l_exp >= 1."""
     out = []
-    for p in range(3, search_limit + 1, 2):
-        if not is_prime(p):
-            continue
+    for p in odd_primes_upto(search_limit):
         for k in (1, 2, 4):
             v, e = _sqrt_chain(2 * p**k - 1)
             if e >= 1 and v > 2 and is_prime(v):

@@ -15,6 +15,7 @@ from pelltuples.arith import (
     is_perfect_square,
     is_prime,
     isqrt,
+    odd_primes_upto,
 )
 
 
@@ -64,6 +65,16 @@ def test_is_prime_agrees_with_sieve():
     flags = _sieve(limit)
     for n in range(limit + 1):
         assert is_prime(n) == bool(flags[n]), n
+
+
+def test_odd_primes_upto_matches_is_prime():
+    limit = 10**5
+    primes = [p for p in range(3, limit + 1, 2) if is_prime(p)]
+    assert odd_primes_upto(limit) == primes
+    # every cut-off up to 2000, squares of primes and n < 3 among them
+    for n in range(-2, 2001):
+        assert odd_primes_upto(n) == [p for p in primes if p <= n], n
+    assert [odd_primes_upto(n) for n in (0, 1, 2, 3)] == [[], [], [], [3]]
 
 
 def test_is_prime_known_values():

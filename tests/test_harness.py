@@ -205,6 +205,27 @@ def test_c_max_body_pinned(claim_id):
     assert hashlib.sha256(body.encode()).hexdigest() == C_MAX_BODY_SHA256[claim_id]
 
 
+def test_dubo_body_pinned_at_2000_samples():
+    # computed while lemma_db_check expanded sqrt(alpha*beta)/beta a second time
+    body = dump_json(run_claim("dubo", SweepConfig(samples=2000)).body(), compact=True)
+    assert hashlib.sha256(body.encode()).hexdigest() == (
+        "e329ddcb3fd7de64980372ab1ae57ebed595a2900fc42515ef011f478218c902")
+
+
+def test_dubo_expands_each_sample_once(monkeypatch):
+    calls = []
+    expand = contfrac.expand
+
+    def counting_expand(alpha):
+        calls.append(alpha)
+        return expand(alpha)
+
+    monkeypatch.setattr(harness, "expand", counting_expand)
+    monkeypatch.setattr(contfrac, "expand", counting_expand)
+    assert run_claim("dubo", SweepConfig(samples=50)).status == CONFIRMED
+    assert len(calls) == 50
+
+
 def test_tm1_runs_each_residue_check_once():
     # 14 odd primes p <= 50 and k <= 3: the sweep's own residue record misses,
     # and the decider's residue and descent routes hit (0, 1, 1, 2 per k)

@@ -622,6 +622,37 @@ def test_p2_dispatch_matches_former_p2_decide():
         "f67990ef2557185274811ff51834f7cab7e4bd2ebf337b8de715510c2b6d7053")
 
 
+def test_outcomes_pinned():
+    # SHA-256 of solve_complete's outcome on every (D, N) with non-square
+    # 2 <= D <= 200, 0 < |N| <= 50 and class bound <= 10^4, then of
+    # decide_paper_equation's outcome with its certificate's repr for odd
+    # primes p <= 50, k <= 3 and l <= k; computed while both outcomes were
+    # frozen dataclasses and _outcome had no early return
+    h = hashlib.sha256()
+    cases = 0
+    for d in range(2, 201):
+        if is_perfect_square(d) is not None:
+            continue
+        for n in range(-50, 51):
+            if n == 0 or class_bound(d, n) > 10**4:
+                continue
+            oc = solve_complete(PellianProblem(d, n))
+            h.update(repr((d, n, oc.verdict, oc.witnesses, oc.method,
+                           oc.search_bound_used)).encode())
+            cases += 1
+    for p in range(3, 51, 2):
+        if not is_prime(p):
+            continue
+        for k in range(4):
+            for l in range(k + 1):
+                oc = decide_paper_equation(p, k, l)
+                h.update(repr((p, k, l, oc.verdict, oc.witnesses, oc.method,
+                               oc.search_bound_used, oc.certificate)).encode())
+                cases += 1
+    assert cases == 17_790 + 140
+    assert h.hexdigest() == "b8065769e008ae7d2338dcdd304f2fab45a90eb603075ddd1715752307f11a10"
+
+
 def test_descent_reads_residue_check_without_recursion(monkeypatch):
     decide = decide_paper_equation
 

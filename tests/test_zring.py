@@ -10,7 +10,7 @@ from itertools import islice
 
 import pytest
 
-from pelltuples import harness, pellian
+from pelltuples import harness, pellian, zring
 from pelltuples.arith import is_perfect_square, is_prime, isqrt
 from pelltuples.pellian import PellianProblem, UNSOLVABLE, all_solutions_stream, solve_complete
 from pelltuples.zring import (
@@ -517,6 +517,19 @@ def test_prop_family_degenerate_only_at_j1():
         for j in (2, 3):
             _, minus_j = prop_family(n, j, 1)
             assert not minus_j.degenerate
+
+
+def test_find_admissible_pairs_matches_is_prime_scan():
+    # the search as it was before the sieve: is_prime on every odd p
+    oracle = []
+    for p in range(3, 3001, 2):
+        if not is_prime(p):
+            continue
+        for k in (1, 2, 4):
+            v, e = zring._sqrt_chain(2 * p**k - 1)
+            if e >= 1 and v > 2 and is_prime(v):
+                oracle.append((p, k, v, e))
+    assert find_admissible_pairs(3000) == sorted(oracle)
 
 
 def test_find_admissible_pairs():
