@@ -136,8 +136,14 @@ def period_start(s: int, t: int, rows: list[tuple[int, int, int]]) -> int:
     """The index j of the period's first state (s_j, t_j), for the rows of a
     walk from (s_0, t_0) = (s, t) that ends as the period closes: the last
     row's state repeats state j, and no other state."""
-    states = [(s, t), *(row[1:] for row in rows)]
-    return states.index(states[-1])
+    _, s_end, t_end = rows[-1]
+    if s == s_end and t == t_end:
+        return 0
+    j = 1
+    for _, s_j, t_j in rows:
+        if s_j == s_end and t_j == t_end:
+            return j
+        j += 1
 
 
 def expand(alpha: QuadIrr) -> CFExpansion:

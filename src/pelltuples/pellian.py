@@ -43,13 +43,12 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from collections import deque
 from collections.abc import Iterator
 from functools import lru_cache
 from typing import NamedTuple
 
 from .arith import factorize, is_perfect_square, is_prime, isqrt
-from .contfrac import convergents, period_start, walk
+from .contfrac import period_start, walk
 
 SOLVABLE = "SOLVABLE"
 UNSOLVABLE = "UNSOLVABLE"
@@ -119,16 +118,20 @@ def _pqa_first_hit(d: int, z: int, m: int) -> tuple[int, int] | None:
     # step i is a hit when (-1)^(i+1) * t_{i+1} = sign(m); want flips each step
     want = -1 if m > 0 else 1
     rows = []
+    one = False  # a row with t = 1 seen
     for row in walk(d, z, m_abs):
         rows.append(row)
-        if row[2] == want:
+        t = row[2]
+        if t == want:
             break
+        if t == 1:
+            one = True
         want = -want
     else:
         # no hit in the first period: a later one needs t = 1 in an odd period
-        ts = [t for _, _, t in rows]
-        if 1 not in ts:
+        if not one:
             return None
+        ts = [t for _, _, t in rows]
         j = period_start(z, m_abs, rows)
         if (len(rows) - j) % 2 == 0 or 1 not in ts[j:]:
             return None
@@ -159,10 +162,11 @@ def pell_fundamental(d: int) -> PellUnit:
         if s == s_h or t == t_h:
             break
         s_h, t_h = s, t
-    # (p_{h-2}, q_{h-2}), (p_{h-1}, q_{h-1}), (p_h, q_h), with (p_{-2}, q_{-2}) =
+    # (p_{h-2}, q_{h-2}), (p_{h-1}, q_{h-1}), (p_h, q_h), from (p_{-2}, q_{-2}) =
     # (0, 1) and (p_{-1}, q_{-1}) = (1, 0)
-    conv = itertools.chain([(0, 1), (1, 0)], convergents(quots))
-    (p2, q2), (p1, q1), (p, q) = deque(conv, maxlen=3)
+    p1, q1, p, q = 0, 1, 1, 0
+    for a in quots:
+        p2, q2, p1, q1, p, q = p1, q1, p, q, a * p + p1, a * q + q1
     if s == s_h:
         return PellUnit(p1 * q + p2 * q1, q1 * (q + q2))
     # x^2 - d*y^2 = -1, and the unit is its square
@@ -217,26 +221,48 @@ def _class_rep(d: int, x: int, y: int, t: int, u: int) -> tuple[int, int]:
 
 
 def _sqrt_mod_prime(a: int, p: int) -> list[int]:
-    """All z in [0, p) with z^2 = a (mod p): Tonelli-Shanks for odd p not dividing a."""
-    if a % p == 0 or p == 2:
-        return [a % p]
-    if pow(a, (p - 1) // 2, p) != 1:
-        return []
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q, s = q // 2, s + 1
-    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
-    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i = next(i for i in range(1, s) if pow(t, 1 << i, p) == 1)
-        b = pow(c, 1 << (s - i - 1), p)
-        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    """All z in [0, p) with z^2 = a (mod p): Tonelli-Shanks for odd p not dividing a,
+    p - 1 = q * 2^s with q odd.  r = a^((q+1)/2) is a root if t = a^q is 1, as for
+    a = 1 and for every residue when p = 3 (mod 4); only otherwise is a
+    non-residue looked for and the loop run."""
+    a %= p
+    if a == 0 or p == 2:
+        return [a]
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    q = (p - 1) >> s
+    r, t = pow(a, (q + 1) // 2, p), pow(a, q, p)
+    if t != 1:
+        if pow(t, 1 << (s - 1), p) != 1:  # Euler's criterion, a^((p-1)/2)
+            return []
+        z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+        c = pow(z, q, p)
+        while t != 1:
+            i = next(i for i in range(1, s) if pow(t, 1 << i, p) == 1)
+            b = pow(c, 1 << (s - i - 1), p)
+            s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
     return [r, p - r]
 
 
 def _sqrt_mod_prime_power(d: int, p: int, e: int) -> list[int]:
-    """All z in [0, p^e) with z^2 = d (mod p^e), lifted one power of p at a time."""
-    roots, pk = _sqrt_mod_prime(d % p, p), p
+    """All z in [0, p^e) with z^2 = d (mod p^e).  For odd p not dividing d they
+    are r and p^e - r, r lifted from a root mod p by Newton's step
+    r <- r - (r^2 - d)/(2r) mod p^min(2k, e), which doubles the precision p^k:
+    at most ceil(log2(e)) inversions, none once r^2 = d (mod p^e).  For p = 2
+    and p | d, where roots can branch, they are lifted one power of p at a time."""
+    pe = p**e
+    d %= pe
+    roots, pk = _sqrt_mod_prime(d, p), p
+    if p != 2 and d % p:
+        if not roots:
+            return roots
+        r = roots[0]
+        for _ in range((e - 1).bit_length()):
+            c = (r * r - d) % pe
+            if not c:
+                break
+            pk = min(pk * pk, pe)
+            r = (r - c * pow(2 * r, -1, pk)) % pk
+        return [r, pe - r]
     for _ in range(e - 1):
         # (r + j*p^k)^2 = r^2 + 2rj*p^k (mod p^(k+1)): one j lifts r, or all p, or none
         lifted = []
@@ -265,15 +291,17 @@ def _sqrt_mod(d: int, factors: dict[int, int]) -> list[int]:
 def _cf_class_solutions(d: int, n: int) -> list[tuple[int, int]]:
     """A solution with y > 0 in every solution class of x^2 - d*y^2 = n."""
     sols: list[tuple[int, int]] = []
-    fac = factorize(abs(n))
-    for halves in itertools.product(*(range(e // 2 + 1) for e in fac.values())):
-        f = math.prod(p**h for p, h in zip(fac, halves))
-        m = n // (f * f)
-        m_fac = {p: e - 2 * h for (p, e), h in zip(fac.items(), halves) if e > 2 * h}
-        for z in _sqrt_mod(d, m_fac):
-            # the roots come sorted; root |m| - z gives the conjugate classes,
+    # every (f, |n/f^2|, factorization of |n/f^2|), built prime by prime
+    splits = [(1, 1, {})]
+    for p, e in factorize(abs(n)).items():
+        splits = [(f * p**h, q * p ** (e - 2 * h), {**fac, p: e - 2 * h} if e > 2 * h else fac)
+                  for f, q, fac in splits for h in range(e // 2 + 1)]
+    for f, q, fac in splits:
+        m = q if n > 0 else -q
+        for z in _sqrt_mod(d, fac):
+            # the roots come sorted; root q - z gives the conjugate classes,
             # which _class_rep merges
-            if 2 * z > abs(m):
+            if 2 * z > q:
                 break
             hit = _pqa_first_hit(d, z, m)
             if hit is not None:

@@ -212,6 +212,13 @@ def test_dubo_body_pinned_at_2000_samples():
         "e329ddcb3fd7de64980372ab1ae57ebed595a2900fc42515ef011f478218c902")
 
 
+def test_tm1_body_pinned_at_p300_k5():
+    # computed while square roots mod p^e were lifted one power of p at a time
+    body = dump_json(run_claim("tm1", SweepConfig(p_max=300, k_max=5)).body(), compact=True)
+    assert hashlib.sha256(body.encode()).hexdigest() == (
+        "dc2dfeb28a86c82736092d37eb47241a9a52b95aab96f16bdebd7055bd8cfe1d")
+
+
 def test_dubo_expands_each_sample_once(monkeypatch):
     calls = []
     expand = contfrac.expand

@@ -653,6 +653,29 @@ def test_outcomes_pinned():
     assert h.hexdigest() == "b8065769e008ae7d2338dcdd304f2fab45a90eb603075ddd1715752307f11a10"
 
 
+def test_prime_power_class_searches_pinned():
+    # SHA-256 of the class search's outcome on x^2 - D*y^2 = +-p^e for odd
+    # primes p < 50, 1 <= e <= 9 and every non-square 2 <= D <= 120, p | D
+    # included; computed while square roots mod p^e were lifted one power of
+    # p at a time and the splits f^2 | N came from itertools.product
+    h = hashlib.sha256()
+    cases = solvable = 0
+    ds = [d for d in range(2, 121) if is_perfect_square(d) is None]
+    for p in range(3, 50, 2):
+        if not is_prime(p):
+            continue
+        for e in range(1, 10):
+            for n in (p**e, -(p**e)):
+                for d in ds:
+                    oc = _class_search_outcome(d, n)
+                    h.update(repr((d, n, oc.verdict, oc.witnesses, oc.method,
+                                   oc.search_bound_used)).encode())
+                    cases += 1
+                    solvable += oc.verdict == SOLVABLE
+    assert (cases, solvable) == (27_720, 10_627)
+    assert h.hexdigest() == "a400e4863ece4e6ab4bbd3d05627ca23e408f820467e322a4f1ae0f8c3ad0476"
+
+
 def test_descent_reads_residue_check_without_recursion(monkeypatch):
     decide = decide_paper_equation
 
