@@ -43,12 +43,13 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from collections import deque
 from collections.abc import Iterator
 from functools import lru_cache
 from typing import NamedTuple
 
 from .arith import factorize, is_perfect_square, is_prime, isqrt
-from .contfrac import period_start, walk
+from .contfrac import convergents, period_start, walk
 
 SOLVABLE = "SOLVABLE"
 UNSOLVABLE = "UNSOLVABLE"
@@ -162,11 +163,10 @@ def pell_fundamental(d: int) -> PellUnit:
         if s == s_h or t == t_h:
             break
         s_h, t_h = s, t
-    # (p_{h-2}, q_{h-2}), (p_{h-1}, q_{h-1}), (p_h, q_h), from (p_{-2}, q_{-2}) =
+    # (p_{h-2}, q_{h-2}), (p_{h-1}, q_{h-1}), (p_h, q_h), with (p_{-2}, q_{-2}) =
     # (0, 1) and (p_{-1}, q_{-1}) = (1, 0)
-    p1, q1, p, q = 0, 1, 1, 0
-    for a in quots:
-        p2, q2, p1, q1, p, q = p1, q1, p, q, a * p + p1, a * q + q1
+    conv = itertools.chain([(0, 1), (1, 0)], convergents(quots))
+    (p2, q2), (p1, q1), (p, q) = deque(conv, maxlen=3)
     if s == s_h:
         return PellUnit(p1 * q + p2 * q1, q1 * (q + q2))
     # x^2 - d*y^2 = -1, and the unit is its square
@@ -244,25 +244,12 @@ def _sqrt_mod_prime(a: int, p: int) -> list[int]:
 
 
 def _sqrt_mod_prime_power(d: int, p: int, e: int) -> list[int]:
-    """All z in [0, p^e) with z^2 = d (mod p^e).  For odd p not dividing d they
-    are r and p^e - r, r lifted from a root mod p by Newton's step
-    r <- r - (r^2 - d)/(2r) mod p^min(2k, e), which doubles the precision p^k:
-    at most ceil(log2(e)) inversions, none once r^2 = d (mod p^e).  For p = 2
-    and p | d, where roots can branch, they are lifted one power of p at a time."""
-    pe = p**e
-    d %= pe
+    """All z in [0, p^e) with z^2 = d (mod p^e), lifted one power of p at a time.
+    For odd p not dividing d a root r mod p with r^2 = d (mod p^e) already, as
+    r = 1 for d = 1 (mod p^e), needs no lifting: the roots are r and p^e - r."""
     roots, pk = _sqrt_mod_prime(d, p), p
-    if p != 2 and d % p:
-        if not roots:
-            return roots
-        r = roots[0]
-        for _ in range((e - 1).bit_length()):
-            c = (r * r - d) % pe
-            if not c:
-                break
-            pk = min(pk * pk, pe)
-            r = (r - c * pow(2 * r, -1, pk)) % pk
-        return [r, pe - r]
+    if p != 2 and d % p and roots and (roots[0] ** 2 - d) % p**e == 0:
+        return [roots[0], p**e - roots[0]]
     for _ in range(e - 1):
         # (r + j*p^k)^2 = r^2 + 2rj*p^k (mod p^(k+1)): one j lifts r, or all p, or none
         lifted = []

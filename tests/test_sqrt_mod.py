@@ -2,8 +2,8 @@
 
 _old_sqrt_mod_prime and _old_sqrt_mod_prime_power are the earlier
 pellian._sqrt_mod_prime (Tonelli-Shanks that always looked for a non-residue)
-and pellian._sqrt_mod_prime_power (lifting one power of p at a time for every
-p), kept as oracles for the Newton lift that replaced the second.
+and pellian._sqrt_mod_prime_power (lifting one power of p at a time even when
+the root mod p is already a root mod p^e), kept as oracles.
 """
 
 import random
@@ -50,28 +50,28 @@ def _two_adic(n: int) -> int:
     return (n & -n).bit_length() - 1
 
 
-#: odd primes by the Tonelli-Shanks branch they take: s = v_2(p - 1) is 1
-#: for p = 3 (mod 4), 2 for p = 5 (mod 8) and 3 to 9 here for p = 1 (mod 8)
+#: p = 2, then odd primes by the Tonelli-Shanks branch they take: s = v_2(p - 1)
+#: is 1 for p = 3 (mod 4), 2 for p = 5 (mod 8) and 3 to 9 here for p = 1 (mod 8)
 #: (41: 3, 17: 4, 97: 5, 193: 6, 641: 7, 257: 8, 7681: 9); then primes near 10^7
-PRIMES = ([3, 7, 11, 19, 23, 43, 5, 13, 29, 37, 53, 17, 41, 73, 97, 113, 193, 257, 641, 7681]
+PRIMES = ([2, 3, 7, 11, 19, 23, 43, 5, 13, 29, 37, 53, 17, 41, 73, 97, 113, 193, 257, 641, 7681]
           + [p for p in range(10**7 - 120, 10**7 + 120) if is_prime(p)])
 
 #: the p | d cases branch into up to p^(e/2) roots, so only small p take them
-BRANCHING = (3, 5, 7)
+BRANCHING = (2, 3, 5, 7, 13)
 
 
 def _residues(rng, p, e):
     """d = 1, quadratic residues and non-residues mod p, each with random
-    high digits, d = 0 mod p^e, p or p^2 times a unit, and random d, for
-    z^2 = d (mod p^e)."""
+    high digits, random d, and d = p^j * u for units u and 0 <= j <= e + 1,
+    for z^2 = d (mod p^e)."""
     pe = p**e
-    nonres = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
-    ds = [1, 1 + pe, 1 + 7 * pe * pe, nonres, nonres + pe * rng.randrange(1, 99), 0, pe]
+    nonres = next((z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1), 3)
+    ds = [0, 1, 1 + pe, 1 + 7 * pe * pe, nonres, nonres + pe * rng.randrange(1, 99)]
     for _ in range(4):
         z = rng.randrange(1, p)
-        ds += [z * z % p, z * z + p * rng.randrange(pe), p * z, p * p * z * z,
-               rng.randrange(pe * p)]
-    return ds
+        ds += [z * z % p, z * z + p * rng.randrange(pe), rng.randrange(pe * p)]
+    units = [u for u in (1, 3, 5, 7, 11, rng.randrange(1, 10**6)) if u % p]
+    return ds + [p**j * u for j in range(e + 2) for u in units]
 
 
 def test_sqrt_mod_prime_matches_old_tonelli_shanks():
@@ -91,49 +91,24 @@ def test_sqrt_mod_prime_matches_old_tonelli_shanks():
     for s in range(1, 10):
         assert kinds[s, "t = 1"] and kinds[s, "none"], (s, kinds)
         assert s == 1 or kinds[s, "loop"], (s, kinds)
-    assert _sqrt_mod_prime(5, 2) == _old_sqrt_mod_prime(5, 2) == [1]
-    assert _sqrt_mod_prime(4, 2) == _old_sqrt_mod_prime(4, 2) == [0]
 
 
 def test_sqrt_mod_prime_power_matches_one_power_lifting():
     rng = random.Random(2022)
-    kinds = {"no root": 0, "two roots": 0, "p | d": 0}
+    kinds = {"no root": 0, "two roots": 0, "p | d": 0, "p = 2": 0, "root mod p exact": 0}
     for p in PRIMES:
         for e in range(1, 13):
+            pe = p**e
             for d in _residues(rng, p, e):
                 if d % p == 0 and (p not in BRANCHING or p ** (e // 2) > 10**4):
                     continue
+                old = sorted(_old_sqrt_mod_prime_power(d, p, e))
                 new = _sqrt_mod_prime_power(d, p, e)
-                assert sorted(new) == sorted(_old_sqrt_mod_prime_power(d, p, e)), (d, p, e)
-                pe = p**e
+                assert sorted(new) == old, (d, p, e)
                 assert all(0 <= z < pe and (z * z - d) % pe == 0 for z in new), (d, p, e)
-                kinds["p | d" if d % p == 0 else "two roots" if new else "no root"] += 1
+                assert _sqrt_mod(d, {p: e}) == old, (d, p, e)
+                kind = "p = 2" if p == 2 else "p | d" if d % p == 0 else "two roots" if new else "no root"
+                kinds[kind] += 1
+                # a root below p is a root mod p^e that needed no lifting
+                kinds["root mod p exact"] += e > 1 and kind == "two roots" and min(new) < p
     assert min(kinds.values()) >= 100, kinds
-
-
-def test_sqrt_mod_prime_power_branching_cases():
-    # p = 2, and p | d with p odd: the roots branch and are lifted one power at
-    # a time; p^2 | d and p^3 | d included, and d a unit times a power of p
-    rng = random.Random(8)
-    for p in (2, 3, 5, 7, 13):
-        for e in range(1, 13):
-            if p**(e // 2) > 10**4:
-                continue
-            for j in range(0, e + 2):
-                for u in (1, 3, 5, 7, 11, rng.randrange(1, 10**6)):
-                    d = p**j * u
-                    new = _sqrt_mod_prime_power(d, p, e)
-                    assert sorted(new) == sorted(_old_sqrt_mod_prime_power(d, p, e)), (d, p, e)
-
-
-def test_sqrt_mod_near_ten_to_the_seven():
-    # the pell-wide range: prime |N| up to 10^7, D up to 10^6, and prime powers of them
-    rng = random.Random(7)
-    ps = [p for p in PRIMES if p > 10**6]
-    assert {p % 4 for p in ps} == {1, 3}
-    for p in ps:
-        for e in (1, 2, 3, 5, 8, 12):
-            for _ in range(6):
-                d = rng.randrange(2, 10**6)
-                fac = {p: e}
-                assert _sqrt_mod(d, fac) == sorted(_old_sqrt_mod_prime_power(d, p, e)), (d, p, e)
