@@ -33,7 +33,6 @@ from .zring import (
     lemma3_extend_data,
     prop_family,
     remark2_reduction,
-    ring_mul,
     sqrt_in_ring,
     theorem3_classify,
 )
@@ -47,7 +46,7 @@ __all__ = [
     "pell_fundamental", "solve_brute", "solve_complete", "fujita_fast_path",
     "decide_paper_equation", "case2_residue_search",
     "all_solutions_stream",
-    "RingElem", "TupleReport", "ExtensionData", "ring_mul", "sqrt_in_ring",
+    "RingElem", "TupleReport", "ExtensionData", "sqrt_in_ring",
     "check_tuple", "lemma3_extend_data", "prop_family",
     "find_admissible_pairs", "remark2_reduction", "theorem3_classify",
     "integer_quadruple_search",

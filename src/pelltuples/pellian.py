@@ -4,9 +4,11 @@ Two complete methods are available and cross-checked:
 
 * bounded enumeration of y up to the fundamental-solution bound derived
   from the Pell unit, while that bound is at most ENUM_BOUND_LIMIT, and
-* the Lagrange-Matthews-Mollin class search above it: for every f^2 | N
-  and every root z of z^2 = D (mod |N/f^2|), read off the factorization
-  of N, with 2z <= |N/f^2|, one pass of contfrac.walk over
+* the Lagrange-Matthews-Mollin class search above it: one pass over the
+  prime powers p^e of N builds every split f^2 | N with the roots z of
+  z^2 = D (mod |N/f^2|), lifting each p once to its roots mod p^j for all
+  j <= e and joining those mod p^(e-2h) by CRT as f takes p^h; then for
+  every root with 2z <= |N/f^2|, one pass of contfrac.walk over
   (z + sqrt(D))/Q_0, Q_0 = |N/f^2|, through the preperiod and one period,
   plus the copied period for an odd one.  The PQa identity
   G_i^2 - D*q_i^2 = (-1)^(i+1) * t_{i+1} * Q_0, G_i = Q_0*p_i - z*q_i
@@ -243,13 +245,15 @@ def _sqrt_mod_prime(a: int, p: int) -> list[int]:
     return [r, p - r]
 
 
-def _sqrt_mod_prime_power(d: int, p: int, e: int) -> list[int]:
-    """All z in [0, p^e) with z^2 = d (mod p^e), lifted one power of p at a time.
-    For odd p not dividing d a root r mod p with r^2 = d (mod p^e) already, as
-    r = 1 for d = 1 (mod p^e), needs no lifting: the roots are r and p^e - r."""
+def _sqrt_mod_prime_power(d: int, p: int, e: int) -> list[list[int]]:
+    """[R_0, R_1, ..., R_e], R_j all z in [0, p^j) with z^2 = d (mod p^j), lifted
+    one power of p at a time.  For odd p not dividing d a root r mod p with
+    r^2 = d (mod p^e) already, as r = 1 for d = 1 (mod p^e), needs no lifting:
+    R_j is r and p^j - r."""
     roots, pk = _sqrt_mod_prime(d, p), p
     if p != 2 and d % p and roots and (roots[0] ** 2 - d) % p**e == 0:
-        return [roots[0], p**e - roots[0]]
+        return [[0]] + [[roots[0], p**j - roots[0]] for j in range(1, e + 1)]
+    levels = [[0], roots]
     for _ in range(e - 1):
         # (r + j*p^k)^2 = r^2 + 2rj*p^k (mod p^(k+1)): one j lifts r, or all p, or none
         lifted = []
@@ -260,34 +264,29 @@ def _sqrt_mod_prime_power(d: int, p: int, e: int) -> list[int]:
             elif c % p == 0:
                 lifted.extend(range(r, r + p * pk, pk))
         roots, pk = lifted, pk * p
-    return roots
-
-
-def _sqrt_mod(d: int, factors: dict[int, int]) -> list[int]:
-    """All z in [0, m) with z^2 = d (mod m), m = prod p^e over `factors`, by CRT."""
-    roots, mod = [0], 1
-    for p, e in factors.items():
-        pe = p**e
-        inv = pow(mod, -1, pe)
-        roots = [r + mod * ((s - r) * inv % pe)
-                 for r in roots for s in _sqrt_mod_prime_power(d, p, e)]
-        mod *= pe
-    return sorted(roots)
+        levels.append(roots)
+    return levels
 
 
 def _cf_class_solutions(d: int, n: int) -> list[tuple[int, int]]:
     """A solution with y > 0 in every solution class of x^2 - d*y^2 = n."""
     sols: list[tuple[int, int]] = []
-    # every (f, |n/f^2|, factorization of |n/f^2|), built prime by prime
-    splits = [(1, 1, {})]
+    # every (f, q = |n/f^2|, roots z of z^2 = d (mod q)), built prime by prime:
+    # each prime is lifted once and its roots mod p^(e-2h) joined by CRT
+    splits = [(1, 1, [0])]
     for p, e in factorize(abs(n)).items():
-        splits = [(f * p**h, q * p ** (e - 2 * h), {**fac, p: e - 2 * h} if e > 2 * h else fac)
-                  for f, q, fac in splits for h in range(e // 2 + 1)]
-    for f, q, fac in splits:
+        levels, joined = _sqrt_mod_prime_power(d, p, e), []
+        for f, q, roots in splits:
+            for h in range(e // 2 + 1):
+                pj = p ** (e - 2 * h)
+                inv = pow(q, -1, pj)
+                joined.append((f * p**h, q * pj, [r + q * ((s - r) * inv % pj)
+                                                  for r in roots for s in levels[e - 2 * h]]))
+        splits = joined
+    for f, q, roots in splits:
         m = q if n > 0 else -q
-        for z in _sqrt_mod(d, fac):
-            # the roots come sorted; root q - z gives the conjugate classes,
-            # which _class_rep merges
+        for z in sorted(roots):
+            # root q - z gives the conjugate classes, which _class_rep merges
             if 2 * z > q:
                 break
             hit = _pqa_first_hit(d, z, m)

@@ -72,13 +72,6 @@ def as_elem(v, t: int) -> RingElem:
     return RingElem(index(v), 0, t)
 
 
-def ring_mul(a: RingElem, b: RingElem) -> RingElem:
-    if a.t != b.t:
-        raise ValueError(f"mixed rings: t={a.t} vs t={b.t}")
-    t = a.t
-    return RingElem(a.re * b.re - t * a.im * b.im, a.re * b.im + a.im * b.re, t)
-
-
 def _root(re: int, im: int, t: int) -> tuple[int, int] | None:
     """The canonical (x, y) with (x + y*sqrt(-t))^2 = re + im*sqrt(-t), or None.
 

@@ -15,6 +15,7 @@ import pelltuples
 from pelltuples import contfrac, pellian
 from pelltuples.arith import factorize, is_perfect_square, is_prime, isqrt
 from pelltuples.contfrac import ExpansionCapExceeded
+from pelltuples.harness import SweepConfig, run_claim
 from pelltuples.pellian import (
     SOLVABLE,
     UNSOLVABLE,
@@ -35,7 +36,7 @@ from pelltuples.pellian import (
     _class_search_outcome,
     _fujita_chain,
     _residue_hits,
-    _sqrt_mod,
+    _sqrt_mod_prime_power,
 )
 
 NONSQUARES = [d for d in range(2, 80) if is_perfect_square(d) is None]
@@ -230,6 +231,20 @@ def test_solve_complete_lists_each_class_once():
                         assert not same, (d, n, (x, y), (x2, y2))
 
 
+def _sqrt_mod(d, factors):
+    """All z in [0, m) with z^2 = d (mod m), m = prod p^e over `factors`, by
+    CRT: the class search's root finder before it joined the roots while it
+    built the splits, kept as the oracle of _root_walks."""
+    roots, mod = [0], 1
+    for p, e in factors.items():
+        pe = p**e
+        inv = pow(mod, -1, pe)
+        roots = [r + mod * ((s - r) * inv % pe)
+                 for r in roots for s in _sqrt_mod_prime_power(d, p, e)[e]]
+        mod *= pe
+    return sorted(roots)
+
+
 def test_sqrt_mod_matches_brute_force():
     for m in range(1, 401):
         fac = factorize(m)
@@ -412,6 +427,42 @@ def test_root_walk_hits_share_one_class():
                         assert (x * x2 - d * y * y2) % m_abs == 0, (d, n, f, z)
                         assert (x * y2 - x2 * y) % m_abs == 0, (d, n, f, z)
                     assert _reps(d, hits[z]) == _reps(d, hits[(m_abs - z) % m_abs]), (d, n, f, z)
+
+
+def _counting_lift(monkeypatch):
+    """The primes of the _sqrt_mod_prime_power calls made from now on."""
+    calls = []
+    lift = pellian._sqrt_mod_prime_power
+
+    def counting_lift(d, p, e):
+        calls.append(p)
+        return lift(d, p, e)
+
+    monkeypatch.setattr(pellian, "_sqrt_mod_prime_power", counting_lift)
+    return calls
+
+
+def test_tm1_lifts_each_search_prime_once(monkeypatch):
+    # one lift per class search of a prime power N, 280 in all; one lift per
+    # split f^2 | N would make 560
+    calls = _counting_lift(monkeypatch)
+    pellian.case2_residue_search.cache_clear()
+    run_claim("tm1", SweepConfig())
+    pellian.case2_residue_search.cache_clear()
+    assert len(calls) == 280
+
+
+def test_class_search_lifts_each_prime_once(monkeypatch):
+    # solvable N with three primes and 12 to 18 splits f^2 | N, some primes
+    # dividing D: each prime is lifted once, and the joined roots give what
+    # the three-pass oracle gives
+    calls = _counting_lift(monkeypatch)
+    for d, n in ((7, -(2**4) * 3**3 * 5**2), (13, 2**4 * 3**3 * 5**2), (14, 2**3 * 3**2 * 5**4),
+                 (10, -(2**4) * 3**2 * 5**4), (7, 2**5 * 7**4 * 17**2),
+                 (33, -(2**2) * 11**5 * 13**4), (42, 3**4 * 5**2 * 7**3)):
+        calls.clear()
+        assert _assert_matches_three_pass(d, n), (d, n)
+        assert sorted(calls) == sorted(factorize(abs(n))), (d, n)
 
 
 def test_class_search_large_prime_n():

@@ -3,13 +3,14 @@
 _old_sqrt_mod_prime and _old_sqrt_mod_prime_power are the earlier
 pellian._sqrt_mod_prime (Tonelli-Shanks that always looked for a non-residue)
 and pellian._sqrt_mod_prime_power (lifting one power of p at a time even when
-the root mod p is already a root mod p^e), kept as oracles.
+the root mod p is already a root mod p^e, and returning only the roots mod
+p^e), kept as oracles.
 """
 
 import random
 
 from pelltuples.arith import is_prime
-from pelltuples.pellian import _sqrt_mod, _sqrt_mod_prime, _sqrt_mod_prime_power
+from pelltuples.pellian import _sqrt_mod_prime, _sqrt_mod_prime_power
 
 
 def _old_sqrt_mod_prime(a: int, p: int) -> list[int]:
@@ -98,15 +99,16 @@ def test_sqrt_mod_prime_power_matches_one_power_lifting():
     kinds = {"no root": 0, "two roots": 0, "p | d": 0, "p = 2": 0, "root mod p exact": 0}
     for p in PRIMES:
         for e in range(1, 13):
-            pe = p**e
             for d in _residues(rng, p, e):
                 if d % p == 0 and (p not in BRANCHING or p ** (e // 2) > 10**4):
                     continue
-                old = sorted(_old_sqrt_mod_prime_power(d, p, e))
-                new = _sqrt_mod_prime_power(d, p, e)
-                assert sorted(new) == old, (d, p, e)
-                assert all(0 <= z < pe and (z * z - d) % pe == 0 for z in new), (d, p, e)
-                assert _sqrt_mod(d, {p: e}) == old, (d, p, e)
+                levels = _sqrt_mod_prime_power(d, p, e)
+                assert len(levels) == e + 1 and levels[0] == [0], (d, p, e)
+                for j in range(1, e + 1):
+                    pj = p**j
+                    assert sorted(levels[j]) == sorted(_old_sqrt_mod_prime_power(d, p, j)), (d, p, e, j)
+                    assert all(0 <= z < pj and (z * z - d) % pj == 0 for z in levels[j]), (d, p, e, j)
+                new = levels[e]
                 kind = "p = 2" if p == 2 else "p | d" if d % p == 0 else "two roots" if new else "no root"
                 kinds[kind] += 1
                 # a root below p is a root mod p^e that needed no lifting
