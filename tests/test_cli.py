@@ -224,6 +224,11 @@ def test_workers_merge_order_matches_serial():
     assert serial.body() == parallel.body()
 
 
+#: what the error names besides the options: at c_max = 10^4, b = 2*13^4 = 57122
+#: has no third element c (the first is 56645), so no pair to check
+EMPTY_SWEEP_NAMES = {("tm-ii-1-desk", "--c-max", "10000"): "b=57122"}
+
+
 @pytest.mark.parametrize("argv", [
     ("tm1", "--k-max", "-1"),
     ("tm1", "--p-max", "2"),
@@ -243,6 +248,7 @@ def test_workers_merge_order_matches_serial():
     ("tm1", "--workers", "0"),
     ("pairs", "--limit", "4"),
     ("prop26", "--n-max", "1", "--j-max", "1"),
+    ("tm-ii-1-desk", "--c-max", "10000"),
 ])
 def test_verify_empty_sweep_is_usage_error(capsys, argv):
     # a sweep that checks nothing must not report CONFIRMED, and an explicit
@@ -252,6 +258,7 @@ def test_verify_empty_sweep_is_usage_error(capsys, argv):
     assert err.startswith("error: ")
     for opt in argv[1::2]:
         assert opt[2:].replace("-", "_") in err
+    assert EMPTY_SWEEP_NAMES.get(argv, "") in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -178,7 +178,7 @@ BODY_SHA256 = {
     "p2-prop": "7b224e5b501958c6d8da30161e3173597f7ace568846d8d25da40c4e948a0a35",
     "pairs": "ae517cd10ecb88b96d3c77e982bd10b89b7a4519bf16fea51c713486a39881cf",
     "prop26": "e96edf830268da924d2edc39609654f4669ef1541f0c7f13aff9ab279b5e5ff4",
-    "tm-ii-1-desk": "006699e38bfe671a96391457b83ba58977a654c80d8c4fb63099409200d5d310",
+    "tm-ii-1-desk": "671e2ae2f6e0181f22e1a8b80ee3592b3ddcd5d681926edeacfd213f6d277075",
     "tm-ii-2": "c79d7bd0559aa65d2b8375635959885927352feb01225377da7db529805cf4a4",
     "tm1": "400fd8f0478d738abed9035c19e66cdcaee84ff9874976a6ef4523b568f7f6c3",
     "worley": "11147b2560871fc2751e42496426f4996f632e1aa65af536c53e4ae8c32eb756",
@@ -256,3 +256,19 @@ def test_worley_expands_each_irrational_once(monkeypatch):
     monkeypatch.setattr(contfrac, "expand", counting_expand)
     assert harness.claim_worley().status == CONFIRMED
     assert len(calls) == 10
+
+
+def test_prop26_rechecks_only_proper_subrings(monkeypatch):
+    # prop_family(n, j, 1) has checked t = n^2 already; the claim re-checks each
+    # verified quadruple (second element n^2 + 1) in Z[m*i] for m | n, m < n only
+    ts = []
+    check_tuple = harness.check_tuple
+
+    def counting_check_tuple(elems, n, t):
+        ts.append((elems[1] - 1, t))
+        return check_tuple(elems, n, t)
+
+    monkeypatch.setattr(harness, "check_tuple", counting_check_tuple)
+    assert run_claim("prop26", SweepConfig()).status == CONFIRMED
+    assert len(ts) == 414
+    assert all(t < n_sq for n_sq, t in ts)

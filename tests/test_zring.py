@@ -610,9 +610,20 @@ def test_integer_quadruple_search_empty_cases():
     assert integer_quadruple_search(2, 2000) == []
     assert integer_quadruple_search(5, 2000) == []
     assert integer_quadruple_search(10, 2000) == []
-    # no c = x^2 + 1 with x >= 1 lies below 2
+    # no c = x^2 + 1 with x >= 1 lies below 2, so there is no pair to check
     for c_max in (-5, 0, 1):
-        assert integer_quadruple_search(5, c_max) == []
+        with pytest.raises(ValueError, match=rf"^c_max={c_max} leaves b=5 "):
+            integer_quadruple_search(5, c_max)
+
+
+def test_integer_quadruple_search_needs_a_pair():
+    # the first c with 57122*c - 1 a square is 56645; the second is 57601
+    with pytest.raises(ValueError, match=r"^c_max=10000 leaves b=57122 "):
+        integer_quadruple_search(57122, 10**4)
+    with pytest.raises(ValueError, match=r"^c_max=57600 leaves b=57122 "):
+        integer_quadruple_search(57122, 57600)
+    assert _third_elements(57122, 10**5) == [56645, 57601]
+    assert integer_quadruple_search(57122, 10**5) == []
 
 
 def test_integer_quadruple_search_validation():
