@@ -6,20 +6,20 @@ arbitrarily large values survive JSON round-trips.  Reports are
 byte-deterministic for a fixed config (elapsed time lives in a separate
 header field).
 
-A claim's options are its keyword parameters, with their defaults:
-`CLAIM_OPTIONS` is read off the signatures once, at import, and
-`run_claim` passes each claim the `SweepConfig` fields that are set and
-that it reads.
+A claim's options are its keyword-only parameters, with their defaults,
+and nothing else declares them: `CLAIM_OPTIONS` is read off each claim's
+`__kwdefaults__`, `SweepConfig` has one field per option some claim
+reads (in alphabetical order), and `run_claim` passes each claim the
+fields that are set and that it reads.
 """
 from __future__ import annotations
 
-import inspect
 import json
 import math
 import os
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, make_dataclass
 from fractions import Fraction
 
 from . import __version__
@@ -48,21 +48,6 @@ from .zring import (
 
 CONFIRMED = "CONFIRMED"
 VIOLATED = "VIOLATED"
-
-
-@dataclass
-class SweepConfig:
-    """Sweep options; None is "not set", so the claim's own default applies."""
-
-    p_max: int | None = None
-    k_max: int | None = None
-    c_max: int | None = None
-    n_max: int | None = None
-    j_max: int | None = None
-    limit: int | None = None
-    samples: int | None = None
-    seed: int | None = None
-    workers: int | None = None
 
 
 @dataclass
@@ -148,7 +133,7 @@ def _tm1_one_prime(args) -> list[dict]:
     return records
 
 
-def claim_tm1(p_max: int = 50, k_max: int = 3, workers: int = 1) -> ClaimReport:
+def claim_tm1(*, p_max: int = 50, k_max: int = 3, workers: int = 1) -> ClaimReport:
     primes = odd_primes_upto(p_max)
     if not primes or k_max < 0 or workers < 1:
         raise ValueError("tm1 needs p_max >= 3, k_max >= 0 and workers >= 1")
@@ -180,7 +165,7 @@ def _fujita_one_k(bigk: int) -> dict:
     return {"K": bigk, "n_checked": 2 * (bigk - 1), "violations": violations}
 
 
-def claim_fujita(limit: int = 60, workers: int = 1) -> ClaimReport:
+def claim_fujita(*, limit: int = 60, workers: int = 1) -> ClaimReport:
     if limit < 2 or workers < 1:
         raise ValueError("fujita needs limit >= 2 and workers >= 1")
     evidence = _map_ordered(_fujita_one_k, list(range(2, limit + 1)), workers)
@@ -223,7 +208,7 @@ def _dubo_case(rng: random.Random) -> dict:
     return {"alpha": alpha, "beta": beta, "n": n, "r": r, "u": u, "value": val, "ok": good}
 
 
-def claim_dubo(samples: int = 500, seed: int = 0) -> ClaimReport:
+def claim_dubo(*, samples: int = 500, seed: int = 0) -> ClaimReport:
     return _sampled_claim("dubo", _dubo_case, samples, seed)
 
 
@@ -246,7 +231,7 @@ def _worley_good_approximations(alpha: QuadIrr, c: Fraction, b_max: int):
     return out
 
 
-def claim_worley(seed: int = 0) -> ClaimReport:
+def claim_worley(*, seed: int = 0) -> ClaimReport:
     rng = random.Random(seed)
     irrationals = [QuadIrr(10, 0, 1), QuadIrr(2, 0, 1), QuadIrr(5, 1, 2)]
     for _ in range(7):
@@ -298,11 +283,11 @@ def _lemma3_case(rng: random.Random) -> dict:
             "x": data.x, "y": data.y, "z": data.z, "ok": True}
 
 
-def claim_lemma3(samples: int = 500, seed: int = 0) -> ClaimReport:
+def claim_lemma3(*, samples: int = 500, seed: int = 0) -> ClaimReport:
     return _sampled_claim("lemma3", _lemma3_case, samples, seed)
 
 
-def claim_prop26(n_max: int = 20, j_max: int = 5) -> ClaimReport:
+def claim_prop26(*, n_max: int = 20, j_max: int = 5) -> ClaimReport:
     if n_max < 1 or j_max < 1:
         raise ValueError("prop26 needs n_max >= 1 and j_max >= 1")
     evidence = []
@@ -359,7 +344,7 @@ def fifumi_b_values(limit: int) -> list[int]:
     return out
 
 
-def claim_fifumi(c_max: int = 10_000) -> ClaimReport:
+def claim_fifumi(*, c_max: int = 10_000) -> ClaimReport:
     evidence = []
     for b in fifumi_b_values(200):
         found = integer_quadruple_search(b, c_max)
@@ -368,7 +353,7 @@ def claim_fifumi(c_max: int = 10_000) -> ClaimReport:
     return _checked("fifumi-desk", {"c_max": c_max}, evidence)
 
 
-def claim_tmii1(limit: int = 50, c_max: int = 10**8) -> ClaimReport:
+def claim_tmii1(*, limit: int = 50, c_max: int = 10**8) -> ClaimReport:
     evidence = []
     pairs = find_admissible_pairs(limit)
     if not pairs:
@@ -415,7 +400,7 @@ REQUIRED_PAIRS = [(5, 1, 3, 1), (5, 2, 7, 1), (13, 4, 239, 1),
                   (29, 2, 41, 1), (41, 1, 3, 2)]
 
 
-def claim_pairs(limit: int = 50) -> ClaimReport:
+def claim_pairs(*, limit: int = 50) -> ClaimReport:
     required = [t for t in REQUIRED_PAIRS if t[0] <= limit]
     if not required:
         raise ValueError(f"pairs at limit={limit} checks no required pair: none has p <= limit")
@@ -444,12 +429,16 @@ CLAIMS = {
 }
 
 
-#: the SweepConfig fields each claim reads, with their defaults: a claim's
-#: keyword parameters, read once here
-CLAIM_OPTIONS = {
-    claim_id: {name: par.default for name, par in inspect.signature(fn).parameters.items()}
-    for claim_id, fn in CLAIMS.items()
-}
+#: the options each claim reads, with their defaults: its keyword-only parameters
+CLAIM_OPTIONS = {claim_id: dict(fn.__kwdefaults__ or {}) for claim_id, fn in CLAIMS.items()}
+
+# one field per option some claim reads; the module is named so that it pickles
+SweepConfig = make_dataclass(
+    "SweepConfig",
+    [(name, int | None, None) for name in sorted(set().union(*CLAIM_OPTIONS.values()))],
+    namespace={"__module__": __name__,
+               "__doc__": "Sweep options; an unset (None) one takes the claim's own default."},
+)
 
 
 def run_claim(claim_id: str, cfg: SweepConfig) -> ClaimReport:

@@ -114,8 +114,9 @@ def _pqa_first_hit(d: int, z: int, m: int) -> tuple[int, int] | None:
     Robertson, 2004).  So a walk with no hit in its first period has one
     later only at that row of an odd period, one period on, and the rows up
     to it are the period's, copied; a second period would find nothing
-    else.  The convergent (p_i, q_i) of the hit is built once from the rows,
-    so a walk without a hit does no big-integer arithmetic.
+    else.  The convergent (p_i, q_i) of the hit is read off
+    contfrac.convergents over the rows once the walk has hit, so a walk
+    without a hit does no big-integer arithmetic.
     """
     m_abs = abs(m)
     # step i is a hit when (-1)^(i+1) * t_{i+1} = sign(m); want flips each step
@@ -139,11 +140,7 @@ def _pqa_first_hit(d: int, z: int, m: int) -> tuple[int, int] | None:
         if (len(rows) - j) % 2 == 0 or 1 not in ts[j:]:
             return None
         rows += rows[j:ts.index(1, j) + 1]
-    # inline, not contfrac.convergents: on the class search's hot path this
-    # skips a generator resume per quotient
-    p0, q0, p, q = 0, 1, 1, 0
-    for a, _, _ in rows:
-        p0, q0, p, q = p, q, a * p + p0, a * q + q0
+    ((p, q),) = deque(convergents(a for a, _, _ in rows), maxlen=1)
     return m_abs * p - z * q, q
 
 

@@ -48,9 +48,6 @@ class RingElem:
         if self.t == 0 and self.im != 0:
             raise ValueError("t=0 embeds plain integers only")
 
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
     def __str__(self):
         if self.im == 0:
             return str(self.re)
@@ -195,9 +192,9 @@ def _pell_xy(n: int, j: int) -> tuple[int, int]:
 def prop_family(n: int, j: int, m: int) -> tuple[TupleReport, TupleReport]:
     """Quadruples {1, n^2+1, -c_j, d+-} with the property D(-1) in Z[sqrt(-n^2)].
 
-    m must divide n (Z[n*i] sits inside Z[m*i], so a verified report also
-    holds with t = m^2).  Degenerate branches (d collides with another
-    element or vanishes) are flagged, not verified.
+    m is only validated: it must divide n (Z[n*i] sits inside Z[m*i], so a
+    verified report also holds with t = m^2).  Degenerate branches (d
+    collides with another element or vanishes) are flagged, not verified.
     """
     if n < 1 or j < 1 or m < 1 or n % m != 0:
         raise ValueError("need positive n, j and m | n")
@@ -296,12 +293,12 @@ def theorem3_classify(p: int, k: int, q: int, l_exp: int, t: int) -> ClassifyRes
         return ClassifyResult(UNDECIDED_BY_PAPER, reason=f"t={t} is not a power of {q}")
     top = 2**l_exp
     if e % 2 == 0 and e <= top:
-        n = q ** (2 ** (l_exp - 1))
-        m = q ** (e // 2)
-        plus, _minus = prop_family(n, 1, m)
-        if not plus.verified:  # pragma: no cover
+        # verified in Z[sqrt(-n^2)], a subring of Z[sqrt(-t)]; checked in the latter
+        plus, _minus = prop_family(q ** (2 ** (l_exp - 1)), 1, 1)
+        witness = check_tuple(plus.elements, -1, t)
+        if not witness.verified:  # pragma: no cover
             raise RuntimeError("constructive witness failed verification")
-        return ClassifyResult(EXISTS_INFINITE, witness=plus,
+        return ClassifyResult(EXISTS_INFINITE, witness=witness,
                               reason=f"t={q}^{e} is an even power of q")
     if e % 2 == 1 and e <= top - 1:
         prob = remark2_reduction(b, t)

@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import json
 import os
+import pickle
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -166,6 +167,21 @@ def test_claim_options_are_sweep_fields():
             read.add(name)
         assert CLAIM_OPTIONS[claim_id] == {n: par.default for n, par in params.items()}
     assert read == names
+
+
+def test_claim_options_are_keyword_only():
+    # CLAIM_OPTIONS reads __kwdefaults__, which a positional parameter is
+    # missing from: its option would drop out of SweepConfig and verify
+    for claim_id, fn in CLAIMS.items():
+        for name, par in inspect.signature(fn).parameters.items():
+            assert par.kind is inspect.Parameter.KEYWORD_ONLY, (claim_id, name)
+
+
+def test_sweep_config_pickles():
+    # a process pool pickles what it is sent; make_dataclass names the module
+    cfg = SweepConfig(p_max=7)
+    assert SweepConfig.__module__ == "pelltuples.harness"
+    assert pickle.loads(pickle.dumps(cfg)) == cfg
 
 
 #: SHA-256 of dump_json(body, compact=True) for every claim at its defaults:

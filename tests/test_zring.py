@@ -61,9 +61,6 @@ class _FrozenRingElem:
         if self.t == 0 and self.im != 0:
             raise ValueError("t=0 embeds plain integers only")
 
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
     def __str__(self):
         if self.im == 0:
             return str(self.re)
@@ -95,7 +92,6 @@ def test_ring_elem_value_semantics_match_frozen_class():
         assert hash(new) == hash(old)
         assert repr(new) == repr(old).replace("_FrozenRingElem", "RingElem")
         assert str(new) == str(old)
-        assert new.is_zero() == old.is_zero()
         for twin in (copy.copy(new), pickle.loads(pickle.dumps(new))):
             assert type(twin) is RingElem and twin == new and hash(twin) == hash(new)
             assert repr(twin) == repr(new)
@@ -278,7 +274,7 @@ def _check_tuple_per_pair(elements, n, t):
             raise ValueError(f"mixed rings: t={v.t} vs t={t}")
         elems.append(RingElem(v.re, v.im, t))
     elems = tuple(elems)
-    if any(e.is_zero() for e in elems):
+    if any((e.re, e.im) == (0, 0) for e in elems):
         raise ValueError("tuple elements must be nonzero")
     if len(set(elems)) != len(elems):
         raise ValueError("tuple elements must be pairwise distinct")
@@ -333,7 +329,7 @@ def _random_tuple(rng, t):
             s, u = add(one, r), add(c, r)
             abc, rsu = _mul(b, c), _mul(_mul(r, s), u)
             ds = [add(one, b, c, scale(2 * n, abc), scale(2 * sg, rsu)) for sg in (1, -1)]
-            elems.append(rng.choice([d for d in ds if not d.is_zero()] or ds))
+            elems.append(rng.choice([d for d in ds if (d.re, d.im) != (0, 0)] or ds))
         elems = elems[:size]
         while len(elems) < size:
             elems.append(elem(-50, 50))
@@ -558,6 +554,18 @@ def test_theorem3_classify_cases():
     assert theorem3_classify(5, 1, 3, 1, 5).status == UNDECIDED_BY_PAPER
     assert theorem3_classify(41, 1, 3, 2, 3).status == NONE
     assert theorem3_classify(41, 1, 3, 2, 81).status == EXISTS_INFINITE
+
+
+@pytest.mark.parametrize("pair, t", [((5, 1, 3, 1), 1), ((5, 1, 3, 1), 9),
+                                     ((41, 1, 3, 2), 1), ((41, 1, 3, 2), 9),
+                                     ((41, 1, 3, 2), 81)])
+def test_theorem3_witness_checked_in_its_ring(pair, t):
+    # the witness of Z[sqrt(-t)] is checked in Z[sqrt(-t)], not in the
+    # subring Z[sqrt(-n^2)] its quadruple comes from
+    res = theorem3_classify(*pair, t)
+    assert res.status == EXISTS_INFINITE
+    assert res.witness.t == t and res.witness.verified
+    assert all(e.t == t for e in res.witness.elements)
 
 
 def test_theorem3_none_backed_by_unsolvable_reduction():
