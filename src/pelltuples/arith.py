@@ -63,6 +63,8 @@ def is_prime(n: int) -> bool:
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % p == 0:
             return n == p
+    if n < 41 * 41:  # no prime factor <= 37, so none at all
+        return True
     witnesses = _WITNESSES_BELOW_2_64 if n < DETERMINISTIC_PRIMALITY_BOUND else _WITNESSES_LARGE
     return all(_strong_probable_prime(n, a) for a in witnesses)
 

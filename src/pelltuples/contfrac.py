@@ -12,9 +12,9 @@ periodic, and purely periodic from its first reduced complete quotient on
 (Galois), so the period is the run from that state to its first return.
 `walk` is the one copy of this recurrence and `period_start` the one finder
 of where its period opens: `expand` records the rows of one period,
-`CFExpansion.terms` repeats them past the period, `convergents` turns any
-partial quotients into (p_m, q_m), and the Pell class search keeps
-convergents in the same loop as the walk.
+`CFExpansion.terms` repeats them past the period, and `convergents` turns
+any partial quotients into (p_m, q_m), for the Pell unit and for the class
+search's hit alike.
 """
 from __future__ import annotations
 

@@ -37,8 +37,12 @@ sqrt(P^2+1) = [P; 2P], so each walk is a few steps where enumeration would
 scan up to sqrt(p^(2l+1)) values of y.
 
 Both report the same canonical witnesses: one minimal-y representative
-per solution class and its conjugate, with x >= 0.  Only factorize() and
-walk()'s 100,000-term cap limit the class search, and both raise.
+per solution class and its conjugate, with x >= 0.  The class search takes
+the factorization of |N| from its caller: solve_complete factorizes, while
+the paper's searches of N = +-p^j pass {p: j}.  Walks are memoized per
+(D, z, signed Q_0), so a search of p^j reuses the walks of p^(j-2), p^(j-4),
+...  Only factorize() and walk()'s 100,000-term cap limit the class search,
+and both raise.
 """
 from __future__ import annotations
 
@@ -102,6 +106,7 @@ class PellUnit(NamedTuple):
     u: int
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def _pqa_first_hit(d: int, z: int, m: int) -> tuple[int, int] | None:
     """The first (G, B) with G^2 - d*B^2 = m on the walk of (z + sqrt(d))/|m|
     through the preperiod and one period, then, for an odd period, the
@@ -265,13 +270,14 @@ def _sqrt_mod_prime_power(d: int, p: int, e: int) -> list[list[int]]:
     return levels
 
 
-def _cf_class_solutions(d: int, n: int) -> list[tuple[int, int]]:
-    """A solution with y > 0 in every solution class of x^2 - d*y^2 = n."""
+def _cf_class_solutions(d: int, n: int, factors: dict[int, int]) -> list[tuple[int, int]]:
+    """A solution with y > 0 in every solution class of x^2 - d*y^2 = n, for
+    `factors` the factorization {p: e} of |n|."""
     sols: list[tuple[int, int]] = []
     # every (f, q = |n/f^2|, roots z of z^2 = d (mod q)), built prime by prime:
     # each prime is lifted once and its roots mod p^(e-2h) joined by CRT
     splits = [(1, 1, [0])]
-    for p, e in factorize(abs(n)).items():
+    for p, e in factors.items():
         levels, joined = _sqrt_mod_prime_power(d, p, e), []
         for f, q, roots in splits:
             for h in range(e // 2 + 1):
@@ -298,15 +304,17 @@ def solve_complete(prob: PellianProblem) -> PellianOutcome:
     unit = pell_fundamental(d)
     bound = _unit_bound(unit, n)
     if bound > ENUM_BOUND_LIMIT:
-        return _outcome(d, n, _cf_class_solutions(d, n), "cf-classes", bound, unit)
+        sols = _cf_class_solutions(d, n, factorize(abs(n)))
+        return _outcome(d, n, sols, "cf-classes", bound, unit)
     return _outcome(d, n, solve_brute(prob, bound), "bounded-enumeration", bound, unit)
 
 
-def _class_search_outcome(d: int, n: int) -> PellianOutcome:
-    """solve_complete's outcome by the class search, whatever the class bound;
-    search_bound_used is still the class bound."""
+def _class_search_outcome(d: int, n: int, factors: dict[int, int]) -> PellianOutcome:
+    """solve_complete's outcome by the class search for the factors {p: e} of
+    |n|, whatever the class bound; search_bound_used is still the class bound."""
     unit = pell_fundamental(d)
-    return _outcome(d, n, _cf_class_solutions(d, n), "cf-classes", _unit_bound(unit, n), unit)
+    sols = _cf_class_solutions(d, n, factors)
+    return _outcome(d, n, sols, "cf-classes", _unit_bound(unit, n), unit)
 
 
 def _outcome(d: int, n: int, raw: list[tuple[int, int]], method: str,
@@ -356,9 +364,11 @@ def _fujita_chain(p: int, k: int, l: int) -> tuple[FujitaCertificate, ...]:
     return certs
 
 
-def _residue_hits(p: int, k: int, targets: dict[int, int]) -> tuple[tuple[int, int, int, int], ...]:
-    """Every (r, u, targets[M], sg) with u^2 - r^2 + 2*sg*r*u*P = M, P = p^(k+1),
-    over coprime r, u >= 0 with r*u < p^k, ordered by r, u, -sg.
+def _residue_hits(p: int, k: int, targets: dict[int, tuple[int, dict[int, int]]]
+                  ) -> tuple[tuple[int, int, int, int], ...]:
+    """Every (r, u, t, sg) with u^2 - r^2 + 2*sg*r*u*P = M, P = p^(k+1),
+    (t, factors of |M|) = targets[M], over coprime r, u >= 0 with r*u < p^k,
+    ordered by r, u, -sg.
 
     With X = u + sg*P*r and D = P^2 + 1 this is X^2 - D*r^2 = M: r = 0 needs M
     square, and the hits with 1 <= r <= max(p^k - 1, 1) (the max keeps the ray
@@ -368,10 +378,10 @@ def _residue_hits(p: int, k: int, targets: dict[int, int]) -> tuple[tuple[int, i
     pk, big_p, d = p**k, p ** (k + 1), p ** (2 * k + 2) + 1
     r_max = max(pk - 1, 1)
     hits = set()
-    for m, t in targets.items():
+    for m, (t, factors) in targets.items():
         rt = is_perfect_square(m)
         stream = itertools.takewhile(lambda xy: xy[1] <= r_max,
-                                     _positive_solutions(d, _cf_class_solutions(d, m)))
+                                     _positive_solutions(d, _cf_class_solutions(d, m, factors)))
         for x, r in itertools.chain([(rt, 0)] if rt is not None else [], stream):
             for big_x, sg in itertools.product((x, -x), (1, -1)):
                 u = big_x - sg * big_p * r
@@ -389,7 +399,8 @@ def case2_residue_search(p: int, k: int) -> tuple[tuple[int, int, int, int], ...
         raise ValueError("p must be an odd prime")
     if k < 0:
         raise ValueError("k must be >= 0")
-    return _residue_hits(p, k, {p ** (2 * k - 2 * t + 1): t for t in range(k + 1)})
+    return _residue_hits(p, k, {p**j: ((2 * k + 1 - j) // 2, {p: j})
+                                for j in range(2 * k + 1, 0, -2)})
 
 
 def p2_family_witness(k: int, l: int) -> tuple[int, int]:
@@ -450,7 +461,7 @@ def decide_paper_equation(p: int, k: int, l: int) -> PellianOutcome:
             method, certificate = "residue", {"residue_hits": 0}
         else:
             method, certificate = "descent", {"multiplier": p ** (k - l), "reduces_to": (p, k, k)}
-    check = _class_search_outcome(d, n)
+    check = _class_search_outcome(d, n, {p: 2 * l + 1})
     if verdict != check.verdict:
         raise RuntimeError(
             f"fatal discrepancy at (p={p}, k={k}, l={l}): {verdict}, but the "

@@ -67,6 +67,21 @@ def test_is_prime_agrees_with_sieve():
         assert is_prime(n) == bool(flags[n]), n
 
 
+def test_is_prime_matches_trial_division_below_5000(monkeypatch):
+    # below 41^2 the trial loop decides alone: no Miller-Rabin round is run
+    mr = arith._strong_probable_prime
+
+    def checked_mr(n, a):
+        assert n >= 41 * 41, n
+        return mr(n, a)
+
+    monkeypatch.setattr(arith, "_strong_probable_prime", checked_mr)
+    for n in range(-2, 5000):
+        assert is_prime(n) == (n > 1 and all(n % q for q in range(2, math.isqrt(n) + 1))), n
+    assert not is_prime(1681) and not is_prime(1763)  # 41^2 and 41*43
+    assert is_prime(1667) and is_prime(1669) and is_prime(41) and is_prime(1601)
+
+
 def test_odd_primes_upto_matches_is_prime():
     limit = 10**5
     primes = [p for p in range(3, limit + 1, 2) if is_prime(p)]

@@ -261,7 +261,7 @@ def _reps(d, sols):
 
 
 def _class_search_reps(d, n):
-    return tuple(sorted(_reps(d, _cf_class_solutions(d, n))))
+    return tuple(sorted(_reps(d, _cf_class_solutions(d, n, factorize(abs(n))))))
 
 
 def test_class_search_matches_solve_complete():
@@ -312,7 +312,8 @@ def _three_pass_class_solutions(d, n):
 
 def _assert_matches_three_pass(d, n):
     """The raw list is an in-order subsequence of the oracle's, with the same classes."""
-    sols, oracle = _cf_class_solutions(d, n), _three_pass_class_solutions(d, n)
+    sols = _cf_class_solutions(d, n, factorize(abs(n)))
+    oracle = _three_pass_class_solutions(d, n)
     rest = iter(oracle)
     assert all(sol in rest for sol in sols), (d, n)
     assert _reps(d, sols) == _reps(d, oracle), (d, n)
@@ -357,6 +358,7 @@ def _walked_roots(d, n):
 
 
 def test_class_walk_without_hit_runs_one_period(monkeypatch):
+    # _pqa_first_hit.__wrapped__ bypasses the memo, so each call walks
     counts = _counting_walk(monkeypatch)
     misses = 0
     for d in range(2, 201):
@@ -368,14 +370,15 @@ def test_class_walk_without_hit_runs_one_period(monkeypatch):
             for m, z in _walked_roots(d, n):
                 i, j, ell = _first_hit_row(d, z, m)
                 if i is None:
-                    assert pellian._pqa_first_hit(d, z, m) is None
+                    assert pellian._pqa_first_hit.__wrapped__(d, z, m) is None
                     assert counts.pop() <= j + ell, (d, z, m)
                     misses += 1
     assert misses > 1000
 
 
 def test_class_walk_paths(monkeypatch):
-    # each path of _pqa_first_hit, named, with the (d, n) whose roots take it
+    # each path of _pqa_first_hit, named, with the (d, n) whose roots take it;
+    # __wrapped__ bypasses the memo, so each call walks
     counts = _counting_walk(monkeypatch)
     paths = {
         "hit in the first period": [(13, -1), (13, 12), (991, -10000019)],
@@ -390,7 +393,7 @@ def test_class_walk_paths(monkeypatch):
             taken = set()
             for m, z in _walked_roots(d, n):
                 i, j, ell = _first_hit_row(d, z, m)
-                hit = pellian._pqa_first_hit(d, z, m)
+                hit = pellian._pqa_first_hit.__wrapped__(d, z, m)
                 walked = counts.pop()
                 assert hit == next(iter(_three_pass_root_hits(d, z, m)), None), (d, z, m)
                 if i is None:
@@ -450,6 +453,23 @@ def test_tm1_lifts_each_search_prime_once(monkeypatch):
     run_claim("tm1", SweepConfig())
     pellian.case2_residue_search.cache_clear()
     assert len(calls) == 280
+
+
+def test_tm1_factors_nothing_and_walks_each_root_once(monkeypatch):
+    # every tm1 class search has N = +-p^j and is handed {p: j}; the split
+    # f = p^h of N walks what the search of N/p^(2h) walks, so half the 560
+    # walks are memo hits
+    def no_factorize(n):
+        raise AssertionError(f"factorize({n}) called")
+
+    monkeypatch.setattr(pellian, "factorize", no_factorize)
+    pellian.case2_residue_search.cache_clear()
+    pellian._pqa_first_hit.cache_clear()
+    run_claim("tm1", SweepConfig())
+    info = pellian._pqa_first_hit.cache_info()
+    pellian.case2_residue_search.cache_clear()
+    pellian._pqa_first_hit.cache_clear()
+    assert (info.misses, info.hits) == (280, 280)
 
 
 def test_class_search_lifts_each_prime_once(monkeypatch):
@@ -569,6 +589,8 @@ def _closed_form_hits(p, k, targets):
 
 #: every 0 < |M| <= 400, since the paper's targets have no hits
 ALL_TARGETS = {m: m for m in range(-400, 401) if m != 0}
+#: ALL_TARGETS as _residue_hits takes them, with the factorization of each |M|
+ALL_FACTORED = {m: (t, factorize(abs(m))) for m, t in ALL_TARGETS.items()}
 
 
 def test_case2_matches_pair_search():
@@ -576,7 +598,7 @@ def test_case2_matches_pair_search():
     total = 0
     for p, k in ((3, 0), (3, 1), (3, 2), (3, 3), (5, 0), (5, 1), (5, 2),
                  (7, 1), (7, 2), (11, 1), (13, 1), (13, 2)):
-        hits = _residue_hits(p, k, ALL_TARGETS)
+        hits = _residue_hits(p, k, ALL_FACTORED)
         assert hits == _pair_search_hits(p, k, ALL_TARGETS), (p, k)
         total += len(hits)
     assert total > 0
@@ -587,13 +609,14 @@ def test_case2_matches_closed_form():
     # targets at sizes the pair search cannot finish
     total = 0
     for p, k in ((3, 4), (3, 5), (5, 3), (7, 3), (11, 2), (17, 0), (19, 1), (43, 2)):
-        hits = _residue_hits(p, k, ALL_TARGETS)
+        hits = _residue_hits(p, k, ALL_FACTORED)
         assert hits == _closed_form_hits(p, k, ALL_TARGETS), (p, k)
         total += len(hits)
     assert total > 0
     for p, k in ((199, 4), (101, 5)):
         targets = {p ** (2 * k - 2 * t + 1): t for t in range(k + 1)}
-        assert _residue_hits(p, k, targets) == _closed_form_hits(p, k, targets) == (), (p, k)
+        factored = {m: (t, {p: 2 * k - 2 * t + 1}) for m, t in targets.items()}
+        assert _residue_hits(p, k, factored) == _closed_form_hits(p, k, targets) == (), (p, k)
 
 
 def test_decide_paper_equation_small():
@@ -655,7 +678,7 @@ def test_p2_dispatch_matches_former_p2_decide():
         for l in range(k + 1):
             d, n = 2 ** (2 * k + 2) + 1, -(2 ** (2 * l + 1))
             out = decide_paper_equation(2, k, l)
-            check = _class_search_outcome(d, n)
+            check = _class_search_outcome(d, n, {2: 2 * l + 1})
             assert out.witnesses == check.witnesses, (k, l)
             assert out.search_bound_used == check.search_bound_used == class_bound(d, n)
             if k % 2 == 0:
@@ -718,7 +741,7 @@ def test_prime_power_class_searches_pinned():
         for e in range(1, 10):
             for n in (p**e, -(p**e)):
                 for d in ds:
-                    oc = _class_search_outcome(d, n)
+                    oc = _class_search_outcome(d, n, {p: e})
                     h.update(repr((d, n, oc.verdict, oc.witnesses, oc.method,
                                    oc.search_bound_used)).encode())
                     cases += 1
@@ -757,7 +780,7 @@ def test_paper_check_matches_enumeration():
     for p, d, n in _paper_equations():
         bound = class_bound(d, n)
         oracle = tuple(sorted(_reps(d, solve_brute(PellianProblem(d, n), bound))))
-        out = _class_search_outcome(d, n)
+        out = _class_search_outcome(d, n, factorize(abs(n)))
         assert out.witnesses == oracle, (d, n)
         assert out.verdict == (SOLVABLE if oracle else UNSOLVABLE), (d, n)
         assert out.search_bound_used == bound, (d, n)
@@ -787,13 +810,13 @@ def test_paper_check_hit_is_fatal(monkeypatch):
     # prime: P = 9^3 and x^2 - (P^2+1)*y^2 = -9 has the solution (3*P, 3).
     big_p = 9**3
     d, n = big_p**2 + 1, -9
-    assert _cf_class_solutions(d, n)
+    assert _cf_class_solutions(d, n, {3: 2})
     monkeypatch.setattr(pellian, "is_prime", lambda q: True)
-    monkeypatch.setattr(pellian, "_cf_class_solutions", lambda d, n: [(3 * big_p, 3)])
+    monkeypatch.setattr(pellian, "_cf_class_solutions", lambda d, n, factors: [(3 * big_p, 3)])
     with pytest.raises(RuntimeError, match="fatal discrepancy"):
         decide_paper_equation(9, 2, 0)
     # and a check that misses the p = 2 family's solutions is fatal too
-    monkeypatch.setattr(pellian, "_cf_class_solutions", lambda d, n: [])
+    monkeypatch.setattr(pellian, "_cf_class_solutions", lambda d, n, factors: [])
     with pytest.raises(RuntimeError, match="fatal discrepancy"):
         decide_paper_equation(2, 1, 1)
     case2_residue_search.cache_clear()
@@ -801,10 +824,11 @@ def test_paper_check_hit_is_fatal(monkeypatch):
 
 def test_caches_bounded_and_solve_complete_uncached():
     # every lru_cache of the package is bounded; the only repeated queries
-    # are Pell units and the Case 2 residue check of each (p, k)
+    # are Pell units, the Case 2 residue check of each (p, k) and the walks of
+    # the class searches of +-p^j
     cached = {name for mod in vars(pelltuples).values() if inspect.ismodule(mod)
               for name, fn in vars(mod).items() if hasattr(fn, "cache_info")}
-    assert cached == {"pell_fundamental", "case2_residue_search"}
+    assert cached == {"pell_fundamental", "case2_residue_search", "_pqa_first_hit"}
     for name in cached:
         assert getattr(pellian, name).cache_parameters()["maxsize"] == pellian.CACHE_SIZE
     assert not hasattr(solve_complete, "cache_info")
@@ -812,17 +836,17 @@ def test_caches_bounded_and_solve_complete_uncached():
 
 def test_outcome_rejects_non_solution(monkeypatch):
     # 5^2 - 10*1^2 = 15, so (5, 1) must not pass as a solution of N = -3
-    monkeypatch.setattr(pellian, "_cf_class_solutions", lambda d, n: [(5, 1)])
+    monkeypatch.setattr(pellian, "_cf_class_solutions", lambda d, n, factors: [(5, 1)])
     with pytest.raises(RuntimeError, match="does not solve"):
-        _class_search_outcome(10, -3)
+        _class_search_outcome(10, -3, {3: 1})
 
 
 def test_outcome_rejects_non_solution_under_optimize():
     # python -O strips assert statements; the witness check must survive it
     code = ("from pelltuples import pellian\n"
-            "pellian._cf_class_solutions = lambda d, n: [(5, 1)]\n"
+            "pellian._cf_class_solutions = lambda d, n, factors: [(5, 1)]\n"
             "try:\n"
-            "    pellian._class_search_outcome(10, -3)\n"
+            "    pellian._class_search_outcome(10, -3, {3: 1})\n"
             "except RuntimeError:\n"
             "    raise SystemExit(0)\n"
             "raise SystemExit(1)\n")
