@@ -154,23 +154,27 @@ def test_pool_modules_load_only_when_a_sweep_runs_a_pool():
     assert json.loads(out) == [[], CONFIRMED, True]
 
 
-def test_claim_options_are_keyword_only():
-    # a claim's options are its parameters, all keyword-only: CLAIM_OPTIONS
-    # reads __kwdefaults__, which a positional parameter is missing from, so
-    # its option would drop out of SweepConfig and verify.  Each is a
-    # SweepConfig field with an int default, and no field is a knob that no
-    # claim reads.
+def test_claim_options_are_sweep_fields():
+    # a claim's options are its keyword parameters; each is a SweepConfig field
+    # with an int default, and no field is a knob that no claim reads
     names = {f.name for f in fields(SweepConfig)}
     read = set()
     for claim_id, fn in CLAIMS.items():
         params = inspect.signature(fn).parameters
         for name, par in params.items():
-            assert par.kind is inspect.Parameter.KEYWORD_ONLY, (claim_id, name)
             assert name in names, (claim_id, name)
             assert type(par.default) is int, (claim_id, name)
             read.add(name)
         assert CLAIM_OPTIONS[claim_id] == {n: par.default for n, par in params.items()}
     assert read == names
+
+
+def test_claim_options_are_keyword_only():
+    # CLAIM_OPTIONS reads __kwdefaults__, which a positional parameter is
+    # missing from: its option would drop out of SweepConfig and verify
+    for claim_id, fn in CLAIMS.items():
+        for name, par in inspect.signature(fn).parameters.items():
+            assert par.kind is inspect.Parameter.KEYWORD_ONLY, (claim_id, name)
 
 
 def test_sweep_config_pickles():
