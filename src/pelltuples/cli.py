@@ -2,7 +2,8 @@
 
 Subcommands: cf, pell, tuple, pairs, verify.  All output is JSON with big
 integers rendered as decimal strings.  Exit codes: 0 = success / claim
-confirmed, 1 = claim violated, 2 = usage, input or output-file error.
+confirmed, 1 = claim violated, 2 = usage, input or output-file error, or a
+contradiction found by the package's own cross-checks (a RuntimeError).
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import sys
 from dataclasses import fields
 from itertools import islice
 
-from .contfrac import ExpansionCapExceeded, QuadIrr, convergents, expand
+from .contfrac import QuadIrr, convergents, expand
 from .harness import CLAIM_OPTIONS, CLAIMS, SweepConfig, deep_dec, dump_json, run_claim
 from .pellian import PellianProblem, solve_complete
 from .zring import RingElem, check_tuple, find_admissible_pairs
@@ -172,7 +173,7 @@ def main(argv=None) -> int:
     args = _parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, ExpansionCapExceeded, OSError) as exc:
+    except (ValueError, KeyError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -172,8 +172,6 @@ def lemma_db_check(alpha: int, beta: int, n: int, r: int, u: int) -> int:
         raise ValueError("alpha, beta must be positive")
     if n < 0:
         raise ValueError("n must be >= 0")
-    if is_perfect_square(alpha * beta) is not None:
-        raise ValueError("alpha*beta must not be a perfect square")
     return _lemma_db_sides(alpha, beta, expand(QuadIrr(alpha * beta, 0, beta)), n, r, u)
 
 

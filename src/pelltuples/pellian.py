@@ -199,11 +199,8 @@ def solve_brute(prob: PellianProblem, y_max: int) -> list[tuple[int, int]]:
         raise ValueError("y_max must be >= 1")
     d, n = prob.d, prob.n
     out = []
-    y0 = 1
-    if n < 0:
-        y0 = max(1, isqrt((-n) // d))
-        while d * y0 * y0 < -n:
-            y0 += 1
+    # for n < 0, the least y with d*y^2 >= -n
+    y0 = isqrt((-n - 1) // d) + 1 if n < 0 else 1
     _isqrt = math.isqrt
     for y in range(y0, y_max + 1):
         v = n + d * y * y
@@ -304,8 +301,7 @@ def solve_complete(prob: PellianProblem) -> PellianOutcome:
     unit = pell_fundamental(d)
     bound = _unit_bound(unit, n)
     if bound > ENUM_BOUND_LIMIT:
-        sols = _cf_class_solutions(d, n, factorize(abs(n)))
-        return _outcome(d, n, sols, "cf-classes", bound, unit)
+        return _class_search_outcome(d, n, factorize(abs(n)))
     return _outcome(d, n, solve_brute(prob, bound), "bounded-enumeration", bound, unit)
 
 

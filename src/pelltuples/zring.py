@@ -8,7 +8,6 @@ are all done in exact integers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations, takewhile
 from operator import index
 from typing import NamedTuple
@@ -161,7 +160,7 @@ def lemma3_extend_data(a: int, b: int, c: int, l: int,
 
     Checks ab+l = r^2, ac+l = s^2, bc+l = tp^2 first, then asserts
     a*e+l^2, b*e+l^2, c*e+l^2 are the squares of x, y, z and that the
-    closed-form identity for c holds in exact rationals.
+    closed-form identity c = a + b + e/l + 2(abe + rxy)/l^2 holds, times l^2.
     """
     if l == 0:
         raise ValueError("l must be nonzero")
@@ -173,8 +172,7 @@ def lemma3_extend_data(a: int, b: int, c: int, l: int,
     z = c * r - s * tp
     if a * e + l * l != x * x or b * e + l * l != y * y or c * e + l * l != z * z:
         raise AssertionError("square identities violated")
-    rhs = Fraction(a + b) + Fraction(e, l) + Fraction(2, l * l) * (a * b * e + r * x * y)
-    if Fraction(c) != rhs:
+    if c * l * l != (a + b) * l * l + e * l + 2 * (a * b * e + r * x * y):
         raise AssertionError("closed-form identity for c violated")
     return ExtensionData(e, x, y, z)
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from pelltuples import cli, harness
+from pelltuples import cli, harness, pellian
 from pelltuples.cli import main, parse_elem
 from pelltuples.harness import CLAIM_OPTIONS, SweepConfig, dump_json, run_claim
 from pelltuples.zring import RingElem
@@ -120,6 +120,15 @@ def test_expansion_cap_is_usage_error(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2 and not out
         assert err.startswith("error: no period within")
+
+
+def test_fatal_cross_check_is_error_exit(capsys, monkeypatch):
+    # a class search that misses the p = 2 family's solutions contradicts the
+    # paper-family route: the CLI reports the contradiction, without a traceback
+    monkeypatch.setattr(pellian, "_cf_class_solutions", lambda d, n, factors: [])
+    code, out, err = run(capsys, "verify", "p2-prop")
+    assert code == 2 and not out
+    assert err.startswith("error: fatal discrepancy") and "Traceback" not in err
 
 
 def test_pell_rejects_square_d(capsys):

@@ -349,6 +349,13 @@ def test_lemma_db_rejects_negative_n(n):
         lemma_db_check(10, 1, n, 1, 1)
 
 
+@pytest.mark.parametrize("alpha, beta", [(1, 1), (2, 8), (3, 12), (9, 4)])
+def test_lemma_db_rejects_square_product(alpha, beta):
+    # QuadIrr rejects sqrt(alpha*beta)/beta when alpha*beta is a square
+    with pytest.raises(ValueError, match="perfect square"):
+        lemma_db_check(alpha, beta, 0, 1, 1)
+
+
 def test_worley_candidates_index_domain():
     with pytest.raises(ValueError, match="m_max"):
         worley_candidates(expand(QuadIrr(10, 0, 1)), 1, -2)

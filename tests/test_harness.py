@@ -12,10 +12,12 @@ from dataclasses import fields, replace
 import pytest
 
 from pelltuples import contfrac, harness, pellian
+from pelltuples.cli import main
 from pelltuples.harness import (
     CLAIM_OPTIONS,
     CLAIMS,
     CONFIRMED,
+    VIOLATED,
     ClaimReport,
     SweepConfig,
     deep_dec,
@@ -257,6 +259,26 @@ def test_tm1_runs_each_residue_check_once():
     info = pellian.case2_residue_search.cache_info()
     assert (info.misses, info.hits) == (56, 56)
     pellian.case2_residue_search.cache_clear()
+
+
+def test_tm1_reports_residue_hit(monkeypatch):
+    # a Case 2 hit at (p, k) = (3, 1) would make the decider raise for l = 1:
+    # the sweep records the hit, skips the decider at that k and goes on
+    residue_hits = pellian._residue_hits
+    monkeypatch.setattr(pellian, "_residue_hits", lambda p, k, targets: (
+        ((1, 0, 0, 1),) if (p, k) == (3, 1) else residue_hits(p, k, targets)))
+    pellian.case2_residue_search.cache_clear()
+    try:
+        report = run_claim("tm1", SweepConfig())
+        code = main(["verify", "tm1"])
+    finally:
+        pellian.case2_residue_search.cache_clear()
+    assert report.status == VIOLATED and code == 1
+    bad = [rec for rec in report.evidence if not rec["ok"]]
+    assert bad == [{"p": 3, "k": 1, "kind": "residue-search",
+                    "hits": [(1, 0, 0, 1)], "ok": False}]
+    decided = [rec["k"] for rec in report.evidence if rec["p"] == 3 and rec["kind"] == "decision"]
+    assert decided == [0, 2, 2, 2, 3, 3, 3, 3]
 
 
 def test_worley_expands_each_irrational_once(monkeypatch):

@@ -183,6 +183,20 @@ def test_solve_brute_returns_sorted_valid():
                 assert x >= 0 and x * x - d * y * y == n
 
 
+def test_solve_brute_first_y_at_each_boundary():
+    # -N at, just below and just above d*y^2: the first y scanned is the least
+    # with d*y^2 >= -N, so (0, y) and (1, y) are found and no y has v < 0
+    for d in NONSQUARES[:20]:
+        for y in range(1, 25):
+            for n in (1 - d * y * y, -d * y * y, -1 - d * y * y):
+                oracle = []
+                for z in range(1, y + 3):
+                    v = n + d * z * z
+                    if v >= 0 and isqrt(v) ** 2 == v:
+                        oracle.append((isqrt(v), z))
+                assert solve_brute(PellianProblem(d, n), y + 2) == oracle
+
+
 def test_class_rep_recovers_fundamental():
     t, u = pell_fundamental(10)
     # (117, 37) is (3,1) composed once with the unit.

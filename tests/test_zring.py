@@ -393,11 +393,17 @@ def test_lemma3_extension_examples():
     assert ext2.x * ext2.x == 1 * ext2.e + 1
     assert ext2.y * ext2.y == 3 * ext2.e + 1
     assert ext2.z * ext2.z == 8 * ext2.e + 1
+    # regular triples c = a + b + 2r have e = 0; these have e != 0 and |l| = 2
+    assert lemma3_extend_data(1, 3, 66, -2, 1, 8, 14) == (32, 6, 10, -46)
+    assert lemma3_extend_data(1, 2, 287, 2, 2, 17, 24) == (96, -10, -14, 166)
 
 
 def test_lemma3_rejects_inconsistent_witnesses():
     with pytest.raises(ValueError):
         lemma3_extend_data(1, 2, 5, -1, 1, 2, 4)  # 2*5 - 1 != 4^2
+    for c in (4, 6):  # a mutated c
+        with pytest.raises(ValueError):
+            lemma3_extend_data(1, 2, c, -1, 1, 2, 3)
 
 
 def test_lemma3_rejects_l_zero():
