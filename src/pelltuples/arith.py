@@ -19,6 +19,12 @@ DETERMINISTIC_PRIMALITY_BOUND = 1 << 64
 
 _WITNESSES_BELOW_2_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+#: (B, k): the first k bases decide every n < B, the least strong pseudoprime
+#: to all k of them; to all twelve it lies above 2^64
+_WITNESS_PREFIXES = ((2_047, 1), (1_373_653, 2), (25_326_001, 3), (3_215_031_751, 4),
+                     (2_152_302_898_747, 5), (3_474_749_660_383, 6), (341_550_071_728_321, 7),
+                     (3_825_123_056_546_413_051, 9), (DETERMINISTIC_PRIMALITY_BOUND, 12))
+
 # for n >= 2**64 we fall back to strong-probable-prime tests with the first
 # forty primes as bases
 _WITNESSES_LARGE = (
@@ -65,7 +71,8 @@ def is_prime(n: int) -> bool:
             return n == p
     if n < 41 * 41:  # no prime factor <= 37, so none at all
         return True
-    witnesses = _WITNESSES_BELOW_2_64 if n < DETERMINISTIC_PRIMALITY_BOUND else _WITNESSES_LARGE
+    witnesses = next((_WITNESSES_BELOW_2_64[:k] for bound, k in _WITNESS_PREFIXES if n < bound),
+                     _WITNESSES_LARGE)
     return all(_strong_probable_prime(n, a) for a in witnesses)
 
 

@@ -14,7 +14,7 @@ from dataclasses import fields
 from itertools import islice
 
 from .contfrac import QuadIrr, convergents, expand
-from .harness import CLAIM_OPTIONS, CLAIMS, SweepConfig, deep_dec, dump_json, run_claim
+from .harness import CLAIM_OPTIONS, CLAIMS, SweepConfig, dump_json, run_claim
 from .pellian import PellianProblem, solve_complete
 from .zring import RingElem, check_tuple, find_admissible_pairs
 
@@ -37,54 +37,50 @@ def cmd_cf(args) -> int:
     # the convergents m = 0 .. max(j + L, 2)
     count = max(exp.preperiod_len + exp.period_len, 2) + 1
     conv = islice(convergents(a for a, _, _ in exp.terms()), count)
-    doc = deep_dec({
+    print(dump_json({
         "input": {"d": args.d, "s": args.s, "t": args.t},
         "preperiod": exp.quotients[:exp.preperiod_len],
         "period": exp.quotients[exp.preperiod_len:],
         "preperiod_len": exp.preperiod_len,
         "period_len": exp.period_len,
         "convergents": [list(pq) for pq in conv],
-    })
-    print(dump_json(doc, args.json))
+    }, args.json))
     return 0
 
 
 def cmd_pell(args) -> int:
     prob = PellianProblem(args.D, args.N)
     oc = solve_complete(prob)
-    doc = deep_dec({
+    print(dump_json({
         "D": args.D,
         "N": args.N,
         "verdict": oc.verdict,
         "method": oc.method,
         "witnesses": [list(w) for w in oc.witnesses],
         "search_bound_used": oc.search_bound_used,
-    })
-    print(dump_json(doc, args.json))
+    }, args.json))
     return 0
 
 
 def cmd_tuple(args) -> int:
     elems = [parse_elem(e, args.t) for e in args.elements]
     report = check_tuple(elems, args.n, args.t)
-    doc = deep_dec({
+    print(dump_json({
         "elements": [str(e) for e in report.elements],
         "n": report.n,
         "t": report.t,
         "verified": report.verified,
         "witnesses": {f"{i},{j}": str(w) for (i, j), w in report.witnesses.items()},
         "failing_pair": list(report.failing_pair) if report.failing_pair else None,
-    })
-    print(dump_json(doc, args.json))
+    }, args.json))
     return 0
 
 
 def cmd_pairs(args) -> int:
     found = find_admissible_pairs(args.limit)
-    doc = deep_dec({"limit": args.limit,
-                    "pairs": [{"p": p, "k": k, "q": q, "l_exp": l}
-                              for p, k, q, l in found]})
-    print(dump_json(doc, args.json))
+    print(dump_json({"limit": args.limit,
+                     "pairs": [{"p": p, "k": k, "q": q, "l_exp": l} for p, k, q, l in found]},
+                    args.json))
     return 0
 
 
@@ -102,7 +98,7 @@ def cmd_verify(args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     if args.jsonl:
-        for rec in report.body()["evidence"]:
+        for rec in report.evidence:
             print(dump_json(rec, compact=True))
         print(dump_json({"claim_id": report.claim_id, "status": report.status}, compact=True))
     else:

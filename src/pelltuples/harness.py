@@ -4,7 +4,8 @@ Each claim id maps to a sweep over exact computations; a report records
 per-case evidence with every integer serialized as a decimal string so
 arbitrarily large values survive JSON round-trips.  Reports are
 byte-deterministic for a fixed config (elapsed time lives in a separate
-header field).
+header field).  That contract is `ClaimReport.body()`, copied by `deep_dec`;
+`dump_json` writes its text in one pass, making ints decimal strings as it goes.
 
 A claim's options are its keyword-only parameters, with their defaults,
 and nothing else declares them: `CLAIM_OPTIONS` is read off each claim's
@@ -21,6 +22,7 @@ import random
 import time
 from dataclasses import dataclass, field, make_dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 
 from . import __version__
 from .arith import factorize, is_perfect_square, is_prime, isqrt, odd_primes_upto
@@ -58,26 +60,58 @@ class ClaimReport:
     evidence: list = field(default_factory=list)
     elapsed: float = 0.0
 
+    def _raw_body(self) -> dict:
+        """The body as the sweep left it, ints and all."""
+        return {"claim_id": self.claim_id, "status": self.status,
+                "config": self.config, "evidence": self.evidence}
+
     def body(self) -> dict:
         """Deterministic part of the report (no timings)."""
-        return {
-            "claim_id": self.claim_id,
-            "status": self.status,
-            "config": deep_dec(self.config),
-            "evidence": deep_dec(self.evidence),
-        }
+        return deep_dec(self._raw_body())
 
     def to_json(self, compact: bool = False) -> str:
-        doc = self.body()
-        doc["header"] = {"elapsed": round(self.elapsed, 6), "version": __version__}
-        return dump_json(doc, compact)
+        header = {"elapsed": round(self.elapsed, 6), "version": __version__}
+        return dump_json({**self._raw_body(), "header": header}, compact)
 
 
 def dump_json(doc, compact: bool) -> str:
-    """The JSON text of every report and CLI document: sorted keys, compact or indented."""
-    if compact:
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return json.dumps(doc, sort_keys=True, indent=2)
+    """The JSON text of every report and CLI document, written in one pass: the
+    bytes of json.dumps(deep_dec(doc), sort_keys=True), compact or indented by 2."""
+    out: list[str] = []
+    _write_json(doc, out, "" if compact else "\n")
+    return "".join(out)
+
+
+def _write_json(obj, out: list[str], nl: str) -> None:
+    """Append the JSON text of deep_dec(obj) to `out`; `nl` is "" (compact) or
+    the line break and indent of obj's own line."""
+    if isinstance(obj, str):
+        out.append(_json_str(obj))
+    elif obj is None or obj is True or obj is False:
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(_json_str(str(obj)))
+    elif isinstance(obj, (list, tuple, dict)):
+        inner = nl and nl + "  "
+        sep = "," + inner
+        if isinstance(obj, dict):
+            obj = {str(k): v for k, v in obj.items()}
+            colon = ": " if nl else ":"
+            out.append("{" + inner)
+            for k in sorted(obj):
+                out.append(_json_str(k) + colon)
+                _write_json(obj[k], out, inner)
+                out.append(sep)
+            # the closing bracket replaces the last separator, or the opening one
+            out[-1] = nl + "}" if obj else "{}"
+        else:
+            out.append("[" + inner)
+            for v in obj:
+                _write_json(v, out, inner)
+                out.append(sep)
+            out[-1] = nl + "]" if obj else "[]"
+    else:  # a float, or a TypeError for what JSON cannot hold
+        out.append(json.dumps(obj))
 
 
 def deep_dec(obj):

@@ -301,16 +301,19 @@ def solve_complete(prob: PellianProblem) -> PellianOutcome:
     unit = pell_fundamental(d)
     bound = _unit_bound(unit, n)
     if bound > ENUM_BOUND_LIMIT:
-        return _class_search_outcome(d, n, factorize(abs(n)))
+        return _class_search_outcome(d, n, factorize(abs(n)), unit, bound)
     return _outcome(d, n, solve_brute(prob, bound), "bounded-enumeration", bound, unit)
 
 
-def _class_search_outcome(d: int, n: int, factors: dict[int, int]) -> PellianOutcome:
+def _class_search_outcome(d: int, n: int, factors: dict[int, int],
+                          unit: PellUnit | None = None, bound: int = 0) -> PellianOutcome:
     """solve_complete's outcome by the class search for the factors {p: e} of
-    |n|, whatever the class bound; search_bound_used is still the class bound."""
-    unit = pell_fundamental(d)
-    sols = _cf_class_solutions(d, n, factors)
-    return _outcome(d, n, sols, "cf-classes", _unit_bound(unit, n), unit)
+    |n|, whatever the class bound; search_bound_used is still the class bound.
+    A caller that has d's Pell unit and the class bound passes both."""
+    if unit is None:
+        unit = pell_fundamental(d)
+        bound = _unit_bound(unit, n)
+    return _outcome(d, n, _cf_class_solutions(d, n, factors), "cf-classes", bound, unit)
 
 
 def _outcome(d: int, n: int, raw: list[tuple[int, int]], method: str,

@@ -82,6 +82,51 @@ def test_is_prime_matches_trial_division_below_5000(monkeypatch):
     assert is_prime(1667) and is_prime(1669) and is_prime(41) and is_prime(1601)
 
 
+#: (B, k): B is the least strong pseudoprime to the first k prime bases, and
+#: is_prime runs k Miller-Rabin rounds on a prime below B
+STRONG_PSEUDOPRIMES = (
+    (2_047, 1), (1_373_653, 2), (25_326_001, 3), (3_215_031_751, 4),
+    (2_152_302_898_747, 5), (3_474_749_660_383, 6), (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+)
+
+
+def test_is_prime_matches_trial_division_below_3e5():
+    limit = 3 * 10**5
+    small = [q for q in range(2, isqrt(limit) + 1) if all(q % r for r in range(2, isqrt(q) + 1))]
+
+    def by_trial(n):
+        for q in small:
+            if q * q > n:
+                return n > 1
+            if n % q == 0:
+                return False
+        return True
+
+    for n in range(limit):
+        assert is_prime(n) == by_trial(n), n
+
+
+def test_is_prime_runs_the_bases_each_bound_needs(monkeypatch):
+    mr = arith._strong_probable_prime
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    for b, k in STRONG_PSEUDOPRIMES:
+        # b fools the first k bases and no fewer, so a bound of b taken as
+        # inclusive would call it prime
+        assert all(mr(b, a) for a in bases[:k]) and not is_prime(b), b
+    rounds = []
+    monkeypatch.setattr(arith, "_strong_probable_prime", lambda n, a: rounds.append(a) or mr(n, a))
+    for (b, k), (_, k_next) in zip(STRONG_PSEUDOPRIMES, STRONG_PSEUDOPRIMES[1:] + ((2**64, 12),)):
+        below, above = b - 1, b + 1
+        while not is_prime(below):
+            below -= 1
+        while not is_prime(above):
+            above += 1
+        for n, want in ((below, k), (above, k_next)):
+            rounds.clear()
+            assert is_prime(n) and len(rounds) == want, (n, rounds)
+
+
 def test_odd_primes_upto_matches_is_prime():
     limit = 10**5
     primes = [p for p in range(3, limit + 1, 2) if is_prime(p)]

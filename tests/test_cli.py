@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import json
 import math
+import re
 import shlex
 import time
 from fractions import Fraction
@@ -190,6 +191,52 @@ def test_verify_jsonl_output(capsys):
     lines = [json.loads(ln) for ln in out.strip().splitlines()]
     assert lines[-1]["status"] == "CONFIRMED"
     assert len(lines) > 1
+
+
+@pytest.mark.parametrize("claim_id", ["tm1", "prop26"])
+def test_verify_jsonl_lines_are_the_body_records(capsys, claim_id):
+    code, out, _ = run(capsys, "verify", claim_id, "--jsonl")
+    assert code == 0
+    body = run_claim(claim_id, SweepConfig()).body()
+    assert out.splitlines() == [dump_json(rec, True) for rec in body["evidence"]] + [
+        dump_json({"claim_id": claim_id, "status": body["status"]}, True)]
+
+
+#: each document command's inputs: pell by enumeration and by the class search,
+#: a cf with a preperiod, a tuple that fails and one with ring witnesses
+STDOUT_INPUTS = {
+    "pell": [("61", "1"), ("10", "--", "-1"), ("17", "--", "-8"), ("991", "--", "10000019")],
+    "cf": [("61", "0", "1"), ("13", "-3", "2"), ("7", "2", "-3")],
+    "tuple": [("-n", "1", "-t", "0", "1", "3", "8", "121"),
+              ("-n", "-1", "-t", "4", "1", "5", "-3", "65")],
+    "pairs": [("--limit", "50")],
+    "verify": [("tm1",)],
+}
+
+#: SHA-256 of f"{rc}:{stdout}" over a command's inputs, indented and with --json,
+#: with verify's header (elapsed, version) cut out
+STDOUT_SHA256 = {
+    ("cf", False): "6587c9d28213cd0eb489602a4dc389634c66a567d0d52205ccf0db60567f37c2",
+    ("cf", True): "c8664f34e6b4b5982379cc9bce0a262ad60d19df8229a6bf1156649c68d94d7b",
+    ("pairs", False): "dfa46b41470b288a872d99b1006c5d91420f3b292e862e0adf2221b5de2dfc9a",
+    ("pairs", True): "6dc2c9ec499c14a5a97a61665079f4dd8f45a2b552ef05f3d372765919016ea1",
+    ("pell", False): "ef26a075cdf13b4a0898d690d4e316300033656da346f870143fe443ccf13d52",
+    ("pell", True): "0f96d3808ac590aa032a55aabcd4a248aa850bc1626c920625be19b99006369d",
+    ("tuple", False): "4c5fb33683bf1ebf63b89a40692e58111939fffd6da0ce921f380d31e66da904",
+    ("tuple", True): "3a7e045ff815066c6913a9510f2313eee7f61538b272f684993967cc69d3b1a7",
+    ("verify", False): "7e9c99f0de17c42886989edffa212d9ac54d8418ef6d6b32dd712d5bf2632dc7",
+    ("verify", True): "880373313b4633c35f2cb68f35f8abd0219f94da9e6d31f9d626df0cc85bd31e",
+}
+_HEADER = re.compile(r'"header": ?\{[^}]*\}')
+
+
+@pytest.mark.parametrize("command, compact", sorted(STDOUT_SHA256))
+def test_document_stdout_pinned(capsys, command, compact):
+    h = hashlib.sha256()
+    for args in STDOUT_INPUTS[command]:
+        code, out, _ = run(capsys, *(["--json"] if compact else []), command, *args)
+        h.update(f"{code}:{_HEADER.sub('', out)}".encode())
+    assert h.hexdigest() == STDOUT_SHA256[command, compact]
 
 
 def test_verify_out_file(tmp_path, capsys):

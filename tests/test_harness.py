@@ -8,8 +8,12 @@ import pickle
 import subprocess
 import sys
 from dataclasses import fields, replace
+from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pelltuples import contfrac, harness, pellian
 from pelltuples.cli import main
@@ -310,3 +314,54 @@ def test_prop26_rechecks_only_proper_subrings(monkeypatch):
     assert run_claim("prop26", SweepConfig()).status == CONFIRMED
     assert len(ts) == 414
     assert all(t < n_sq for n_sq, t in ts)
+
+
+def _old_dump_json(doc, compact):
+    """The writer's oracle: dump_json as it was, a deep_dec copy through json.dumps."""
+    if compact:
+        return json.dumps(deep_dec(doc), sort_keys=True, separators=(",", ":"))
+    return json.dumps(deep_dec(doc), sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("claim_id", sorted(CLAIMS))
+def test_to_json_matches_deep_dec_path(claim_id):
+    report = run_claim(claim_id, SweepConfig())
+    report.elapsed = 0.1234567
+    for compact in (False, True):
+        doc = report.body()
+        doc["header"] = {"elapsed": 0.123457, "version": harness.__version__}
+        assert report.to_json(compact) == _old_dump_json(doc, compact), compact
+
+
+class _Pair(NamedTuple):
+    left: object
+    right: object
+
+
+_SCALARS = (st.integers() | st.integers(min_value=-10**40, max_value=10**40)
+            | st.booleans() | st.none() | st.floats() | st.text()
+            | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é 😀", ""]))
+# int, bool and str keys that stay distinct under str(): no str key spells an int or bool
+_KEYS = st.integers() | st.booleans() | st.text().filter(
+    lambda s: s not in ("True", "False") and not s.lstrip("-").isdigit())
+
+
+def _containers(children):
+    return (st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+            | st.builds(_Pair, children, children)
+            | st.dictionaries(_KEYS, children, max_size=4).filter(
+                lambda d: len({str(k) for k in d}) == len(d)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(_SCALARS, _containers, max_leaves=30), st.booleans())
+def test_dump_json_matches_deep_dec_path(doc, compact):
+    assert dump_json(doc, compact) == _old_dump_json(doc, compact)
+
+
+def test_dump_json_nests_deeply_and_rejects_what_json_cannot_hold():
+    doc = {"a": [(1, {2: [_Pair(-3, [])]}, {}), True, None, float("nan")]}  # depth 6
+    for compact in (False, True):
+        assert dump_json(doc, compact) == _old_dump_json(doc, compact)
+        with pytest.raises(TypeError):
+            dump_json({"x": [Fraction(1, 2)]}, compact)

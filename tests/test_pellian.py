@@ -803,6 +803,15 @@ def test_paper_check_matches_enumeration():
     assert solvable == 15  # p = 2, odd k, k/2 < l <= k
 
 
+def test_class_route_computes_the_class_bound_once(monkeypatch):
+    bounds = []
+    unit_bound = pellian._unit_bound
+    monkeypatch.setattr(pellian, "_unit_bound", lambda unit, n: bounds.append(n) or unit_bound(unit, n))
+    oc = solve_complete(PellianProblem(991, 10000019))
+    assert oc.method == "cf-classes" and bounds == [10000019]
+    assert oc.search_bound_used == unit_bound(pell_fundamental(991), 10000019)
+
+
 def test_paper_deciders_never_enumerate(monkeypatch):
     def no_enumeration(*args):
         raise AssertionError("solve_brute called")
