@@ -17,21 +17,22 @@ SMALL_TRIAL_BOUND = 1 << 10
 #: below this bound the Miller-Rabin witness set is provably exhaustive
 DETERMINISTIC_PRIMALITY_BOUND = 1 << 64
 
-_WITNESSES_BELOW_2_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-#: (B, k): the first k bases decide every n < B, the least strong pseudoprime
-#: to all k of them; to all twelve it lies above 2^64
-_WITNESS_PREFIXES = ((2_047, 1), (1_373_653, 2), (25_326_001, 3), (3_215_031_751, 4),
-                     (2_152_302_898_747, 5), (3_474_749_660_383, 6), (341_550_071_728_321, 7),
-                     (3_825_123_056_546_413_051, 9), (DETERMINISTIC_PRIMALITY_BOUND, 12))
-
-# for n >= 2**64 we fall back to strong-probable-prime tests with the first
-# forty primes as bases
-_WITNESSES_LARGE = (
+#: the first forty primes: is_prime trial-divides by the first twelve, which
+#: settles every n < 41^2, and takes its Miller-Rabin bases from the front
+_PRIMES_40 = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
     67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137,
     139, 149, 151, 157, 163, 167, 173,
 )
+_TRIAL_DIVISORS = _PRIMES_40[:12]
+
+#: (B, bases): the first k primes decide every n < B, the least strong
+#: pseudoprime to all k of them; to all twelve it lies above 2^64.  For
+#: n >= 2^64 all forty are strong-probable-prime bases.
+_WITNESS_PREFIXES = tuple((b, _PRIMES_40[:k]) for b, k in (
+    (2_047, 1), (1_373_653, 2), (25_326_001, 3), (3_215_031_751, 4),
+    (2_152_302_898_747, 5), (3_474_749_660_383, 6), (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9), (DETERMINISTIC_PRIMALITY_BOUND, 12)))
 
 
 def is_perfect_square(n: int) -> int | None:
@@ -66,13 +67,12 @@ def is_prime(n: int) -> bool:
     """
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _TRIAL_DIVISORS:
         if n % p == 0:
             return n == p
     if n < 41 * 41:  # no prime factor <= 37, so none at all
         return True
-    witnesses = next((_WITNESSES_BELOW_2_64[:k] for bound, k in _WITNESS_PREFIXES if n < bound),
-                     _WITNESSES_LARGE)
+    witnesses = next((bases for bound, bases in _WITNESS_PREFIXES if n < bound), _PRIMES_40)
     return all(_strong_probable_prime(n, a) for a in witnesses)
 
 

@@ -14,7 +14,7 @@ from dataclasses import fields
 from itertools import islice
 
 from .contfrac import QuadIrr, convergents, expand
-from .harness import CLAIM_OPTIONS, CLAIMS, SweepConfig, dump_json, run_claim
+from .harness import CLAIM_OPTIONS, CLAIMS, CONFIRMED, SweepConfig, dump_json, run_claim
 from .pellian import PellianProblem, solve_complete
 from .zring import RingElem, check_tuple, find_admissible_pairs
 
@@ -93,7 +93,8 @@ def cmd_verify(args) -> int:
         raise ValueError(f"{args.claim_id} does not read "
                          + ", ".join(_option(name) for name in unread))
     report = run_claim(args.claim_id, SweepConfig(**given))
-    text = report.to_json(compact=args.json)
+    # under --jsonl the report's text is wanted only for --out
+    text = report.to_json(compact=args.json) if args.out or not args.jsonl else None
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -103,7 +104,7 @@ def cmd_verify(args) -> int:
         print(dump_json({"claim_id": report.claim_id, "status": report.status}, compact=True))
     else:
         print(text)
-    return 0 if report.status == "CONFIRMED" else 1
+    return 0 if report.status == CONFIRMED else 1
 
 
 def _option(name: str) -> str:

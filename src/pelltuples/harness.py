@@ -4,8 +4,9 @@ Each claim id maps to a sweep over exact computations; a report records
 per-case evidence with every integer serialized as a decimal string so
 arbitrarily large values survive JSON round-trips.  Reports are
 byte-deterministic for a fixed config (elapsed time lives in a separate
-header field).  That contract is `ClaimReport.body()`, copied by `deep_dec`;
-`dump_json` writes its text in one pass, making ints decimal strings as it goes.
+header field).  That contract is `ClaimReport.body()`.  `dump_json` writes
+every report's text in one pass: keys sorted as strings, an int (not a bool)
+as its decimal string, a tuple as an array; `body()` is that text read back.
 
 A claim's options are its keyword-only parameters, with their defaults,
 and nothing else declares them: `CLAIM_OPTIONS` is read off each claim's
@@ -66,8 +67,8 @@ class ClaimReport:
                 "config": self.config, "evidence": self.evidence}
 
     def body(self) -> dict:
-        """Deterministic part of the report (no timings)."""
-        return deep_dec(self._raw_body())
+        """Deterministic part of the report (no timings): its JSON text, read back."""
+        return json.loads(dump_json(self._raw_body(), True))
 
     def to_json(self, compact: bool = False) -> str:
         header = {"elapsed": round(self.elapsed, 6), "version": __version__}
@@ -75,16 +76,20 @@ class ClaimReport:
 
 
 def dump_json(doc, compact: bool) -> str:
-    """The JSON text of every report and CLI document, written in one pass: the
-    bytes of json.dumps(deep_dec(doc), sort_keys=True), compact or indented by 2."""
+    """The JSON text of every report and CLI document, written in one pass,
+    compact or indented by 2: keys made str and sorted, each int that is not a
+    bool as its decimal string, each tuple as an array."""
     out: list[str] = []
     _write_json(doc, out, "" if compact else "\n")
     return "".join(out)
 
 
 def _write_json(obj, out: list[str], nl: str) -> None:
-    """Append the JSON text of deep_dec(obj) to `out`; `nl` is "" (compact) or
-    the line break and indent of obj's own line."""
+    """Append the JSON text of obj to `out`: an int that is not a bool as its
+    decimal string, a list or tuple (NamedTuples too) as an array, a dict with
+    its keys made str and sorted, a float or anything else as json.dumps has it
+    (so what JSON cannot hold raises TypeError).  `nl` is "" (compact) or the
+    line break and indent of obj's own line."""
     if isinstance(obj, str):
         out.append(_json_str(obj))
     elif obj is None or obj is True or obj is False:
@@ -112,19 +117,6 @@ def _write_json(obj, out: list[str], nl: str) -> None:
             out[-1] = nl + "]" if obj else "[]"
     else:  # a float, or a TypeError for what JSON cannot hold
         out.append(json.dumps(obj))
-
-
-def deep_dec(obj):
-    """Recursively turn ints into decimal strings for JSON safety."""
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, (list, tuple)):
-        return [deep_dec(v) for v in obj]
-    if isinstance(obj, dict):
-        return {str(k): deep_dec(v) for k, v in obj.items()}
-    return obj
 
 
 def _map_ordered(fn, items, workers: int):

@@ -248,6 +248,18 @@ def test_verify_out_file(tmp_path, capsys):
     assert doc["status"] == "CONFIRMED"
 
 
+def test_verify_renders_the_report_only_to_print_or_write_it(tmp_path, capsys, monkeypatch):
+    calls = []
+    to_json = harness.ClaimReport.to_json
+    monkeypatch.setattr(harness.ClaimReport, "to_json",
+                        lambda self, compact=False: calls.append(compact) or to_json(self, compact))
+    target = str(tmp_path / "report.json")
+    for argv, want in ((["--jsonl"], 0), (["--jsonl", "--out", target], 1), ([], 1)):
+        calls.clear()
+        code, _, _ = run(capsys, "verify", "tm1", *argv)
+        assert code == 0 and len(calls) == want, (argv, calls)
+
+
 def test_report_body_is_deterministic():
     cfg = SweepConfig(limit=50, samples=100, seed=3)
     a = run_claim("dubo", cfg)

@@ -24,7 +24,6 @@ from pelltuples.harness import (
     VIOLATED,
     ClaimReport,
     SweepConfig,
-    deep_dec,
     dump_json,
     fifumi_b_values,
     odd_primes_upto,
@@ -38,11 +37,13 @@ def test_odd_primes_upto():
 
 
 def test_deep_dec():
-    assert deep_dec(5) == "5"
-    assert deep_dec(True) is True
-    assert deep_dec({"a": [1, (2, 3)]}) == {"a": ["1", ["2", "3"]]}
-    assert deep_dec({"a": [1, 2]}) == {"a": ["1", "2"]}
-    assert deep_dec("x") == "x"
+    # the writer's own rules: a bool stays a bool, an int becomes a string, a
+    # tuple an array, and a str stays as it is
+    assert dump_json(5, True) == '"5"'
+    assert dump_json(True, True) == "true"
+    assert dump_json({"a": [1, (2, 3)]}, True) == '{"a":["1",["2","3"]]}'
+    assert dump_json({"a": [1, 2]}, False) == '{\n  "a": [\n    "1",\n    "2"\n  ]\n}'
+    assert dump_json("x", True) == '"x"'
 
 
 def test_fifumi_b_values():
@@ -316,21 +317,36 @@ def test_prop26_rechecks_only_proper_subrings(monkeypatch):
     assert all(t < n_sq for n_sq, t in ts)
 
 
+def _deep_dec(obj):
+    """The report format stated apart from the writer: a copy of obj with every
+    int that is not a bool as its decimal string, tuples as lists, keys as str."""
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, (list, tuple)):
+        return [_deep_dec(v) for v in obj]
+    if isinstance(obj, dict):
+        return {str(k): _deep_dec(v) for k, v in obj.items()}
+    return obj
+
+
 def _old_dump_json(doc, compact):
-    """The writer's oracle: dump_json as it was, a deep_dec copy through json.dumps."""
+    """The writer's oracle: a _deep_dec copy through json.dumps."""
     if compact:
-        return json.dumps(deep_dec(doc), sort_keys=True, separators=(",", ":"))
-    return json.dumps(deep_dec(doc), sort_keys=True, indent=2)
+        return json.dumps(_deep_dec(doc), sort_keys=True, separators=(",", ":"))
+    return json.dumps(_deep_dec(doc), sort_keys=True, indent=2)
 
 
 @pytest.mark.parametrize("claim_id", sorted(CLAIMS))
 def test_to_json_matches_deep_dec_path(claim_id):
     report = run_claim(claim_id, SweepConfig())
     report.elapsed = 0.1234567
+    # the raw body, so that the oracle and not the writer converts the ints
+    doc = {**report._raw_body(), "header": {"elapsed": 0.123457, "version": harness.__version__}}
     for compact in (False, True):
-        doc = report.body()
-        doc["header"] = {"elapsed": 0.123457, "version": harness.__version__}
         assert report.to_json(compact) == _old_dump_json(doc, compact), compact
+    assert report.body() == _deep_dec(report._raw_body())
 
 
 class _Pair(NamedTuple):
