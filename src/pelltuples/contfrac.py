@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import cycle, islice
 from typing import NamedTuple
 
@@ -52,23 +51,12 @@ class QuadIrr:
         """Sign of self - num/den, exactly."""
         if den == 0:
             raise ValueError("zero denominator")
-        # self - num/den = (A + B*sqrt(d)) / (t*den), A = s*den - num*t, B = den
+        # self - num/den = (a + den*sqrt(d)) / (t*den) with a = s*den - num*t;
+        # a + den*sqrt(d) is never zero (d is not a square), and it has den's
+        # sign unless a has the other sign and a^2 > den^2*d
         a = self.s * den - num * self.t
-        b = den
-        q = self.t * den
-        return _sign_a_plus_b_sqrt(a, b, self.d) * (1 if q > 0 else -1)
-
-
-def _sign_a_plus_b_sqrt(a: int, b: int, d: int) -> int:
-    """Sign of a + b*sqrt(d) with d non-square (so never zero unless a=b=0)."""
-    if b == 0:
-        return (a > 0) - (a < 0)
-    if b > 0:
-        if a >= 0:
-            return 1
-        lhs, rhs = b * b * d, a * a
-        return (lhs > rhs) - (lhs < rhs)
-    return -_sign_a_plus_b_sqrt(-a, -b, d)
+        sign = den if a * den >= 0 or den * den * self.d > a * a else a
+        return 1 if sign * self.t * den > 0 else -1
 
 
 @dataclass
@@ -201,19 +189,22 @@ def worley_candidates(exp: CFExpansion, c, m_max: int) -> list[WorleyCandidate]:
     """All (m, r, u, sign) with -1 <= m <= m_max, r,u >= 0 and r*u < 2c, over
     the convergents of the expansion exp.
 
-    c is exact (int or Fraction).  Candidates where r or u is zero are
-    capped at the largest integer below 2c (their scalings are redundant
-    multiples of convergents); gcd filtering is left to the caller.
+    c is exact, an int or a Fraction, and read as num/den so that the bound
+    is tested on integers; a float or str raises TypeError.  Candidates where
+    r or u is zero are capped at the largest integer below 2c (their scalings
+    are redundant multiples of convergents); gcd filtering is left to the
+    caller.
     """
-    c = Fraction(c)
-    if c <= 0:
+    try:
+        num, den = c.numerator, c.denominator
+    except AttributeError:
+        raise TypeError(f"c must be an int or Fraction, not {c!r}") from None
+    if num <= 0:
         raise ValueError("c must be positive")
     if m_max < -1:
         raise ValueError("m_max must be >= -1")
-    twice = 2 * c
-    # largest integer strictly below 2c
-    lt = (twice.numerator - 1) // twice.denominator
-    cap = max(lt, 1)
+    # the largest integer strictly below 2c, and at least 1
+    cap = max((2 * num - 1) // den, 1)
     # (p_m, q_m) for m = -1 .. m_max + 1
     conv = [(1, 0), *islice(convergents(a for a, _, _ in exp.terms()), m_max + 2)]
     out: list[WorleyCandidate] = []
@@ -222,7 +213,7 @@ def worley_candidates(exp: CFExpansion, c, m_max: int) -> list[WorleyCandidate]:
             for u in range(cap + 1):
                 if r == 0 and u == 0:
                     continue
-                if Fraction(r * u) >= twice:
+                if r * u * den >= 2 * num:  # r*u >= 2c
                     continue
                 signs = (1,) if u == 0 else (1, -1)
                 for sg in signs:

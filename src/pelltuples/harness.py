@@ -22,7 +22,6 @@ import os
 import random
 import time
 from dataclasses import dataclass, field, make_dataclass
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 
 from . import __version__
@@ -240,7 +239,7 @@ def claim_dubo(*, samples: int = 500, seed: int = 0) -> ClaimReport:
     return _sampled_claim("dubo", _dubo_case, samples, seed)
 
 
-def _worley_good_approximations(alpha: QuadIrr, c: Fraction, b_max: int):
+def _worley_good_approximations(alpha: QuadIrr, c, b_max: int):
     """All coprime (a, b), 1 <= b <= b_max, with |alpha - a/b| < c/b^2 (exact)."""
     out = []
     for b in range(1, b_max + 1):
@@ -260,6 +259,9 @@ def _worley_good_approximations(alpha: QuadIrr, c: Fraction, b_max: int):
 
 
 def claim_worley(*, seed: int = 0) -> ClaimReport:
+    # imported here, not at the top: no other sweep loads fractions and decimal
+    from fractions import Fraction
+
     rng = random.Random(seed)
     irrationals = [QuadIrr(10, 0, 1), QuadIrr(2, 0, 1), QuadIrr(5, 1, 2)]
     for _ in range(7):

@@ -216,7 +216,7 @@ def prop_family(n: int, j: int, m: int) -> tuple[TupleReport, TupleReport]:
         w2 = n * (n * n + 1) * xj + sg * n * n * yj
         w3 = c + sg * n * xj * yj
         if d - 1 != w1 * w1 or b * d - 1 != w2 * w2 or -c * d - 1 != -t * w3 * w3:
-            raise AssertionError("closed-form witnesses violated")
+            raise RuntimeError("closed-form witnesses violated")
         rep = check_tuple(elems, -1, t)
         reports.append(rep)
     return reports[0], reports[1]

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from pelltuples import cli, harness, pellian
+from pelltuples import cli, harness, pellian, zring
 from pelltuples.cli import main, parse_elem
 from pelltuples.harness import CLAIM_OPTIONS, SweepConfig, dump_json, run_claim
 from pelltuples.zring import RingElem
@@ -124,12 +124,22 @@ def test_expansion_cap_is_usage_error(capsys):
 
 
 def test_fatal_cross_check_is_error_exit(capsys, monkeypatch):
-    # a class search that misses the p = 2 family's solutions contradicts the
-    # paper-family route: the CLI reports the contradiction, without a traceback
-    monkeypatch.setattr(pellian, "_cf_class_solutions", lambda d, n, factors: [])
-    code, out, err = run(capsys, "verify", "p2-prop")
-    assert code == 2 and not out
-    assert err.startswith("error: fatal discrepancy") and "Traceback" not in err
+    # a contradiction found by a cross-check is reported without a traceback
+    cases = [
+        # a class search that misses the p = 2 family's solutions contradicts
+        # the paper-family route
+        (pellian, "_cf_class_solutions", lambda d, n, factors: [], "p2-prop",
+         "fatal discrepancy"),
+        # a wrong Pell solution breaks prop_family's closed-form square witnesses
+        (zring, "_pell_xy", lambda n, j: (2, 3), "prop26",
+         "closed-form witnesses violated"),
+    ]
+    for module, name, fake, claim, message in cases:
+        with monkeypatch.context() as m:
+            m.setattr(module, name, fake)
+            code, out, err = run(capsys, "verify", claim)
+        assert code == 2 and not out, claim
+        assert err.startswith(f"error: {message}") and "Traceback" not in err
 
 
 def test_pell_rejects_square_d(capsys):

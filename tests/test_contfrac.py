@@ -81,6 +81,49 @@ def test_quadirr_normalizes_divisibility():
     assert alpha.compare_rational(4715, 10000) == -1
 
 
+def _sign_a_plus_b_sqrt(a, b, d):
+    """Sign of a + b*sqrt(d) with d non-square: the recursion compare_rational
+    used before its one integer test, kept as the oracle."""
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if b > 0:
+        if a >= 0:
+            return 1
+        lhs, rhs = b * b * d, a * a
+        return (lhs > rhs) - (lhs < rhs)
+    return -_sign_a_plus_b_sqrt(-a, -b, d)
+
+
+def test_compare_rational_matches_the_recursive_sign():
+    # seeded (d, s, t, num, den) with t and den of either sign; num/den is a
+    # random rational, one next to (s +- sqrt(d))/t, or a convergent of alpha
+    # (of sqrt(d) itself when s = 0, t = 1), where a = s*den - num*t has a^2
+    # within a few units of den^2*d and the magnitude test decides
+    rng = random.Random(30)
+    tight = 0
+    for i in range(3000):
+        d = rng.randrange(2, 2000)
+        if is_perfect_square(d) is not None:
+            continue
+        s, t = (0, 1) if i % 4 == 0 else (rng.randint(-50, 50), rng.randint(1, 30))
+        alpha = QuadIrr(d, s, rng.choice([-1, 1]) * t)
+        sg = rng.choice([-1, 1])
+        if i % 3 == 0:
+            num, den = rng.randint(-10**7, 10**7), sg * rng.randint(1, 10**6)
+        elif i % 3 == 1:
+            den = sg * rng.randint(1, 10**6)
+            root = rng.choice([-1, 1]) * isqrt(den * den * alpha.d)
+            num = (alpha.s * den + root) // alpha.t + rng.randint(-2, 2)
+        else:
+            conv = list(islice(convergents(a for a, _, _ in expand(alpha).terms()), 12))
+            num, den = (sg * x for x in rng.choice(conv[1:]))
+        a = alpha.s * den - num * alpha.t
+        tight += abs(a * a - den * den * alpha.d) <= 4
+        old = _sign_a_plus_b_sqrt(a, den, alpha.d) * (1 if alpha.t * den > 0 else -1)
+        assert alpha.compare_rational(num, den) == old, (alpha, num, den)
+    assert tight >= 50
+
+
 def test_expand_sqrt10():
     e = expand(QuadIrr(10, 0, 1))
     assert e.quotients == [3, 6]
@@ -363,6 +406,17 @@ def test_worley_candidates_index_domain():
     cands = worley_candidates(expand(QuadIrr(10, 0, 1)), 1, -1)
     assert {w.m for w in cands} == {-1}
     assert (-1, 1, 1, -1, 2, 1) in [(w.m, w.r, w.u, w.sign, w.a, w.b) for w in cands]
+
+
+def test_worley_candidates_take_exact_c_only():
+    # c is an int or a Fraction; a float or str is refused, not converted
+    exp = expand(QuadIrr(10, 0, 1))
+    for c in (1.5, "3/2"):
+        with pytest.raises(TypeError, match=f"not {c!r}"):
+            worley_candidates(exp, c, 0)
+    for c in (0, Fraction(-1, 2)):
+        with pytest.raises(ValueError, match="positive"):
+            worley_candidates(exp, c, 0)
 
 
 def test_lemma_db_randoms():

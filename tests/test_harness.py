@@ -161,6 +161,25 @@ def test_pool_modules_load_only_when_a_sweep_runs_a_pool():
     assert json.loads(out) == [[], CONFIRMED, True]
 
 
+def test_fraction_modules_load_only_when_worley_runs():
+    # a fresh interpreter: importing the package and its CLI leaves fractions
+    # and the modules it brings unloaded; the worley sweep, the one claim with
+    # a rational value, loads them
+    code = ("import json, sys\n"
+            "exact = ['fractions', 'decimal', 'numbers']\n"
+            "import pelltuples, pelltuples.cli\n"
+            "cold = [m for m in exact if m in sys.modules]\n"
+            "from pelltuples.harness import SweepConfig, run_claim\n"
+            "rep = run_claim('worley', SweepConfig())\n"
+            "print(json.dumps([cold, rep.status,"
+            " [m for m in exact if m in sys.modules]]))\n")
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert json.loads(out) == [[], CONFIRMED, ["fractions", "decimal", "numbers"]]
+
+
 def test_claim_options_are_sweep_fields():
     # a claim's options are its keyword parameters; each is a SweepConfig field
     # with an int default, and no field is a knob that no claim reads
