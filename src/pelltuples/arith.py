@@ -14,6 +14,9 @@ FACTOR_TRIAL_BOUND = 10**7
 #: factorize() tests the cofactor for primality once trial division passes this
 SMALL_TRIAL_BOUND = 1 << 10
 
+#: odd_primes_upto() sieves at most this far: n // 2 bytes of flags, 50 MB
+SIEVE_LIMIT = 10**8
+
 #: below this bound the Miller-Rabin witness set is provably exhaustive
 DETERMINISTIC_PRIMALITY_BOUND = 1 << 64
 
@@ -78,7 +81,11 @@ def is_prime(n: int) -> bool:
 
 def odd_primes_upto(n: int) -> list[int]:
     """The odd primes p <= n, increasing, by a sieve of Eratosthenes over the
-    odd numbers alone: one byte per odd number, n // 2 bytes in all."""
+    odd numbers alone: one byte per odd number, n // 2 bytes in all.
+    ValueError above SIEVE_LIMIT, before anything is allocated."""
+    if n > SIEVE_LIMIT:
+        raise ValueError(f"sieving the odd primes up to {n} takes {n // 2:,} bytes; "
+                         f"n must be <= {SIEVE_LIMIT:,}")
     # byte i stands for 2i + 1, so the odd multiples of p from p^2 on lie p bytes apart
     size = (n + 1) // 2
     flags = bytearray([1]) * size

@@ -3,7 +3,8 @@
 Subcommands: cf, pell, tuple, pairs, verify.  All output is JSON with big
 integers rendered as decimal strings.  Exit codes: 0 = success / claim
 confirmed, 1 = claim violated, 2 = usage, input or output-file error, or a
-contradiction found by the package's own cross-checks (a RuntimeError).
+contradiction found by the package's own cross-checks (a RuntimeError), or
+a MemoryError.
 """
 from __future__ import annotations
 
@@ -170,7 +171,7 @@ def main(argv=None) -> int:
     args = _parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, RuntimeError, OSError) as exc:
+    except (ValueError, KeyError, RuntimeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -26,7 +26,7 @@ NONE = "NONE"
 UNDECIDED_BY_PAPER = "UNDECIDED_BY_PAPER"
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@dataclass(slots=True, unsafe_hash=True, init=False)
 class RingElem:
     """re + im*sqrt(-t); t = 0 means a plain integer (im must be 0).
 
@@ -34,18 +34,19 @@ class RingElem:
     never mutated after construction, so as_elem and the reports share
     instances instead of copying them.  It is slotted rather than frozen
     because a frozen dataclass pays an object.__setattr__ per field each
-    time one is built.
+    time one is built, and validates in __init__ to spare a __post_init__ call.
     """
 
     re: int
     im: int
     t: int
 
-    def __post_init__(self):
-        if self.t < 0:
+    def __init__(self, re: int, im: int, t: int):
+        if t < 0:
             raise ValueError("t must be >= 0")
-        if self.t == 0 and self.im != 0:
+        if t == 0 and im != 0:
             raise ValueError("t=0 embeds plain integers only")
+        self.re, self.im, self.t = re, im, t
 
     def __str__(self):
         if self.im == 0:
@@ -59,6 +60,8 @@ def as_elem(v, t: int) -> RingElem:
     A value that is not an integer (a float, str or Fraction) raises
     TypeError instead of being truncated.
     """
+    if type(v) is int:
+        return RingElem(v, 0, t)
     if isinstance(v, RingElem):
         if v.t == t:
             return v
@@ -106,7 +109,7 @@ def sqrt_in_ring(z: RingElem) -> list[RingElem]:
     return [RingElem(*root, z.t)] if root is not None else []
 
 
-@dataclass
+@dataclass(slots=True)
 class TupleReport:
     """Verification record for a D(n)-tuple candidate."""
 
@@ -120,28 +123,42 @@ class TupleReport:
     note: str = ""
 
 
+#: the pairs (i, j), i < j, in check order, of each tuple length checked so
+#: far: every report of one length keys its witnesses by the same tuples.
+#: Tuples longer than _PAIR_KEYS_MAX_LEN get their own, so the table stays small.
+_PAIR_KEYS: dict[int, tuple[tuple[int, int], ...]] = {}
+_PAIR_KEYS_MAX_LEN = 16
+
+
 def check_tuple(elements, n: int, t: int = 0) -> TupleReport:
     """Verify that every pairwise product plus n is a square in Z[sqrt(-t)].
 
     Elements may be ints or RingElems sharing the ring's t.  Zero or
     duplicate elements are rejected on their integer parts (re, im), which
     all share t.  Each pair value is formed on those parts and its root
-    taken by _root; only witnesses become RingElems.
+    taken by _root.  A check allocates only what its report keeps: the
+    elements, one RingElem witness per square pair, and the (i, j) keys,
+    which every tuple of one length shares.
     """
-    elems = tuple(as_elem(e, t) for e in elements)
+    elems = tuple([as_elem(e, t) for e in elements])
     parts = [(e.re, e.im) for e in elems]
     if (0, 0) in parts:
         raise ValueError("tuple elements must be nonzero")
     if len(set(parts)) != len(parts):
         raise ValueError("tuple elements must be pairwise distinct")
+    keys = _PAIR_KEYS.get(len(parts))
+    if keys is None:
+        keys = tuple(combinations(range(len(parts)), 2))
+        if len(parts) <= _PAIR_KEYS_MAX_LEN:
+            _PAIR_KEYS[len(parts)] = keys
     witnesses: dict[tuple[int, int], RingElem] = {}
-    for i, (a, b) in enumerate(parts):
-        for j in range(i + 1, len(parts)):
-            c, d = parts[j]
-            root = _root(a * c - t * b * d + n, a * d + b * c, t)
-            if root is None:
-                return TupleReport(elems, n, t, False, witnesses, (i, j))
-            witnesses[(i, j)] = RingElem(*root, t)
+    for key in keys:
+        (a, b), (c, d) = parts[key[0]], parts[key[1]]
+        root = _root(a * c - t * b * d + n, a * d + b * c, t)
+        if root is None:
+            return TupleReport(elems, n, t, False, witnesses, key)
+        x, y = root
+        witnesses[key] = RingElem(x, y, t)
     return TupleReport(elems, n, t, True, witnesses)
 
 

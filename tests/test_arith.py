@@ -3,6 +3,7 @@
 import math
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from pelltuples import arith
 from pelltuples.arith import (
     FACTOR_TRIAL_BOUND,
+    SIEVE_LIMIT,
     factorize,
     is_perfect_square,
     is_prime,
@@ -135,6 +137,18 @@ def test_odd_primes_upto_matches_is_prime():
     for n in range(-2, 2001):
         assert odd_primes_upto(n) == [p for p in primes if p <= n], n
     assert [odd_primes_upto(n) for n in (0, 1, 2, 3)] == [[], [], [], [3]]
+
+
+def test_odd_primes_upto_refuses_a_sieve_past_its_limit_before_allocating():
+    for n, nbytes in ((10**12, "500,000,000,000"), (SIEVE_LIMIT + 1, "50,000,000")):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"takes {nbytes} bytes; n must be <= 100,000,000"):
+                odd_primes_upto(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, (n, peak)
 
 
 def test_is_prime_known_values():

@@ -142,6 +142,24 @@ def test_fatal_cross_check_is_error_exit(capsys, monkeypatch):
         assert err.startswith(f"error: {message}") and "Traceback" not in err
 
 
+def test_memory_limits_are_error_exits(capsys, monkeypatch):
+    # a prime sieve past arith.SIEVE_LIMIT is refused before it allocates
+    for argv in (("pairs", "--limit", "1000000000000"),
+                 ("verify", "pairs", "--limit", "1000000000000"),
+                 ("verify", "tm1", "--p-max", "1000000000000")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out, argv
+        assert err.startswith("error: sieving the odd primes up to 1000000000000 takes "
+                              "500,000,000,000 bytes") and "Traceback" not in err
+
+    def exhausted(limit):
+        raise MemoryError("cannot allocate the sieve")
+
+    monkeypatch.setattr(cli, "find_admissible_pairs", exhausted)
+    code, out, err = run(capsys, "pairs", "--limit", "50")
+    assert (code, out, err) == (2, "", "error: cannot allocate the sieve\n")
+
+
 def test_pell_rejects_square_d(capsys):
     code, _, err = run(capsys, "pell", "16", "3")
     assert code == 2

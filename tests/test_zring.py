@@ -1,12 +1,14 @@
 """Arithmetic in Z[sqrt(-t)], tuple verification, and the quadruple families."""
 
 import copy
+import dataclasses
 import pickle
 import random
 import time
 from dataclasses import dataclass
+from enum import IntEnum
 from fractions import Fraction
-from itertools import islice
+from itertools import combinations, islice
 
 import pytest
 
@@ -116,8 +118,17 @@ def test_as_elem():
         as_elem(RingElem(1, 2, 4), 9)
 
 
+class _Small(IntEnum):
+    TWO = 2
+
+
 def test_as_elem_takes_integers_only():
-    assert as_elem(True, 3) == RingElem(1, 0, 3)  # bool is an int subclass
+    # bool and IntEnum are int subclasses; their parts become plain ints
+    for v, want in ((True, 1), (_Small.TWO, 2), (7, 7)):
+        e = as_elem(v, 3)
+        assert e == RingElem(want, 0, 3) and type(e.re) is int and type(e.im) is int
+    r = check_tuple((True, _Small.TWO, 5), -1, 1)  # 1, 4 and 9
+    assert r.verified and [type(e.re) for e in r.elements] == [int, int, int]
     for v in (3.5, 7.0, "7", Fraction(7), Fraction(7, 2), None):
         with pytest.raises(TypeError):
             as_elem(v, 2)
@@ -363,23 +374,88 @@ def test_check_tuple_matches_per_pair_route():
         else:
             kinds[want[3]] += 1
     assert kinds[True] >= 600 and kinds[False] >= 600 and kinds["ValueError"] >= 10, kinds
-    # every prop_family branch, as integers in each subring t = m^2 with m | n,
-    # and as the RingElems prop_family returns in Z[sqrt(-n^2)]
+
+
+def test_check_tuple_matches_per_pair_route_on_prop_traffic():
+    # the ring-tuples workload's calls: every prop_family branch, as integers
+    # in each subring t = m^2 with m | n, and as the RingElems prop_family
+    # returns in Z[sqrt(-n^2)].  Each verified quadruple {1, b, -c, d} also
+    # gets a failing pair planted first (1*(b+1) - 1 = n^2 + 1), in the
+    # middle (1*(d+1) - 1 = d = w1^2 + 1) and last (-c_j * -c_(j+1) - 1, no
+    # square for any n, j here; {1, b, -c_(j+1)} is a D(-1)-triple)
     checked = 0
+    planted = {(0, 1): 0, (0, 3): 0, (2, 3): 0}
     for n in range(1, 13):
+        ms = [m for m in range(1, n + 1) if n % m == 0]
         for j in range(1, 5):
+            c_next = -prop_family(n, j + 1, 1)[0].elements[2].re
+            cases = []
             for rep in prop_family(n, j, 1):
-                ints = [e.re for e in rep.elements]
-                cases = [(rep.elements, n * n)]
-                cases += [(ints, m * m) for m in range(1, n + 1) if n % m == 0]
-                for elements, t in cases:
-                    want = _outcome(_check_tuple_per_pair, elements, -1, t)
-                    assert _outcome(check_tuple, elements, -1, t) == want, (n, j, t)
-                    if want[0] == "ValueError":
-                        assert rep.degenerate and want[1] in _REJECTIONS, want
-                    else:
-                        checked += want[3]
+                one, b, minus_c, d = ints = [e.re for e in rep.elements]
+                cases += [(rep.elements, n * n, rep, None)]
+                cases += [(ints, m * m, rep, None) for m in ms]
+                if rep.verified:
+                    cases += [(elements, m * m, rep, pair) for m in ms for elements, pair in (
+                        ((one, b + 1, minus_c, d), (0, 1)),
+                        ((one, b, minus_c, d + 1), (0, 3)),
+                        ((one, b, minus_c, -c_next), (2, 3)))]
+            for elements, t, rep, pair in cases:
+                want = _outcome(_check_tuple_per_pair, elements, -1, t)
+                assert _outcome(check_tuple, elements, -1, t) == want, (elements, t)
+                if want[0] == "ValueError":
+                    assert rep.degenerate and pair is None and want[1] in _REJECTIONS, want
+                elif pair is not None:
+                    assert not want[3] and want[5] == pair, (elements, t, want[5])
+                    planted[pair] += 1
+                else:
+                    checked += want[3]
     assert checked > 300
+    assert min(planted.values()) > 150, planted
+
+
+def test_tuple_report_is_a_slotted_value():
+    for r in (check_tuple((1, 3, 8, 120), 1), check_tuple((1, 2, 5), 1),
+              prop_family(1, 1, 1)[0]):
+        assert not hasattr(r, "__dict__")
+        for twin in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r)),
+                     dataclasses.replace(r)):
+            assert type(twin) is TupleReport and twin == r
+        assert dataclasses.replace(r, note="other") != r
+
+
+def test_reports_of_one_length_share_their_pair_keys(monkeypatch):
+    monkeypatch.setattr(zring, "_PAIR_KEYS", {})
+    a = check_tuple((1, 3, 8, 120), 1)
+    b = check_tuple((1, 5, -3, 65), -1, t=4)
+    assert list(a.witnesses) == list(combinations(range(4), 2)) == list(b.witnesses)
+    assert all(ka is kb for ka, kb in zip(a.witnesses, b.witnesses))
+    failed = check_tuple((1, 3, 8, 121), 1)  # 1*121 + 1 = 122
+    assert failed.failing_pair == (0, 3) and failed.failing_pair is list(a.witnesses)[2]
+    assert all(ka is kf for ka, kf in zip(a.witnesses, failed.witnesses))
+
+
+def test_pair_keys_hold_one_entry_per_tuple_length(monkeypatch):
+    monkeypatch.setattr(zring, "_PAIR_KEYS", {})
+    for k in range(2, 6):
+        check_tuple(range(1, k + 1), -1, 1)
+    assert sorted(zring._PAIR_KEYS) == [2, 3, 4, 5]
+    rng = random.Random(31)
+    for _ in range(1000):
+        t = rng.choice(_RING_TS)
+        elements, n = _random_tuple(rng, t)
+        try:
+            check_tuple(elements, n, t)
+        except ValueError:
+            pass
+    assert sorted(zring._PAIR_KEYS) == [2, 3, 4, 5]
+    for k, keys in zring._PAIR_KEYS.items():
+        assert keys == tuple(combinations(range(k), 2))
+    # a tuple longer than the table's bound gets keys of its own; squares
+    # form a D(0)-tuple, so every pair is walked
+    longest = zring._PAIR_KEYS_MAX_LEN
+    for k in (longest, longest + 1):
+        assert check_tuple([i * i for i in range(1, k + 1)], 0, 1).verified
+        assert (k in zring._PAIR_KEYS) == (k == longest)
 
 
 def test_lemma3_extension_examples():
