@@ -11,9 +11,10 @@ which stays in exact integers as long as t | d - s^2.  The expansion is
 periodic, and purely periodic from its first reduced complete quotient on
 (Galois), so the period is the run from that state to its first return.
 `walk` is the one copy of this recurrence and `period_start` the one finder
-of where its period opens: `expand` records the rows of one period,
-`CFExpansion.terms` repeats them past the period, and `convergents` turns
-any partial quotients into (p_m, q_m), for the Pell unit and for the class
+of where its period opens: `expand` records the rows of one period, and
+`CFExpansion.terms` repeats them past the period.  `convergents` turns any
+partial quotients into (p_m, q_m) one by one, and `last_convergents` into
+the last two of them in one plain loop, for the Pell unit and for the class
 search's hit alike.
 """
 from __future__ import annotations
@@ -148,6 +149,16 @@ def convergents(quotients: Iterable[int]) -> Iterator[tuple[int, int]]:
         yield p, q
 
 
+def last_convergents(quotients: Iterable[int]) -> tuple[int, int, int, int]:
+    """(p_{m-1}, q_{m-1}, p_m, q_m) for [a_0; a_1, ..., a_m], the last two
+    convergents by one plain loop; (p_{-2}, q_{-2}, p_{-1}, q_{-1}) =
+    (0, 1, 1, 0) for no quotients."""
+    p0, q0, p, q = 0, 1, 1, 0
+    for a in quotients:
+        p0, q0, p, q = p, q, a * p + p0, a * q + q0
+    return p0, q0, p, q
+
+
 def lemma_db_check(alpha: int, beta: int, n: int, r: int, u: int) -> int:
     """Recompute the identity's left side from convergents and assert equality.
 
@@ -167,7 +178,7 @@ def _lemma_db_sides(alpha: int, beta: int, exp: CFExpansion, n: int, r: int, u: 
     """lemma_db_check's check and value, given exp, the expansion of
     sqrt(alpha*beta)/beta, for inputs that lemma_db_check accepts."""
     rows = list(islice(exp.terms(), n + 2))
-    (pn, qn), (pn1, qn1) = list(convergents(a for a, _, _ in rows))[n:]
+    pn, qn, pn1, qn1 = last_convergents(a for a, _, _ in rows)
     lhs = alpha * (r * qn1 + u * qn) ** 2 - beta * (r * pn1 + u * pn) ** 2
     (_, _, t1), (_, s2, t2) = rows[n:]
     rhs = (-1) ** n * (u * u * t1 + 2 * r * u * s2 - r * r * t2)

@@ -4,7 +4,11 @@ Two complete methods are available and cross-checked:
 
 * bounded enumeration of y up to the fundamental-solution bound derived
   from the Pell unit, while that bound is at most ENUM_BOUND_LIMIT, and
-* the Lagrange-Matthews-Mollin class search above it: one pass over the
+* the Lagrange-Matthews-Mollin class search above it (K. Matthews,
+  Expositiones Math. 18, 2000), which solve_complete first settles as
+  UNSOLVABLE when an odd prime q <= SMALL_TRIAL_BOUND divides D and N is
+  a non-residue mod q (_local_obstruction; the certificate is
+  {"modulus": q}), before it factorizes N.  Otherwise one pass over the
   prime powers p^e of N builds every split f^2 | N with the roots z of
   z^2 = D (mod |N/f^2|), lifting each p once to its roots mod p^j for all
   j <= e and joining those mod p^(e-2h) by CRT as f takes p^h; then for
@@ -15,12 +19,12 @@ Two complete methods are available and cross-checked:
   (J. P. Robertson, "Solving the generalized Pell equation x^2 - Dy^2 = N",
   2004), makes step i a solution exactly when (-1)^(i+1) * t_{i+1} is the
   sign of N/f^2.  The walk stops at its first hit, where the convergent
-  (p_i, q_i) is built once from its rows.  One hit per root
-  suffices: every hit of root z has G = -z*B (mod Q_0), so by Nagell's
-  criterion any two of them differ by a unit of norm 1 and lie in one
-  class; and root Q_0 - z gives the conjugate classes, which the class
-  representative merges.  The Pell unit comes from half the period of
-  sqrt(D), a palindrome.
+  (p_i, q_i) is built once from its rows by contfrac.last_convergents.
+  One hit per root suffices: every hit of root z has G = -z*B (mod Q_0),
+  so by Nagell's criterion any two of them differ by a unit of norm 1 and
+  lie in one class; and root Q_0 - z gives the conjugate classes, which
+  the class representative merges.  The Pell unit comes from half the
+  period of sqrt(D), a palindrome, by the same contfrac.last_convergents.
 
 _positive_solutions streams every positive solution in increasing y from one
 solution per class, by the Pell unit.  The paper's Case 2 residue check is
@@ -42,20 +46,20 @@ the factorization of |N| from its caller: solve_complete factorizes, while
 the paper's searches of N = +-p^j pass {p: j}.  Walks are memoized per
 (D, z, signed Q_0), so a search of p^j reuses the walks of p^(j-2), p^(j-4),
 ...  Only factorize() and walk()'s 100,000-term cap limit the class search,
-and both raise.
+and both raise; a query that _local_obstruction settles never factorizes N.
 """
 from __future__ import annotations
 
 import heapq
 import itertools
 import math
-from collections import deque
 from collections.abc import Iterator
 from functools import lru_cache
 from typing import NamedTuple
 
-from .arith import factorize, is_perfect_square, is_prime, isqrt
-from .contfrac import convergents, period_start, walk
+from .arith import (SMALL_TRIAL_BOUND, factorize, is_perfect_square, is_prime, isqrt,
+                    odd_primes_upto)
+from .contfrac import last_convergents, period_start, walk
 
 SOLVABLE = "SOLVABLE"
 UNSOLVABLE = "UNSOLVABLE"
@@ -65,6 +69,10 @@ ENUM_BOUND_LIMIT = 1_000_000
 
 #: entries kept by each of the module's caches
 CACHE_SIZE = 4096
+
+#: the odd primes up to factorize()'s first trial bound, and their product
+_SMALL_ODD_PRIMES = odd_primes_upto(SMALL_TRIAL_BOUND)
+_SMALL_ODD_PRIMORIAL = math.prod(_SMALL_ODD_PRIMES)
 
 
 class _ProblemFields(NamedTuple):
@@ -120,7 +128,7 @@ def _pqa_first_hit(d: int, z: int, m: int) -> tuple[int, int] | None:
     later only at that row of an odd period, one period on, and the rows up
     to it are the period's, copied; a second period would find nothing
     else.  The convergent (p_i, q_i) of the hit is read off
-    contfrac.convergents over the rows once the walk has hit, so a walk
+    contfrac.last_convergents over the rows once the walk has hit, so a walk
     without a hit does no big-integer arithmetic.
     """
     m_abs = abs(m)
@@ -145,7 +153,7 @@ def _pqa_first_hit(d: int, z: int, m: int) -> tuple[int, int] | None:
         if (len(rows) - j) % 2 == 0 or 1 not in ts[j:]:
             return None
         rows += rows[j:ts.index(1, j) + 1]
-    ((p, q),) = deque(convergents(a for a, _, _ in rows), maxlen=1)
+    _, _, p, q = last_convergents(a for a, _, _ in rows)
     return m_abs * p - z * q, q
 
 
@@ -167,10 +175,10 @@ def pell_fundamental(d: int) -> PellUnit:
         if s == s_h or t == t_h:
             break
         s_h, t_h = s, t
-    # (p_{h-2}, q_{h-2}), (p_{h-1}, q_{h-1}), (p_h, q_h), with (p_{-2}, q_{-2}) =
-    # (0, 1) and (p_{-1}, q_{-1}) = (1, 0)
-    conv = itertools.chain([(0, 1), (1, 0)], convergents(quots))
-    (p2, q2), (p1, q1), (p, q) = deque(conv, maxlen=3)
+    # (p_{h-2}, q_{h-2}) from p_h = a_h * p_{h-1} + p_{h-2}, a = a_h, with
+    # (p_{-2}, q_{-2}) = (0, 1) and (p_{-1}, q_{-1}) = (1, 0)
+    p1, q1, p, q = last_convergents(quots)
+    p2, q2 = p - a * p1, q - a * q1
     if s == s_h:
         return PellUnit(p1 * q + p2 * q1, q1 * (q + q2))
     # x^2 - d*y^2 = -1, and the unit is its square
@@ -295,12 +303,33 @@ def _cf_class_solutions(d: int, n: int, factors: dict[int, int]) -> list[tuple[i
     return sols
 
 
+def _local_obstruction(d: int, n: int) -> int | None:
+    """An odd prime q <= SMALL_TRIAL_BOUND with q | d and n a non-residue mod
+    q, so that x^2 - d*y^2 = n has no solution mod q; None if there is none."""
+    g = math.gcd(d, _SMALL_ODD_PRIMORIAL)
+    for q in _SMALL_ODD_PRIMES:
+        if g == 1:
+            break
+        if g % q == 0:
+            # Euler's criterion; it gives 0 when q | n, a residue
+            if pow(n, (q - 1) // 2, q) == q - 1:
+                return q
+            g //= q
+    return None
+
+
 def solve_complete(prob: PellianProblem) -> PellianOutcome:
-    """Certified decision with one fundamental witness per solution class."""
+    """Certified decision with one fundamental witness per solution class.
+
+    Above ENUM_BOUND_LIMIT a local obstruction q settles the search before
+    |n| is factorized: UNSOLVABLE, with the certificate {"modulus": q}."""
     d, n = prob
     unit = pell_fundamental(d)
     bound = _unit_bound(unit, n)
     if bound > ENUM_BOUND_LIMIT:
+        q = _local_obstruction(d, n)
+        if q is not None:
+            return PellianOutcome(UNSOLVABLE, (), "cf-classes", bound, {"modulus": q})
         raw, method = _cf_class_solutions(d, n, factorize(abs(n))), "cf-classes"
     else:
         raw, method = solve_brute(prob, bound), "bounded-enumeration"

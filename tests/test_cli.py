@@ -114,6 +114,20 @@ def test_pell_large_prime_n(capsys):
     assert doc["method"] == "cf-classes"
 
 
+def test_pell_obstructed_hard_n_is_never_factorized(capsys, monkeypatch):
+    # N = 100000007 * 100000037 is beyond factorize's trial bound, but 13 | 65
+    # and N is a non-residue mod 13, so the query is settled without it
+    def no_factorize(n):
+        raise AssertionError("factorize called")
+
+    monkeypatch.setattr(pellian, "factorize", no_factorize)
+    code, out, err = run(capsys, "pell", "65", "--", "10000004400000259")
+    assert code == 0 and not err
+    doc = json.loads(out)
+    assert doc["verdict"] == "UNSOLVABLE" and doc["witnesses"] == []
+    assert doc["method"] == "cf-classes"
+
+
 def test_expansion_cap_is_usage_error(capsys):
     # sqrt(100000000006) has period 371,174: `cf` finds no period within the
     # walk's 100,000-term cap, and `pell` no centre of it for the Pell unit

@@ -812,6 +812,53 @@ def test_class_route_computes_the_class_bound_once(monkeypatch):
     assert oc.search_bound_used == unit_bound(pell_fundamental(991), 10000019)
 
 
+def test_local_obstruction_is_sound():
+    # wherever it names q, nothing solves x^2 - d*y^2 = n mod q and the class
+    # search agrees; (6, 3) = 3^2 - 6*1^2 is solvable although 3 | 6 and 3 | 3
+    assert pellian._local_obstruction(6, 3) is None
+    squares = {}
+    cf_pairs = fired = 0
+    for d in range(2, 201):
+        if is_perfect_square(d) is not None:
+            continue
+        for n in range(-50, 51):
+            if n == 0:
+                continue
+            q = pellian._local_obstruction(d, n)
+            if class_bound(d, n) > pellian.ENUM_BOUND_LIMIT:
+                cf_pairs += 1
+                fired += q is not None
+            if q is None:
+                continue
+            assert q % 2 and is_prime(q) and q <= 2**10, (d, n, q)
+            assert d % q == 0 and n % q, (d, n, q)
+            sq = squares.setdefault(q, {x * x % q for x in range(q)})
+            assert not any((n + d * y * y) % q in sq for y in range(q)), (d, n, q)
+            assert _class_search_outcome(d, n, factorize(abs(n))).verdict == UNSOLVABLE, (d, n)
+    assert (cf_pairs, fired) == (286, 128)
+
+
+def test_obstructed_class_route_neither_factorizes_nor_walks(monkeypatch):
+    d, n = 991, 10000019  # 991 is prime, and 10000019 a non-residue mod 991
+    check = _class_search_outcome(d, n, factorize(n))
+
+    def forbidden(*args):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(pellian, "factorize", forbidden)
+    monkeypatch.setattr(pellian, "_pqa_first_hit", forbidden)
+    oc = solve_complete(PellianProblem(d, n))
+    assert oc[:4] == check[:4] == (UNSOLVABLE, (), "cf-classes", class_bound(d, n))
+    assert oc.certificate == {"modulus": 991} and check.certificate is None
+    # the exit is neither on the enumeration route nor in the class search
+    # that checks the paper's deciders
+    assert pellian._local_obstruction(3, -1) == 3
+    enum = solve_complete(PellianProblem(3, -1))
+    assert enum == (UNSOLVABLE, (), "bounded-enumeration", 1, None)
+    with pytest.raises(AssertionError, match="called"):
+        _class_search_outcome(d, n, {n: 1})
+
+
 def test_paper_deciders_never_enumerate(monkeypatch):
     def no_enumeration(*args):
         raise AssertionError("solve_brute called")
