@@ -1,6 +1,6 @@
 """Certified solvability decisions for x^2 - D*y^2 = N.
 
-Two complete methods are available and cross-checked:
+Two complete methods are available; the tests cross-check them:
 
 * bounded enumeration of y up to the fundamental-solution bound derived
   from the Pell unit, while that bound is at most ENUM_BOUND_LIMIT, and
@@ -32,11 +32,11 @@ read off the class search and that stream: its hits are the solutions with
 small r of X^2 - (P^2+1)*r^2 = M, X = u + sg*P*r.
 
 decide_paper_equation decides the paper's family x^2 - (P^2+1)*y^2 =
--p^(2l+1), P = p^(k+1), for every prime p by one of four routes: "residue"
-(mod 5 for p = 2 and even k, the Case 2 residue check for odd p and l = k),
-"fujita" (2l+1 <= k+1), "paper-family" (the explicit p = 2 solutions) and
-"descent" (odd p, l < k, onto the residue check at l = k).  Every verdict
-is cross-checked by the class search whatever the class bound:
+-p^(2l+1), P = p^(k+1), for every prime p by the first route that applies:
+"residue" (p = 2 and even k: solve_complete's local exit, {"modulus": 5}),
+"fujita" (2l+1 <= k+1), "paper-family" (the explicit p = 2 solutions), and
+for odd p the Case 2 residue check, "residue" at l = k and "descent" below.
+Every verdict is cross-checked by the class search whatever the class bound:
 sqrt(P^2+1) = [P; 2P], so each walk is a few steps where enumeration would
 scan up to sqrt(p^(2l+1)) values of y.
 
@@ -438,19 +438,14 @@ def p2_family_witness(k: int, l: int) -> tuple[int, int]:
     return (2**e * (2 ** (k + 1) - 1), 2**e)
 
 
-def _mod5_certificate(d: int, n: int) -> dict:
-    bad = [(x, y) for x in range(5) for y in range(5) if (x * x - d * y * y - n) % 5 == 0]
-    if bad:  # pragma: no cover
-        raise RuntimeError(f"equation is solvable mod 5: {bad}")
-    return {"modulus": 5, "residue_pairs_checked": 25}
-
-
 def decide_paper_equation(p: int, k: int, l: int) -> PellianOutcome:
     """Decide x^2 - (p^(2k+2)+1)*y^2 = -p^(2l+1) for prime p, 0 <= l <= k.
 
     The first route that applies gives the verdict and its certificate:
 
-    * "residue" for p = 2 and even k: no solution mod 5;
+    * "residue" for p = 2 and even k: no solution mod q = 5, the prime that
+      _local_obstruction names (5 | 4^(k+1) + 1, 3 never does, and
+      -2^(2l+1) = +-2 mod 5), with the certificate {"modulus": q}; no q is fatal;
     * "fujita" for 2l+1 <= k+1: the Fujita chain with prime descent;
     * "paper-family" for p = 2 otherwise: SOLVABLE, with the checked
       p2_family_witness;
@@ -470,7 +465,10 @@ def decide_paper_equation(p: int, k: int, l: int) -> PellianOutcome:
     verdict = UNSOLVABLE
     certificate: object
     if p == 2 and k % 2 == 0:
-        method, certificate = "residue", _mod5_certificate(d, n)
+        q = _local_obstruction(d, n)
+        if q is None:
+            raise RuntimeError(f"no local obstruction at (p=2, k={k}, l={l})")
+        method, certificate = "residue", {"modulus": q}
     elif 2 * l + 1 <= k + 1:
         # primitive solutions are excluded outright; a non-primitive one
         # descends by p until the same exclusion applies again

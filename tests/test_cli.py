@@ -144,6 +144,9 @@ def test_fatal_cross_check_is_error_exit(capsys, monkeypatch):
         # the paper-family route
         (pellian, "_cf_class_solutions", lambda d, n, factors: [], "p2-prop",
          "fatal discrepancy"),
+        # the p = 2, even-k residue route rests on an obstruction mod 5
+        (pellian, "_local_obstruction", lambda d, n: None, "p2-prop",
+         "no local obstruction"),
         # a wrong Pell solution breaks prop_family's closed-form square witnesses
         (zring, "_pell_xy", lambda n, j: (2, 3), "prop26",
          "closed-form witnesses violated"),

@@ -697,7 +697,7 @@ def test_p2_dispatch_matches_former_p2_decide():
             assert out.search_bound_used == check.search_bound_used == class_bound(d, n)
             if k % 2 == 0:
                 assert out.method == "residue" and out.verdict == UNSOLVABLE
-                assert out.certificate == {"modulus": 5, "residue_pairs_checked": 25}
+                assert out.certificate == {"modulus": 5}
             elif 2 * l > k:
                 assert out.method == "paper-family" and out.verdict == SOLVABLE
                 assert out.certificate == {"family_witness": p2_family_witness(k, l)}
@@ -705,9 +705,11 @@ def test_p2_dispatch_matches_former_p2_decide():
                 assert out.method == "fujita" and out.verdict == UNSOLVABLE
                 assert out.certificate == _fujita_chain(2, k, l)
             rows.append((k, l, out))
-    # SHA-256 of the same rows from p2_decide before it was folded in
+    # SHA-256 of the same rows from p2_decide before it was folded in, with
+    # its even-k certificate {"modulus": 5, "residue_pairs_checked": 25}
+    # read as {"modulus": 5}
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
-        "f67990ef2557185274811ff51834f7cab7e4bd2ebf337b8de715510c2b6d7053")
+        "54624cc08bf0d230c6ab163405fe7a1d28839b5965420defc6b79d41bf904d52")
 
 
 def test_outcomes_pinned():
@@ -836,6 +838,23 @@ def test_local_obstruction_is_sound():
             assert not any((n + d * y * y) % q in sq for y in range(q)), (d, n, q)
             assert _class_search_outcome(d, n, factorize(abs(n))).verdict == UNSOLVABLE, (d, n)
     assert (cf_pairs, fired) == (286, 128)
+    # the p = 2 family x^2 - (4^(k+1)+1)*y^2 = -2^(2l+1): obstructed mod 5
+    # exactly for even k, the decider's residue route, whose certificate
+    # the q x q scan of (x, y) that once made it confirms; for odd k, D is
+    # m^4 + 1, m = 2^((k+1)/2), so its odd primes are 1 mod 8 and -2^(2l+1)
+    # is a square mod each
+    for k in range(31):
+        d = 2 ** (2 * k + 2) + 1
+        for l in range(k + 1):
+            n = -(2 ** (2 * l + 1))
+            q = pellian._local_obstruction(d, n)
+            if k % 2:
+                assert q is None, (k, l)
+                continue
+            out = decide_paper_equation(2, k, l)
+            assert out.method == "residue" and out.certificate == {"modulus": q} == {"modulus": 5}
+            assert not [(x, y) for x in range(q) for y in range(q)
+                        if (x * x - d * y * y - n) % q == 0], (k, l)
 
 
 def test_obstructed_class_route_neither_factorizes_nor_walks(monkeypatch):
