@@ -13,9 +13,11 @@ periodic, and purely periodic from its first reduced complete quotient on
 `walk` is the one copy of this recurrence and `period_start` the one finder
 of where its period opens: `expand` records the rows of one period, and
 `CFExpansion.terms` repeats them past the period.  `convergents` turns any
-partial quotients into (p_m, q_m) one by one, and `last_convergents` into
-the last two of them in one plain loop, for the Pell unit and for the class
-search's hit alike.
+partial quotients into (p_m, q_m) one by one, `last_convergents` into the
+last two of them and `last_denominators` into the last two q in one plain
+loop.  Along a walk from (s_0, t_0), t_0*p_i - s_0*q_i = s_{i+1}*q_i +
+t_{i+1}*q_{i-1}, so the Pell unit and the class search's hit take only the
+q and read each numerator off a row.
 """
 from __future__ import annotations
 
@@ -152,11 +154,21 @@ def convergents(quotients: Iterable[int]) -> Iterator[tuple[int, int]]:
 def last_convergents(quotients: Iterable[int]) -> tuple[int, int, int, int]:
     """(p_{m-1}, q_{m-1}, p_m, q_m) for [a_0; a_1, ..., a_m], the last two
     convergents by one plain loop; (p_{-2}, q_{-2}, p_{-1}, q_{-1}) =
-    (0, 1, 1, 0) for no quotients."""
+    (0, 1, 1, 0) for no quotients.  Only _lemma_db_sides reads it, on
+    purpose: its identity ties p to (s, t), so p is not read off them."""
     p0, q0, p, q = 0, 1, 1, 0
     for a in quotients:
         p0, q0, p, q = p, q, a * p + p0, a * q + q0
     return p0, q0, p, q
+
+
+def last_denominators(quotients: Iterable[int]) -> tuple[int, int]:
+    """(q_{m-1}, q_m) for [a_0; a_1, ..., a_m] by one plain loop; (q_{-2},
+    q_{-1}) = (1, 0) for no quotients."""
+    q0, q = 1, 0
+    for a in quotients:
+        q0, q = q, a * q + q0
+    return q0, q
 
 
 def lemma_db_check(alpha: int, beta: int, n: int, r: int, u: int) -> int:

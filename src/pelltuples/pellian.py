@@ -18,13 +18,13 @@ Two complete methods are available; the tests cross-check them:
   G_i^2 - D*q_i^2 = (-1)^(i+1) * t_{i+1} * Q_0, G_i = Q_0*p_i - z*q_i
   (J. P. Robertson, "Solving the generalized Pell equation x^2 - Dy^2 = N",
   2004), makes step i a solution exactly when (-1)^(i+1) * t_{i+1} is the
-  sign of N/f^2.  The walk stops at its first hit, where the convergent
-  (p_i, q_i) is built once from its rows by contfrac.last_convergents.
+  sign of N/f^2.  The walk stops at its first hit; that row gives
+  G_i = s_{i+1}*q_i + t_{i+1}*q_{i-1}, q by contfrac.last_denominators.
   One hit per root suffices: every hit of root z has G = -z*B (mod Q_0),
   so by Nagell's criterion any two of them differ by a unit of norm 1 and
   lie in one class; and root Q_0 - z gives the conjugate classes, which
-  the class representative merges.  The Pell unit comes from half the
-  period of sqrt(D), a palindrome, by the same contfrac.last_convergents.
+  the class representative merges.  The Pell unit comes the same way from
+  half the period of sqrt(D), a palindrome, and is checked to have norm 1.
 
 _positive_solutions streams every positive solution in increasing y from one
 solution per class, by the Pell unit.  The paper's Case 2 residue check is
@@ -59,7 +59,7 @@ from typing import NamedTuple
 
 from .arith import (SMALL_TRIAL_BOUND, factorize, is_perfect_square, is_prime, isqrt,
                     odd_primes_upto)
-from .contfrac import last_convergents, period_start, walk
+from .contfrac import last_denominators, period_start, walk
 
 SOLVABLE = "SOLVABLE"
 UNSOLVABLE = "UNSOLVABLE"
@@ -127,9 +127,9 @@ def _pqa_first_hit(d: int, z: int, m: int) -> tuple[int, int] | None:
     Robertson, 2004).  So a walk with no hit in its first period has one
     later only at that row of an odd period, one period on, and the rows up
     to it are the period's, copied; a second period would find nothing
-    else.  The convergent (p_i, q_i) of the hit is read off
-    contfrac.last_convergents over the rows once the walk has hit, so a walk
-    without a hit does no big-integer arithmetic.
+    else.  A hit reads (q_{i-1}, q_i) off contfrac.last_denominators and
+    G = s_{i+1}*q_i + t_{i+1}*q_{i-1} off its row (a_i, s_{i+1}, t_{i+1}), so
+    a walk without a hit does no big-integer arithmetic.
     """
     m_abs = abs(m)
     # step i is a hit when (-1)^(i+1) * t_{i+1} = sign(m); want flips each step
@@ -153,8 +153,9 @@ def _pqa_first_hit(d: int, z: int, m: int) -> tuple[int, int] | None:
         if (len(rows) - j) % 2 == 0 or 1 not in ts[j:]:
             return None
         rows += rows[j:ts.index(1, j) + 1]
-    _, _, p, q = last_convergents(a for a, _, _ in rows)
-    return m_abs * p - z * q, q
+    q1, q = last_denominators(a for a, _, _ in rows)
+    _, s, t = rows[-1]
+    return s * q + t * q1, q
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -165,9 +166,10 @@ def pell_fundamental(d: int) -> PellUnit:
     the first h with s_h = s_{h+1} (period 2h) or t_h = t_{h+1} (period
     2h+1; h = 0 for d = f^2 + 1), and the unit is composed from the
     convergents p_{h-2} .. p_h there (M. J. Jacobson Jr. and H. C. Williams,
-    "Solving the Pell Equation", Springer 2009, ch. 5).  The convergents are
-    built only once the centre is found, and walk()'s cap of MAX_TERMS terms
-    leaves periods below 2 * MAX_TERMS in reach.
+    "Solving the Pell Equation", Springer 2009, ch. 5): q_{h-1} and q_h are
+    built at the centre, and p_i = s_{i+1}*q_i + t_{i+1}*q_{i-1} read off rows
+    h-1 and h; a unit of norm other than 1 raises RuntimeError.  walk()'s
+    cap of MAX_TERMS terms leaves periods below 2 * MAX_TERMS in reach.
     """
     quots, s_h, t_h = [], 0, 1  # (s_0, t_0); s_1 = isqrt(d) > 0
     for a, s, t in walk(d, 0, 1):
@@ -175,15 +177,19 @@ def pell_fundamental(d: int) -> PellUnit:
         if s == s_h or t == t_h:
             break
         s_h, t_h = s, t
-    # (p_{h-2}, q_{h-2}) from p_h = a_h * p_{h-1} + p_{h-2}, a = a_h, with
-    # (p_{-2}, q_{-2}) = (0, 1) and (p_{-1}, q_{-1}) = (1, 0)
-    p1, q1, p, q = last_convergents(quots)
-    p2, q2 = p - a * p1, q - a * q1
+    # q_{h-2} and p_{h-2} from q_h = a_h * q_{h-1} + q_{h-2}, a = a_h
+    q1, q = last_denominators(quots)
+    q2 = q - a * q1
+    p, p1 = s * q + t * q1, s_h * q1 + t_h * q2
     if s == s_h:
-        return PellUnit(p1 * q + p2 * q1, q1 * (q + q2))
-    # x^2 - d*y^2 = -1, and the unit is its square
-    x, y = p * q + p1 * q1, q * q + q1 * q1
-    return PellUnit(x * x + d * y * y, 2 * x * y)
+        unit = PellUnit(p1 * q + (p - a * p1) * q1, q1 * (q + q2))
+    else:
+        # x^2 - d*y^2 = -1, and the unit is its square
+        x, y = p * q + p1 * q1, q * q + q1 * q1
+        unit = PellUnit(x * x + d * y * y, 2 * x * y)
+    if unit.t * unit.t - d * unit.u * unit.u != 1:
+        raise RuntimeError(f"{unit} is not a unit of norm 1 for d={d}")
+    return unit
 
 
 def class_bound(d: int, n: int) -> int:

@@ -159,6 +159,25 @@ def test_fatal_cross_check_is_error_exit(capsys, monkeypatch):
         assert err.startswith(f"error: {message}") and "Traceback" not in err
 
 
+def test_wrong_pell_unit_is_error_exit(capsys, monkeypatch):
+    # pell_fundamental checks the norm of the unit it composes, since every
+    # class bound rests on it; a wrong denominator is reported, not returned
+    last_denominators = pellian.last_denominators
+
+    def off_by_one(quotients):
+        q1, q = last_denominators(quotients)
+        return q1, q + 1
+
+    monkeypatch.setattr(pellian, "last_denominators", off_by_one)
+    with pytest.raises(RuntimeError, match="not a unit of norm 1"):
+        pellian.pell_fundamental.__wrapped__(13)
+    # bypass the memo, which may hold the true unit of 13
+    monkeypatch.setattr(pellian, "pell_fundamental", pellian.pell_fundamental.__wrapped__)
+    code, out, err = run(capsys, "pell", "13", "--", "-1")
+    assert code == 2 and not out
+    assert err.startswith("error: ") and "not a unit of norm 1" in err and "Traceback" not in err
+
+
 def test_memory_limits_are_error_exits(capsys, monkeypatch):
     # a prime sieve past arith.SIEVE_LIMIT is refused before it allocates
     for argv in (("pairs", "--limit", "1000000000000"),

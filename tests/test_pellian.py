@@ -426,6 +426,38 @@ def test_class_walk_paths(monkeypatch):
             _assert_matches_three_pass(d, n)
 
 
+def test_walk_row_gives_each_numerator():
+    # Robertson's G_i = s_{i+1}*q_i + t_{i+1}*q_{i-1}, which the hit and the
+    # Pell unit read off their rows, equals Q_0*p_i - z*q_i at every row of
+    # every walk the pell grid's class searches make, and of the unit walks
+    walks = {(d, z, abs(m)) for d in range(2, 201) if is_perfect_square(d) is None
+             for n in range(-50, 51) if n != 0 for m, z in _walked_roots(d, n)}
+    walks |= {(d, 0, 1) for d in LONG_PERIOD_DS}
+    rows_seen = 0
+    for d, z, m_abs in sorted(walks):
+        rows = list(contfrac.walk(d, z, m_abs))
+        q1 = 0
+        for (_, s, t), (p, q) in zip(rows, contfrac.convergents(a for a, _, _ in rows)):
+            assert s * q + t * q1 == m_abs * p - z * q, (d, z, m_abs)
+            q1 = q
+            rows_seen += 1
+    assert rows_seen > 40_000
+
+
+def test_planted_long_period_hits_match_three_pass():
+    # N = x0^2 - D*y0^2 with a small prime y0 is solvable, so some walked root
+    # has a hit; every root's first hit is the three-pass oracle's first
+    for d, y0 in zip(LONG_PERIOD_DS, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)):
+        x0 = isqrt(d * y0 * y0) + 1
+        n = x0 * x0 - d * y0 * y0
+        hits = 0
+        for m, z in _walked_roots(d, n):
+            hit = pellian._pqa_first_hit.__wrapped__(d, z, m)
+            assert hit == next(iter(_three_pass_root_hits(d, z, m)), None), (d, z, m)
+            hits += hit is not None
+        assert hits, (d, n)
+
+
 def test_root_walk_hits_share_one_class():
     # Why one hit of one root per pair suffices.  Every hit of root z has
     # G = -z*B (mod |m|), so by Nagell's criterion any two of them differ by a
