@@ -12,19 +12,18 @@ Two complete methods are available; the tests cross-check them:
   prime powers p^e of N builds every split f^2 | N with the roots z of
   z^2 = D (mod |N/f^2|), lifting each p once to its roots mod p^j for all
   j <= e and joining those mod p^(e-2h) by CRT as f takes p^h; then for
-  every root with 2z <= |N/f^2|, one pass of contfrac.walk over
-  (z + sqrt(D))/Q_0, Q_0 = |N/f^2|, through the preperiod and one period,
-  plus the copied period for an odd one.  The PQa identity
+  every root with 2z <= |N/f^2|, _pqa_first_hit walks (z + sqrt(D))/Q_0
+  and (Q_0 - z + sqrt(D))/Q_0, Q_0 = |N/f^2|, by contfrac.walk, a row of
+  each in turn.  The PQa identity
   G_i^2 - D*q_i^2 = (-1)^(i+1) * t_{i+1} * Q_0, G_i = Q_0*p_i - z*q_i
   (J. P. Robertson, "Solving the generalized Pell equation x^2 - Dy^2 = N",
-  2004), makes step i a solution exactly when (-1)^(i+1) * t_{i+1} is the
-  sign of N/f^2.  The walk stops at its first hit; that row gives
+  2004), makes a row with |t_{i+1}| = 1 a generator of its root's ideal,
   G_i = s_{i+1}*q_i + t_{i+1}*q_{i-1}, q by contfrac.last_denominators.
-  One hit per root suffices: every hit of root z has G = -z*B (mod Q_0),
-  so by Nagell's criterion any two of them differ by a unit of norm 1 and
-  lie in one class; and root Q_0 - z gives the conjugate classes, which
-  the class representative merges.  The Pell unit comes the same way from
-  half the period of sqrt(D), a palindrome, and is checked to have norm 1.
+  By Nagell's criterion a root's solutions are that generator times the
+  units of norm 1, or of norm -1 if its norm is -N/f^2; root Q_0 - z gives
+  the conjugate classes, which the class representative merges.  The Pell
+  unit comes the same way from half the period of sqrt(D), a palindrome,
+  and is checked to have norm 1.
 
 _positive_solutions streams every positive solution in increasing y from one
 solution per class, by the Pell unit.  The paper's Case 2 residue check is
@@ -59,7 +58,7 @@ from typing import NamedTuple
 
 from .arith import (SMALL_TRIAL_BOUND, factorize, is_perfect_square, is_prime, isqrt,
                     odd_primes_upto)
-from .contfrac import last_denominators, period_start, walk
+from .contfrac import last_denominators, walk
 
 SOLVABLE = "SOLVABLE"
 UNSOLVABLE = "UNSOLVABLE"
@@ -116,46 +115,72 @@ class PellUnit(NamedTuple):
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _pqa_first_hit(d: int, z: int, m: int) -> tuple[int, int] | None:
-    """The first (G, B) with G^2 - d*B^2 = m on the walk of (z + sqrt(d))/|m|
-    through the preperiod and one period, then, for an odd period, the
-    period's rows again from where period_start says it opens, for
-    m | z^2 - d; None if none.
+    """A (G, B), B > 0, with G^2 - d*B^2 = m in the class of root z or of
+    root |m| - z (the conjugate class), for m | z^2 - d; None if none.
 
-    A state repeats its t one period on, with the parity of its step flipped
-    when the period length L is odd.  The period's states are reduced, so
-    their t is positive, and t = 1 only at (f, 1), f = isqrt(d) (J. P.
-    Robertson, 2004).  So a walk with no hit in its first period has one
-    later only at that row of an odd period, one period on, and the rows up
-    to it are the period's, copied; a second period would find nothing
-    else.  A hit reads (q_{i-1}, q_i) off contfrac.last_denominators and
-    G = s_{i+1}*q_i + t_{i+1}*q_{i-1} off its row (a_i, s_{i+1}, t_{i+1}), so
-    a walk without a hit does no big-integer arithmetic.
+    Walks A of (z + sqrt(d))/|m| and B of (|m| - z + sqrt(d))/|m| take a row
+    each in turn, and the first row with |t| = 1 settles (_generator_hit).
+    Both start from the element |m| of the ideal I of root z: A passes the
+    minima of I whose conjugate is below |m|, B (conjugated) those below |m|
+    themselves, no minimum tops |m| on both sides, and a principal I has a
+    generator, |t| = 1, among them.  alpha -> -1/conj(alpha), (s_{i+1},
+    t_{i+1}) -> (s_{i+1}, t_i), runs A's cycle of reduced ideals backwards
+    as B's, so B's state mirrors A's newest only once the two arcs close
+    the cycle, and I is then not principal.  z = -z (mod |m|) and d = f^2 + 1,
+    whose principal cycle is the one state (f, 1), take one walk alone.
     """
-    m_abs = abs(m)
-    # step i is a hit when (-1)^(i+1) * t_{i+1} = sign(m); want flips each step
-    want = -1 if m > 0 else 1
-    rows = []
-    one = False  # a row with t = 1 seen
-    for row in walk(d, z, m_abs):
-        rows.append(row)
-        t = row[2]
-        if t == want:
-            break
-        if t == 1:
-            one = True
-        want = -want
-    else:
-        # no hit in the first period: a later one needs t = 1 in an odd period
-        if not one:
+    m_abs, f = abs(m), isqrt(d)
+    if not 0 < 2 * z < m_abs or d == f * f + 1:
+        quots = []
+        for a, s, t in walk(d, z, m_abs):
+            quots.append(a)
+            if abs(t) == 1:
+                return _generator_hit(d, m, quots, s, t)
+        return None
+    quots_a, quots_b, t_a, state_b = [], [], m_abs, None
+    for (a, s, t), (b, s_b, t_b) in zip(walk(d, z, m_abs), walk(d, m_abs - z, m_abs)):
+        quots_a.append(a)
+        quots_b.append(b)
+        if abs(t) == 1:
+            return _generator_hit(d, m, quots_a, s, t)
+        if abs(t_b) == 1:
+            return _generator_hit(d, m, quots_b, s_b, t_b)
+        # B's state before or after its row mirrors A's newest
+        mirror, t_a = (s, t_a), t
+        if mirror in (state_b, (s_b, t_b)):
             return None
-        ts = [t for _, _, t in rows]
-        j = period_start(z, m_abs, rows)
-        if (len(rows) - j) % 2 == 0 or 1 not in ts[j:]:
+        state_b = s_b, t_b
+    return None
+
+
+def _generator_hit(d: int, m: int, quots: list[int], s: int, t: int) -> tuple[int, int] | None:
+    """The hit, B > 0, of the walk row (a_i, s, t), |t| = 1, after quotients
+    quots = [a_0, ..., a_i]: theta = G + q_i*sqrt(d), G = s*q_i + t*q_{i-1},
+    of norm (-1)^(i+1) * t * |m| (Robertson) if that is m, else theta times
+    the unit of norm -1; None if there is none."""
+    q1, q = last_denominators(quots)
+    g = s * q + t * q1
+    if (t if len(quots) % 2 == 0 else -t) * abs(m) != m:
+        unit = _negative_unit(d)
+        if unit is None:
             return None
-        rows += rows[j:ts.index(1, j) + 1]
-    q1, q = last_denominators(a for a, _, _ in rows)
-    _, s, t = rows[-1]
-    return s * q + t * q1, q
+        x, y = unit
+        g, q = g * x + d * q * y, g * y + q * x
+    return (g, q) if q > 0 else (-g, -q)
+
+
+def _negative_unit(d: int) -> tuple[int, int] | None:
+    """The least (x, y) with x^2 - d*y^2 = -1, None if there is none: its
+    square is the Pell unit (t, u), so it exists iff t + 1 = 2*d*y^2, and
+    then x = u/(2y); an (x, y) of another norm raises RuntimeError."""
+    t, u = pell_fundamental(d)
+    k, r = divmod(t + 1, 2 * d)
+    if r or (y := is_perfect_square(k)) is None:
+        return None
+    x = u // (2 * y)
+    if x * x - d * y * y != -1:
+        raise RuntimeError(f"({x}, {y}) is not a unit of norm -1 for d={d}")
+    return x, y
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -300,7 +325,7 @@ def _cf_class_solutions(d: int, n: int, factors: dict[int, int]) -> list[tuple[i
     for f, q, roots in splits:
         m = q if n > 0 else -q
         for z in sorted(roots):
-            # root q - z gives the conjugate classes, which _class_rep merges
+            # _pqa_first_hit(d, z, m) settles z and q - z: none above q/2 is walked
             if 2 * z > q:
                 break
             hit = _pqa_first_hit(d, z, m)

@@ -137,14 +137,16 @@ def test_pell_fundamental_reaches_twice_the_cap(monkeypatch):
 
 
 def _counting_walk(monkeypatch):
-    """Wrap pellian.walk; the returned list gets the row count of each walk."""
+    """Wrap pellian.walk; the returned list gets the row count of each walk,
+    in the order the walks start, also while two walks take turns."""
     counts = []
     walk = pellian.walk
 
     def counting_walk(*args, **kwargs):
+        i = len(counts)
         counts.append(0)
         for row in walk(*args, **kwargs):
-            counts[-1] += 1
+            counts[i] += 1
             yield row
 
     monkeypatch.setattr(pellian, "walk", counting_walk)
@@ -157,6 +159,22 @@ def test_pell_fundamental_walks_half_the_period(monkeypatch):
         if is_perfect_square(d) is None:
             pell_fundamental.__wrapped__(d)
             assert counts.pop() <= _expand_oracle(d, 0, 1)[2] // 2 + 1, d
+
+
+def test_negative_unit_iff_odd_period():
+    # x^2 - d*y^2 = -1 is solvable exactly when sqrt(d) has an odd period,
+    # and then its least solution squares to the Pell unit
+    odd = 0
+    for d in (*range(2, 3001), *LONG_PERIOD_DS):
+        if is_perfect_square(d) is not None:
+            continue
+        unit = pellian._negative_unit(d)
+        assert (unit is not None) == (contfrac.expand(contfrac.QuadIrr(d, 0, 1)).period_len % 2 == 1), d
+        if unit is not None:
+            x, y = unit
+            assert x * x - d * y * y == -1 and (x * x + d * y * y, 2 * x * y) == pell_fundamental(d), d
+            odd += 1
+    assert odd > 100
 
 
 def test_class_bound_examples():
@@ -325,17 +343,17 @@ def _three_pass_class_solutions(d, n):
 
 
 def _assert_matches_three_pass(d, n):
-    """The raw list is an in-order subsequence of the oracle's, with the same classes."""
+    """Every raw solution solves x^2 - d*y^2 = n with y > 0, there is at most
+    one per walked +-z pair, and their classes are the oracle's."""
     sols = _cf_class_solutions(d, n, factorize(abs(n)))
-    oracle = _three_pass_class_solutions(d, n)
-    rest = iter(oracle)
-    assert all(sol in rest for sol in sols), (d, n)
-    assert _reps(d, sols) == _reps(d, oracle), (d, n)
+    assert all(y > 0 and x * x - d * y * y == n for x, y in sols), (d, n)
+    assert len(sols) <= len(_walked_roots(d, n)), (d, n)
+    assert _reps(d, sols) == _reps(d, _three_pass_class_solutions(d, n)), (d, n)
     return sols
 
 
 def test_class_search_matches_three_pass():
-    # the whole pell grid: the search keeps one hit of one root per +-z pair
+    # the whole pell grid: the search keeps one hit per +-z pair
     for d in range(2, 201):
         if is_perfect_square(d) is not None:
             continue
@@ -354,40 +372,90 @@ def test_class_search_matches_three_pass_long_period():
     assert total > 0
 
 
-def _first_hit_row(d, z, m):
-    """(i, j, L): the first step i of the preperiod and two periods with
-    G_i^2 - d*q_i^2 = m (None if none), the preperiod j and the period L of
-    the walk of (z + sqrt(d))/|m|, from the oracles."""
-    m_abs = abs(m)
-    quots, j, ell = _expand_oracle(d, z, m_abs)
-    for i, (p, q) in enumerate(_convergents_oracle(quots, j, j + 2 * ell - 1)):
-        if (m_abs * p - z * q) ** 2 - d * q * q == m:
+def _first_unit_row(d, s, t):
+    """(i, j, L): the first row i with |t_{i+1}| = 1 of the walk of
+    (s + sqrt(d))/t through its preperiod j and period L (None if none), by
+    the recurrence of _expand_oracle."""
+    quots, j, ell = _expand_oracle(d, s, t)
+    for i, a in enumerate(quots):
+        s = a * t - s
+        t = (d - s * s) // t
+        if abs(t) == 1:
             return i, j, ell
     return None, j, ell
 
 
+def _negative_unit_oracle(d):
+    """(p, q) with p^2 - d*q^2 = -1, the convergent that closes an odd first
+    period of sqrt(d); None for an even period."""
+    quots, j, ell = _expand_oracle(d, 0, 1)
+    return _convergents_oracle(quots, j, ell - 1)[-1] if ell % 2 else None
+
+
+def _pair_oracle(d, z, m):
+    """(paths, hit, rows, lengths) that _pqa_first_hit(d, z, m) should give,
+    from the oracles.  Walk A of root z and walk B of root |m| - z make their
+    row i together, A's is read first, and the first row with |t| = 1
+    settles; only A is walked when z = -z (mod |m|) or d = f^2 + 1.  rows is
+    the number of rows walked, 2(i + 1) for a pair settled at row i, or its
+    bound when no row has |t| = 1: j_A + j_B + L + 2, or j + L for one walk.
+    lengths holds each walk's preperiod plus period."""
+    m_abs, f = abs(m), isqrt(d)
+    paths = {f"single walk, {name}" for name, holds in (
+        ("z = 0", z == 0), ("2z = |m|", 2 * z == m_abs), ("d = f^2 + 1", d == f * f + 1))
+        if holds}
+    roots = (z,) if paths else (z, m_abs - z)
+    firsts = [_first_unit_row(d, r, m_abs) for r in roots]
+    lengths = [j + ell for _, j, ell in firsts]
+    settles = sorted((len(roots) * (i + 1), side, i)
+                     for side, (i, _, _) in enumerate(firsts) if i is not None)
+    if not settles:
+        bound = sum(j for _, j, _ in firsts) + firsts[0][2] + 2 * (len(roots) - 1)
+        return paths | {"no |t| = 1"}, None, bound, lengths
+    rows, side, i = settles[0]
+    root = roots[side]
+    quots, j, _ = _expand_oracle(d, root, m_abs)
+    p, q = _convergents_oracle(quots, j, i)[i]
+    g = m_abs * p - root * q
+    if g * g - d * q * q == m:
+        return paths | {f"|t| = 1 on {'AB'[side]}"}, (g, q), rows, lengths
+    unit = _negative_unit_oracle(d)
+    if unit is None:
+        return paths | {"even period, wrong sign"}, None, rows, lengths
+    x, y = unit
+    g, q = g * x + d * q * y, g * y + q * x
+    return paths | {"wrong sign times the unit"}, (g, q) if q > 0 else (-g, -q), rows, lengths
+
+
 def _walked_roots(d, n):
-    """(m, z) for every root that the class search of (d, n) walks."""
+    """(m, z) for every root z with 2z <= |m| of the class search of (d, n):
+    the roots whose +-z pair it settles."""
     return [(m, z) for _, m, roots in _root_walks(d, n) for z in roots if 2 * z <= abs(m)]
 
 
 def test_class_walk_without_hit_runs_one_period(monkeypatch):
-    # _pqa_first_hit.__wrapped__ bypasses the memo, so each call walks
+    # with no row of |t| = 1 in either walk, the two walks together take at
+    # most j_A + j_B + L + 2 rows and a single walk j + L; over 1000 pairs
+    # end as the walks meet, before either closes its period.  __wrapped__
+    # bypasses the memo, so each call walks
     counts = _counting_walk(monkeypatch)
-    misses = 0
+    misses = met = 0
     for d in range(2, 201):
         if is_perfect_square(d) is not None:
             continue
+        pell_fundamental(d)
         for n in range(-50, 51):
             if n == 0:
                 continue
             for m, z in _walked_roots(d, n):
-                i, j, ell = _first_hit_row(d, z, m)
-                if i is None:
-                    assert pellian._pqa_first_hit.__wrapped__(d, z, m) is None
-                    assert counts.pop() <= j + ell, (d, z, m)
+                paths, _, bound, lengths = _pair_oracle(d, z, m)
+                if "no |t| = 1" in paths:
+                    counts.clear()
+                    assert pellian._pqa_first_hit.__wrapped__(d, z, m) is None, (d, z, m)
+                    assert sum(counts) <= bound, (d, z, m)
                     misses += 1
-    assert misses > 1000
+                    met += len(counts) == 2 and all(map(int.__lt__, counts, lengths))
+    assert misses > 1000 and met > 1000
 
 
 def test_class_walk_paths(monkeypatch):
@@ -395,33 +463,32 @@ def test_class_walk_paths(monkeypatch):
     # __wrapped__ bypasses the memo, so each call walks
     counts = _counting_walk(monkeypatch)
     paths = {
-        "hit in the first period": [(13, -1), (13, 12), (991, -10000019)],
-        # the hit is the (f, 1) row of an odd period, one period on
-        "hit in the copied period": [(13, 1), (29, 1), (61, 1)],
-        # the period is every row of the walk
-        "reduced start": [(13, 3), (13, 4), (13, 12), (13, 16)],
-        "even period, no hit": [(3, -1), (7, -1), (34, -1)],
+        "|t| = 1 on A": [(7, -3), (11, 5), (991, -10000019)],
+        "|t| = 1 on B": [(13, 3), (19, 5), (31, -3)],
+        # the (f, 1) row of an odd period has norm -1
+        "wrong sign times the unit": [(13, 1), (29, 1), (61, 1)],
+        "even period, wrong sign": [(3, -1), (7, -1), (34, -1)],
+        "the walks meet": [(12, 22), (13, -6), (13, -24)],
+        "single walk, z = 0": [(13, -1), (13, 1), (34, -9)],
+        "single walk, 2z = |m|": [(3, 2), (3, -6), (7, 2)],
+        # sqrt(f^2 + 1) = [f; 2f]: the principal cycle is the state (f, 1)
+        "single walk, d = f^2 + 1": [(2, -7), (10, 3), (10, -9)],
     }
     for name, cases in paths.items():
         for d, n in cases:
+            pell_fundamental(d)
             taken = set()
             for m, z in _walked_roots(d, n):
-                i, j, ell = _first_hit_row(d, z, m)
-                hit = pellian._pqa_first_hit.__wrapped__(d, z, m)
-                walked = counts.pop()
-                assert hit == next(iter(_three_pass_root_hits(d, z, m)), None), (d, z, m)
-                if i is None:
-                    assert walked <= j + ell
-                    taken.add("even period, no hit" if ell % 2 == 0 else "no hit")
+                names, hit, rows, lengths = _pair_oracle(d, z, m)
+                counts.clear()
+                assert pellian._pqa_first_hit.__wrapped__(d, z, m) == hit, (d, z, m)
+                if "no |t| = 1" in names:
+                    assert sum(counts) <= rows, (d, z, m)
+                    if len(counts) == 2 and all(map(int.__lt__, counts, lengths)):
+                        names.add("the walks meet")
                 else:
-                    if i < j + ell:
-                        assert walked == i + 1
-                        taken.add("hit in the first period" if i >= j else "hit in the preperiod")
-                    else:
-                        assert walked == j + ell and ell % 2 == 1
-                        taken.add("hit in the copied period")
-                if j == 0:
-                    taken.add("reduced start")
+                    assert sum(counts) == rows, (d, z, m)
+                taken |= names
             assert name in taken, (name, d, n)
             _assert_matches_three_pass(d, n)
 
@@ -429,9 +496,11 @@ def test_class_walk_paths(monkeypatch):
 def test_walk_row_gives_each_numerator():
     # Robertson's G_i = s_{i+1}*q_i + t_{i+1}*q_{i-1}, which the hit and the
     # Pell unit read off their rows, equals Q_0*p_i - z*q_i at every row of
-    # every walk the pell grid's class searches make, and of the unit walks
-    walks = {(d, z, abs(m)) for d in range(2, 201) if is_perfect_square(d) is None
-             for n in range(-50, 51) if n != 0 for m, z in _walked_roots(d, n)}
+    # the walks of both roots of every pair the pell grid's class searches
+    # settle, and of the unit walks
+    walks = {(d, r, abs(m)) for d in range(2, 201) if is_perfect_square(d) is None
+             for n in range(-50, 51) if n != 0 for m, z in _walked_roots(d, n)
+             for r in {z, abs(m) - z}}
     walks |= {(d, 0, 1) for d in LONG_PERIOD_DS}
     rows_seen = 0
     for d, z, m_abs in sorted(walks):
@@ -444,22 +513,36 @@ def test_walk_row_gives_each_numerator():
     assert rows_seen > 40_000
 
 
-def test_planted_long_period_hits_match_three_pass():
-    # N = x0^2 - D*y0^2 with a small prime y0 is solvable, so some walked root
-    # has a hit; every root's first hit is the three-pass oracle's first
+def test_planted_long_period_hits_match_three_pass(monkeypatch):
+    # N = x0^2 - D*y0^2 with a small prime y0 is solvable, so some walked pair
+    # has a hit; each hit lies in a class of the three-pass oracle's hits of
+    # its pair, found within two rows per row to the first |t| = 1 of either
+    # root's walk.  __wrapped__ bypasses the memo, so each call walks
+    counts = _counting_walk(monkeypatch)
     for d, y0 in zip(LONG_PERIOD_DS, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)):
+        pell_fundamental(d)
         x0 = isqrt(d * y0 * y0) + 1
         n = x0 * x0 - d * y0 * y0
         hits = 0
         for m, z in _walked_roots(d, n):
+            pair = (z, (abs(m) - z) % abs(m))
+            oracle = [h for r in pair for h in _three_pass_root_hits(d, r, m)]
+            counts.clear()
             hit = pellian._pqa_first_hit.__wrapped__(d, z, m)
-            assert hit == next(iter(_three_pass_root_hits(d, z, m)), None), (d, z, m)
-            hits += hit is not None
+            if hit is None:
+                assert not oracle, (d, z, m)
+                continue
+            x, y = hit
+            assert y > 0 and x * x - d * y * y == m, (d, z, m)
+            assert _reps(d, [hit]) <= _reps(d, oracle), (d, z, m)
+            firsts = [_first_unit_row(d, r, abs(m))[0] for r in pair]
+            assert sum(counts) <= 2 * min(i for i in firsts if i is not None) + 2, (d, z, m)
+            hits += 1
         assert hits, (d, n)
 
 
 def test_root_walk_hits_share_one_class():
-    # Why one hit of one root per pair suffices.  Every hit of root z has
+    # Why one hit per +-z pair suffices.  Every hit of root z has
     # G = -z*B (mod |m|), so by Nagell's criterion any two of them differ by a
     # unit of norm 1; and the hits of root |m| - z are the conjugate classes.
     for d in range(2, 201):
@@ -796,6 +879,49 @@ def test_prime_power_class_searches_pinned():
                     solvable += oc.verdict == SOLVABLE
     assert (cases, solvable) == (27_720, 10_627)
     assert h.hexdigest() == "a400e4863ece4e6ab4bbd3d05627ca23e408f820467e322a4f1ae0f8c3ad0476"
+
+
+def _long_period_pin_cases():
+    """(D, N, side) on every D of LONG_PERIOD_DS: N = x0^2 - D*y0^2 planted by
+    coprime x0 = isqrt(D*y0^2) or that + 1, y0 <= 7, with the side of the +-z
+    pair that holds the root -x0/y0 (mod |N|); then, side None, those of
+    N = +-p, +-p*p2 that no small prime of D obstructs, for the first primes
+    p < p2 above 10^4 with D a residue mod p."""
+    for d in LONG_PERIOD_DS:
+        for y0 in (1, 2, 3, 4, 5, 7):
+            for x0 in (isqrt(d * y0 * y0), isqrt(d * y0 * y0) + 1):
+                if math.gcd(x0, y0) == 1:
+                    n = x0 * x0 - d * y0 * y0
+                    z = -x0 * pow(y0, -1, abs(n)) % abs(n)
+                    yield d, n, "z" if 2 * z <= abs(n) else "|N| - z"
+        p, p2 = itertools.islice((p for p in itertools.count(10_001, 2)
+                                  if is_prime(p) and pow(d, (p - 1) // 2, p) == 1), 2)
+        for n in (p, -p, p * p2, -p * p2):
+            if pellian._local_obstruction(d, n) is None:
+                yield d, n, None
+
+
+def test_long_period_class_searches_pinned():
+    # SHA-256 of the class search's outcome on sqrt(D) of period 380-417 for
+    # planted N held by either root of a +-z pair, of both signs, and for
+    # N = +-p, +-p*p2 with roots mod |N| and no local obstruction; computed
+    # while each root z with 2z <= |N| was walked alone, an odd period's
+    # (f, 1) row read one period on
+    h = hashlib.sha256()
+    sides, cases, unsolvable = set(), 0, 0
+    for d, n, side in _long_period_pin_cases():
+        cases += 1
+        oc = _class_search_outcome(d, n, factorize(abs(n)))
+        h.update(repr((d, n, oc.verdict, oc.witnesses, oc.method,
+                       oc.search_bound_used)).encode())
+        if side is None:
+            unsolvable += oc.verdict == UNSOLVABLE
+        else:
+            assert oc.verdict == SOLVABLE, (d, n)
+            sides.add((side, n > 0))
+    assert sides == {(s, pos) for s in ("z", "|N| - z") for pos in (True, False)}
+    assert (cases, unsolvable) == (113, 12)
+    assert h.hexdigest() == "c693447815750139dcb25c8cdef471ad26dd1bc708555fcd475e763ee9b7c370"
 
 
 def test_descent_reads_residue_check_without_recursion(monkeypatch):
