@@ -4,14 +4,14 @@ Subcommands: cf, pell, tuple, pairs, verify.  All output is JSON with big
 integers rendered as decimal strings.  Exit codes: 0 = success / claim
 confirmed, 1 = claim violated, 2 = usage, input or output-file error, or a
 contradiction found by the package's own cross-checks (a RuntimeError), or
-a MemoryError.
+a MemoryError.  The CLI owns its process, so it lifts CPython's limit on
+int-str conversion: integers of any length are read and printed.
 """
 from __future__ import annotations
 
 import argparse
 import re
 import sys
-from dataclasses import fields
 from itertools import islice
 
 from .contfrac import QuadIrr, convergents, expand
@@ -87,8 +87,8 @@ def cmd_pairs(args) -> int:
 
 def cmd_verify(args) -> int:
     # sweep options default to None here, so the ones given are the ones set
-    given = {f.name: getattr(args, f.name) for f in fields(SweepConfig)
-             if getattr(args, f.name) is not None}
+    given = {name: getattr(args, name) for name in SweepConfig._fields
+             if getattr(args, name) is not None}
     unread = [name for name in given if name not in CLAIM_OPTIONS[args.claim_id]]
     if unread:
         raise ValueError(f"{args.claim_id} does not read "
@@ -147,10 +147,10 @@ def build_parser() -> argparse.ArgumentParser:
                               description="Each sweep option names the claims that read "
                                           "it, with the claim's default in parentheses.")
     p_verify.add_argument("claim_id", choices=sorted(CLAIMS))
-    for f in fields(SweepConfig):
-        readers = [f"{c} ({opts[f.name]})" for c, opts in sorted(CLAIM_OPTIONS.items())
-                   if f.name in opts]
-        p_verify.add_argument(_option(f.name), type=int, default=None,
+    for name in SweepConfig._fields:
+        readers = [f"{c} ({opts[name]})" for c, opts in sorted(CLAIM_OPTIONS.items())
+                   if name in opts]
+        p_verify.add_argument(_option(name), type=int, default=None,
                               help=f"read by {', '.join(readers)}")
     p_verify.add_argument("--out", type=str, default=None)
     p_verify.add_argument("--jsonl", action="store_true",
@@ -166,6 +166,8 @@ _parser: argparse.ArgumentParser | None = None
 
 def main(argv=None) -> int:
     global _parser
+    if hasattr(sys, "set_int_max_str_digits"):  # CPython 3.10.7 and later
+        sys.set_int_max_str_digits(0)
     if _parser is None:
         _parser = build_parser()
     args = _parser.parse_args(argv)

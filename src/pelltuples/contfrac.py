@@ -13,42 +13,49 @@ periodic, and purely periodic from its first reduced complete quotient on
 `walk` is the one copy of this recurrence and `period_start` the one finder
 of where its period opens: `expand` records the rows of one period, and
 `CFExpansion.terms` repeats them past the period.  `convergents` turns any
-partial quotients into (p_m, q_m) one by one, `last_convergents` into the
-last two of them and `last_denominators` into the last two q in one plain
-loop.  Along a walk from (s_0, t_0), t_0*p_i - s_0*q_i = s_{i+1}*q_i +
-t_{i+1}*q_{i-1}, so the Pell unit and the class search's hit take only the
-q and read each numerator off a row.
+partial quotients into (p_m, q_m) one by one, and `last_denominators` into
+the last two q in one plain loop.  Along a walk from (s_0, t_0), t_0*p_i -
+s_0*q_i = s_{i+1}*q_i + t_{i+1}*q_{i-1}, so the Pell unit and the class
+search's hit take only the q and read each numerator off a row.  The records
+`QuadIrr` and `CFExpansion` are NamedTuples.
 """
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from itertools import cycle, islice
 from typing import NamedTuple
 
 from .arith import is_perfect_square, isqrt
 
 
-@dataclass(frozen=True)
-class QuadIrr:
-    """The quadratic irrational (s + sqrt(d)) / t, normalized so t | d - s^2."""
-
+class _QuadIrrFields(NamedTuple):
     d: int
     s: int
     t: int
 
-    def __post_init__(self):
-        if self.t == 0:
+
+class QuadIrr(_QuadIrrFields):
+    """The quadratic irrational (s + sqrt(d)) / t, normalized so t | d - s^2:
+    a NamedTuple checked by every constructor, _make and _replace included."""
+
+    __slots__ = ()
+
+    def __new__(cls, d: int, s: int, t: int):
+        if t == 0:
             raise ValueError("t must be nonzero")
-        if self.d < 0:
+        if d < 0:
             raise ValueError("d must be non-negative")
-        if is_perfect_square(self.d) is not None:
-            raise ValueError(f"d={self.d} is a perfect square")
-        if (self.d - self.s * self.s) % self.t != 0:
-            a = abs(self.t)
-            object.__setattr__(self, "s", self.s * a)
-            object.__setattr__(self, "d", self.d * self.t * self.t)
-            object.__setattr__(self, "t", self.t * a)
+        if is_perfect_square(d) is not None:
+            raise ValueError(f"d={d} is a perfect square")
+        if (d - s * s) % t != 0:
+            a = abs(t)
+            d, s, t = d * t * t, s * a, t * a
+        return tuple.__new__(cls, (d, s, t))
+
+    @classmethod
+    def _make(cls, iterable) -> QuadIrr:
+        # NamedTuple's _make, behind _replace, would skip __new__'s checks
+        return cls(*iterable)
 
     def compare_rational(self, num: int, den: int) -> int:
         """Sign of self - num/den, exactly."""
@@ -62,8 +69,7 @@ class QuadIrr:
         return 1 if sign * self.t * den > 0 else -1
 
 
-@dataclass
-class CFExpansion:
+class CFExpansion(NamedTuple):
     """The rows (a_n, s_{n+1}, t_{n+1}) of `walk` through the preperiod of
     preperiod_len rows and one period; the last row's state repeats the
     state that opens the period."""
@@ -151,17 +157,6 @@ def convergents(quotients: Iterable[int]) -> Iterator[tuple[int, int]]:
         yield p, q
 
 
-def last_convergents(quotients: Iterable[int]) -> tuple[int, int, int, int]:
-    """(p_{m-1}, q_{m-1}, p_m, q_m) for [a_0; a_1, ..., a_m], the last two
-    convergents by one plain loop; (p_{-2}, q_{-2}, p_{-1}, q_{-1}) =
-    (0, 1, 1, 0) for no quotients.  Only _lemma_db_sides reads it, on
-    purpose: its identity ties p to (s, t), so p is not read off them."""
-    p0, q0, p, q = 0, 1, 1, 0
-    for a in quotients:
-        p0, q0, p, q = p, q, a * p + p0, a * q + q0
-    return p0, q0, p, q
-
-
 def last_denominators(quotients: Iterable[int]) -> tuple[int, int]:
     """(q_{m-1}, q_m) for [a_0; a_1, ..., a_m] by one plain loop; (q_{-2},
     q_{-1}) = (1, 0) for no quotients."""
@@ -188,9 +183,10 @@ def lemma_db_check(alpha: int, beta: int, n: int, r: int, u: int) -> int:
 
 def _lemma_db_sides(alpha: int, beta: int, exp: CFExpansion, n: int, r: int, u: int) -> int:
     """lemma_db_check's check and value, given exp, the expansion of
-    sqrt(alpha*beta)/beta, for inputs that lemma_db_check accepts."""
+    sqrt(alpha*beta)/beta, for inputs that lemma_db_check accepts.  The
+    identity ties p to (s, t), so p comes from convergents, not off a row."""
     rows = list(islice(exp.terms(), n + 2))
-    pn, qn, pn1, qn1 = last_convergents(a for a, _, _ in rows)
+    *_, (pn, qn), (pn1, qn1) = convergents(a for a, _, _ in rows)
     lhs = alpha * (r * qn1 + u * qn) ** 2 - beta * (r * pn1 + u * pn) ** 2
     (_, _, t1), (_, s2, t2) = rows[n:]
     rhs = (-1) ** n * (u * u * t1 + 2 * r * u * s2 - r * r * t2)

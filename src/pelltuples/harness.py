@@ -10,9 +10,9 @@ as its decimal string, a tuple as an array; `body()` is that text read back.
 
 A claim's options are its keyword-only parameters, with their defaults,
 and nothing else declares them: `CLAIM_OPTIONS` is read off each claim's
-`__kwdefaults__`, `SweepConfig` has one field per option some claim
-reads (in alphabetical order), and `run_claim` passes each claim the
-fields that are set and that it reads.
+`__kwdefaults__`, `SweepConfig` is a namedtuple with one field per option
+some claim reads (in alphabetical order), and `run_claim` passes each claim
+the fields that are set and that it reads.  `ClaimReport` is a NamedTuple.
 """
 from __future__ import annotations
 
@@ -21,8 +21,9 @@ import math
 import os
 import random
 import time
-from dataclasses import dataclass, field, make_dataclass
+from collections import namedtuple
 from json.encoder import encode_basestring_ascii as _json_str
+from typing import NamedTuple
 
 from . import __version__
 from .arith import factorize, is_perfect_square, is_prime, isqrt, odd_primes_upto
@@ -52,12 +53,11 @@ CONFIRMED = "CONFIRMED"
 VIOLATED = "VIOLATED"
 
 
-@dataclass
-class ClaimReport:
+class ClaimReport(NamedTuple):
     claim_id: str
     status: str
     config: dict
-    evidence: list = field(default_factory=list)
+    evidence: list
     elapsed: float = 0.0
 
     def _raw_body(self) -> dict:
@@ -77,7 +77,9 @@ class ClaimReport:
 def dump_json(doc, compact: bool) -> str:
     """The JSON text of every report and CLI document, written in one pass,
     compact or indented by 2: keys made str and sorted, each int that is not a
-    bool as its decimal string, each tuple as an array."""
+    bool as its decimal string, each tuple as an array.  An int longer than
+    sys.get_int_max_str_digits() raises ValueError unless the caller lifts
+    that limit, as cli.main does for its process."""
     out: list[str] = []
     _write_json(doc, out, "" if compact else "\n")
     return "".join(out)
@@ -462,13 +464,10 @@ CLAIMS = {
 #: the options each claim reads, with their defaults: its keyword-only parameters
 CLAIM_OPTIONS = {claim_id: dict(fn.__kwdefaults__ or {}) for claim_id, fn in CLAIMS.items()}
 
-# one field per option some claim reads; the module is named so that it pickles
-SweepConfig = make_dataclass(
-    "SweepConfig",
-    [(name, int | None, None) for name in sorted(set().union(*CLAIM_OPTIONS.values()))],
-    namespace={"__module__": __name__,
-               "__doc__": "Sweep options; an unset (None) one takes the claim's own default."},
-)
+# one field per option some claim reads
+_OPTION_NAMES = sorted(set().union(*CLAIM_OPTIONS.values()))
+SweepConfig = namedtuple("SweepConfig", _OPTION_NAMES, defaults=(None,) * len(_OPTION_NAMES))
+SweepConfig.__doc__ = "Sweep options; an unset (None) one takes the claim's own default."
 
 
 def run_claim(claim_id: str, cfg: SweepConfig) -> ClaimReport:
@@ -477,5 +476,4 @@ def run_claim(claim_id: str, cfg: SweepConfig) -> ClaimReport:
              if getattr(cfg, name) is not None}
     start = time.monotonic()
     report = fn(**given)
-    report.elapsed = time.monotonic() - start
-    return report
+    return report._replace(elapsed=time.monotonic() - start)

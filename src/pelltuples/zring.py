@@ -3,11 +3,11 @@
 Ring elements are a + b*sqrt(-t) with integer a, b and a fixed positive t
 per ring; t = 0 embeds plain integers.  Square detection, the triple
 extension identities and the closed-form {1, n^2+1, -c, d} quadruple family
-are all done in exact integers.
+are all done in exact integers.  The reports are NamedTuples; `RingElem` is a
+slotted class of its own, because a NamedTuple would equal a plain tuple.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations, takewhile
 from operator import index
 from typing import NamedTuple
@@ -26,20 +26,15 @@ NONE = "NONE"
 UNDECIDED_BY_PAPER = "UNDECIDED_BY_PAPER"
 
 
-@dataclass(slots=True, unsafe_hash=True, init=False)
 class RingElem:
     """re + im*sqrt(-t); t = 0 means a plain integer (im must be 0).
 
     A value type: equality and hash go by (re, im, t), and its fields are
     never mutated after construction, so as_elem and the reports share
-    instances instead of copying them.  It is slotted rather than frozen
-    because a frozen dataclass pays an object.__setattr__ per field each
-    time one is built, and validates in __init__ to spare a __post_init__ call.
+    instances instead of copying them.
     """
 
-    re: int
-    im: int
-    t: int
+    __slots__ = ("re", "im", "t")
 
     def __init__(self, re: int, im: int, t: int):
         if t < 0:
@@ -47,6 +42,17 @@ class RingElem:
         if t == 0 and im != 0:
             raise ValueError("t=0 embeds plain integers only")
         self.re, self.im, self.t = re, im, t
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.re, self.im, self.t) == (other.re, other.im, other.t)
+
+    def __hash__(self):
+        return hash((self.re, self.im, self.t))
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}(re={self.re!r}, im={self.im!r}, t={self.t!r})"
 
     def __str__(self):
         if self.im == 0:
@@ -109,15 +115,14 @@ def sqrt_in_ring(z: RingElem) -> list[RingElem]:
     return [RingElem(*root, z.t)] if root is not None else []
 
 
-@dataclass(slots=True)
-class TupleReport:
+class TupleReport(NamedTuple):
     """Verification record for a D(n)-tuple candidate."""
 
     elements: tuple[RingElem, ...]
     n: int
     t: int
     verified: bool
-    witnesses: dict[tuple[int, int], RingElem] = field(default_factory=dict)
+    witnesses: dict[tuple[int, int], RingElem]
     failing_pair: tuple[int, int] | None = None
     degenerate: bool = False
     note: str = ""
@@ -223,7 +228,7 @@ def prop_family(n: int, j: int, m: int) -> tuple[TupleReport, TupleReport]:
         elems = (1, b, -c, d)
         if 0 in elems or len({*elems}) != 4:
             rep = TupleReport(
-                tuple(as_elem(e, t) for e in elems), -1, t, False,
+                tuple(as_elem(e, t) for e in elems), -1, t, False, {},
                 degenerate=True, note=f"d{'+' if sg > 0 else '-'}={d} degenerate",
             )
             reports.append(rep)
@@ -270,8 +275,7 @@ def remark2_reduction(b: int, t: int) -> PellianProblem:
     return PellianProblem(b, (1 - b) // t)
 
 
-@dataclass
-class ClassifyResult:
+class ClassifyResult(NamedTuple):
     status: str
     witness: TupleReport | None = None
     certificate: PellianOutcome | None = None

@@ -6,6 +6,7 @@ import json
 import math
 import re
 import shlex
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -22,6 +23,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+@pytest.fixture(autouse=True)
+def _restore_int_str_limit():
+    # main() lifts CPython's int-str conversion limit for the whole process;
+    # put it back so that no test after this one runs without it
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    yield
+    if limit is not None:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_parse_elem():
@@ -126,6 +137,29 @@ def test_pell_obstructed_hard_n_is_never_factorized(capsys, monkeypatch):
     doc = json.loads(out)
     assert doc["verdict"] == "UNSOLVABLE" and doc["witnesses"] == []
     assert doc["method"] == "cf-classes"
+
+
+def test_pell_prints_integers_past_the_int_str_limit(capsys):
+    # the class bound has 14,197 digits, past CPython's default limit of 4,300
+    # on int-str conversion, which main() lifts for its own process
+    code, out, err = run(capsys, "--json", "pell", "1000000006", "1")
+    assert code == 0 and not err
+    doc = json.loads(out)
+    assert doc["verdict"] == "SOLVABLE" and len(doc["search_bound_used"]) == 14_197
+
+
+def test_pell_reads_integers_past_the_int_str_limit(capsys, monkeypatch):
+    # N = 10^4400 + 1 = 2 (mod 3) has 4,401 digits; it is a non-residue mod
+    # 3 | D, so the local exit settles the query without factorizing N
+    def no_factorize(n):
+        raise AssertionError("factorize called")
+
+    monkeypatch.setattr(pellian, "factorize", no_factorize)
+    n = "1" + "0" * 4399 + "1"
+    code, out, err = run(capsys, "--json", "pell", "3", "--", n)
+    assert code == 0 and not err
+    doc = json.loads(out)
+    assert doc["N"] == n and doc["verdict"] == "UNSOLVABLE" and doc["witnesses"] == []
 
 
 def test_expansion_cap_is_usage_error(capsys):

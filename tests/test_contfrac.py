@@ -351,19 +351,15 @@ def test_convergents_of_any_quotients():
 
 
 def test_last_convergents_are_the_last_two_of_convergents():
-    # verify dubo reads last_convergents, and the Pell unit and the class
-    # search's hit read last_denominators
+    # the Pell unit and the class search's hit read last_denominators
     rng = random.Random(32)
     for _ in range(300):
         quots = [rng.randint(0, 1000)] + [rng.randint(1, 1000) for _ in range(rng.randint(0, 49))]
         conv = [(1, 0), *convergents(quots)]
         (p1, q1), (p, q) = conv[-2:]
-        assert contfrac.last_convergents(quots) == (p1, q1, p, q)
-        assert contfrac.last_convergents(iter(quots)) == (p1, q1, p, q)
         assert contfrac.last_denominators(quots) == (q1, q)
         assert contfrac.last_denominators(iter(quots)) == (q1, q)
-    # no quotients: (p_{-2}, q_{-2}, p_{-1}, q_{-1})
-    assert contfrac.last_convergents([]) == (0, 1, 1, 0)
+    # no quotients: (q_{-2}, q_{-1})
     assert contfrac.last_denominators([]) == (1, 0)
 
 

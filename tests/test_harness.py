@@ -7,7 +7,6 @@ import os
 import pickle
 import subprocess
 import sys
-from dataclasses import fields, replace
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -59,7 +58,7 @@ def test_claims_registry_complete():
         "fifumi-desk", "tm-ii-1-desk", "tm-ii-2", "pairs",
     }
     assert set(CLAIM_OPTIONS) == set(CLAIMS)
-    names = {f.name for f in fields(SweepConfig)}
+    names = set(SweepConfig._fields)
     assert all(set(opts) <= names for opts in CLAIM_OPTIONS.values())
 
 
@@ -92,10 +91,10 @@ def test_claim_reads_no_other_option(claim_id):
     # body (workers never does, so it is not varied here)
     base = SMALL[claim_id]
     body = run_claim(claim_id, base).body()
-    for f in fields(SweepConfig):
-        if f.name not in CLAIM_OPTIONS[claim_id] and f.name != "workers":
-            varied = replace(base, **{f.name: 7})
-            assert run_claim(claim_id, varied).body() == body, (claim_id, f.name)
+    for name in SweepConfig._fields:
+        if name not in CLAIM_OPTIONS[claim_id] and name != "workers":
+            varied = base._replace(**{name: 7})
+            assert run_claim(claim_id, varied).body() == body, (claim_id, name)
 
 
 def test_report_json_shape():
@@ -161,29 +160,53 @@ def test_pool_modules_load_only_when_a_sweep_runs_a_pool():
     assert json.loads(out) == [[], CONFIRMED, True]
 
 
+def _cold_import(code: str):
+    """The JSON that a fresh interpreter prints when it has imported the
+    package and its CLI (and json and sys) and then runs code."""
+    code = f"import json, sys\nimport pelltuples, pelltuples.cli\n{code}"
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    return json.loads(out)
+
+
 def test_fraction_modules_load_only_when_worley_runs():
     # a fresh interpreter: importing the package and its CLI leaves fractions
     # and the modules it brings unloaded; the worley sweep, the one claim with
     # a rational value, loads them
-    code = ("import json, sys\n"
-            "exact = ['fractions', 'decimal', 'numbers']\n"
-            "import pelltuples, pelltuples.cli\n"
+    code = ("exact = ['fractions', 'decimal', 'numbers']\n"
             "cold = [m for m in exact if m in sys.modules]\n"
             "from pelltuples.harness import SweepConfig, run_claim\n"
             "rep = run_claim('worley', SweepConfig())\n"
             "print(json.dumps([cold, rep.status,"
             " [m for m in exact if m in sys.modules]]))\n")
-    src = os.path.dirname(os.path.dirname(harness.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=60).stdout
-    assert json.loads(out) == [[], CONFIRMED, ["fractions", "decimal", "numbers"]]
+    assert _cold_import(code) == [[], CONFIRMED, ["fractions", "decimal", "numbers"]]
+
+
+def test_cold_import_loads_no_dataclasses_or_inspect():
+    # every record is a NamedTuple or a slotted class; typing and random are
+    # not pinned, since a site hook may load them before any user code
+    loaded = _cold_import("print(json.dumps([m for m in ('dataclasses', 'inspect')"
+                          " if m in sys.modules]))")
+    assert loaded == []
+
+
+def test_import_keeps_the_int_str_limit():
+    # only the CLI's main() lifts the limit: importing the library changes no
+    # process-wide setting
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("no int-str conversion limit in this Python")
+    code = "import sys; print(sys.get_int_max_str_digits())"
+    fresh = subprocess.run([sys.executable, "-c", code], check=True,
+                           capture_output=True, text=True, timeout=60).stdout
+    assert _cold_import(code) == int(fresh) > 0
 
 
 def test_claim_options_are_sweep_fields():
     # a claim's options are its keyword parameters; each is a SweepConfig field
     # with an int default, and no field is a knob that no claim reads
-    names = {f.name for f in fields(SweepConfig)}
+    names = set(SweepConfig._fields)
     read = set()
     for claim_id, fn in CLAIMS.items():
         params = inspect.signature(fn).parameters
@@ -204,7 +227,7 @@ def test_claim_options_are_keyword_only():
 
 
 def test_sweep_config_pickles():
-    # a process pool pickles what it is sent; make_dataclass names the module
+    # a process pool pickles what it is sent; namedtuple names the module
     cfg = SweepConfig(p_max=7)
     assert SweepConfig.__module__ == "pelltuples.harness"
     assert pickle.loads(pickle.dumps(cfg)) == cfg
@@ -359,8 +382,7 @@ def _old_dump_json(doc, compact):
 
 @pytest.mark.parametrize("claim_id", sorted(CLAIMS))
 def test_to_json_matches_deep_dec_path(claim_id):
-    report = run_claim(claim_id, SweepConfig())
-    report.elapsed = 0.1234567
+    report = run_claim(claim_id, SweepConfig())._replace(elapsed=0.1234567)
     # the raw body, so that the oracle and not the writer converts the ints
     doc = {**report._raw_body(), "header": {"elapsed": 0.123457, "version": harness.__version__}}
     for compact in (False, True):

@@ -463,11 +463,13 @@ def test_class_walk_paths(monkeypatch):
     # __wrapped__ bypasses the memo, so each call walks
     counts = _counting_walk(monkeypatch)
     paths = {
-        "|t| = 1 on A": [(7, -3), (11, 5), (991, -10000019)],
+        # (3, 13) settles on a row with t = -1: walk A of (4 + sqrt(3))/13
+        # opens with the row (0, -4, -1); so does (3, -13) below
+        "|t| = 1 on A": [(7, -3), (11, 5), (991, -10000019), (3, 13)],
         "|t| = 1 on B": [(13, 3), (19, 5), (31, -3)],
         # the (f, 1) row of an odd period has norm -1
         "wrong sign times the unit": [(13, 1), (29, 1), (61, 1)],
-        "even period, wrong sign": [(3, -1), (7, -1), (34, -1)],
+        "even period, wrong sign": [(3, -1), (7, -1), (34, -1), (3, -13)],
         "the walks meet": [(12, 22), (13, -6), (13, -24)],
         "single walk, z = 0": [(13, -1), (13, 1), (34, -9)],
         "single walk, 2z = |m|": [(3, 2), (3, -6), (7, 2)],

@@ -1,7 +1,6 @@
 """Arithmetic in Z[sqrt(-t)], tuple verification, and the quadruple families."""
 
 import copy
-import dataclasses
 import pickle
 import random
 import time
@@ -418,9 +417,9 @@ def test_tuple_report_is_a_slotted_value():
               prop_family(1, 1, 1)[0]):
         assert not hasattr(r, "__dict__")
         for twin in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r)),
-                     dataclasses.replace(r)):
+                     r._replace()):
             assert type(twin) is TupleReport and twin == r
-        assert dataclasses.replace(r, note="other") != r
+        assert r._replace(note="other") != r
 
 
 def test_reports_of_one_length_share_their_pair_keys(monkeypatch):
