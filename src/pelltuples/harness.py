@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import random
 import time
 from collections import namedtuple
 from json.encoder import encode_basestring_ascii as _json_str
@@ -206,6 +205,9 @@ def _sampled_claim(claim_id: str, draw, samples: int, seed: int) -> ClaimReport:
     """Check `samples` cases, each drawn and checked by draw(rng) from one
     generator seeded with `seed`; the evidence keeps the first 10 records,
     every failing one and a summary."""
+    # imported here, not at the top: only the sampled claims and worley load random
+    import random
+
     if samples < 1:
         raise ValueError(f"{claim_id} needs samples >= 1")
     rng = random.Random(seed)
@@ -220,7 +222,7 @@ def _sampled_claim(claim_id: str, draw, samples: int, seed: int) -> ClaimReport:
                        {"samples": samples, "seed": seed}, evidence)
 
 
-def _dubo_case(rng: random.Random) -> dict:
+def _dubo_case(rng) -> dict:
     while True:
         alpha = rng.randint(1, 10_000)
         beta = rng.randint(1, 10_000)
@@ -261,7 +263,9 @@ def _worley_good_approximations(alpha: QuadIrr, c, b_max: int):
 
 
 def claim_worley(*, seed: int = 0) -> ClaimReport:
-    # imported here, not at the top: no other sweep loads fractions and decimal
+    # imported here, not at the top: no other sweep loads fractions and decimal,
+    # and only the sampled claims and this one load random
+    import random
     from fractions import Fraction
 
     rng = random.Random(seed)
@@ -288,7 +292,7 @@ def claim_worley(*, seed: int = 0) -> ClaimReport:
     return _checked("worley", {"b_max": b_max, "seed": seed}, evidence)
 
 
-def _random_dl_triple(rng: random.Random):
+def _random_dl_triple(rng):
     """Random D(l) triple (a, b, a+b+2r) with roots (r, a+r, b+r), l in {-1, 1}."""
     while True:
         l = rng.choice([-1, 1])
@@ -305,7 +309,7 @@ def _random_dl_triple(rng: random.Random):
         return a, b, c, l, r, a + r, b + r
 
 
-def _lemma3_case(rng: random.Random) -> dict:
+def _lemma3_case(rng) -> dict:
     a, b, c, l, r, s, tp = _random_dl_triple(rng)
     try:
         data = lemma3_extend_data(a, b, c, l, r, s, tp)

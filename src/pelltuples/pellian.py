@@ -43,9 +43,10 @@ Both report the same canonical witnesses: one minimal-y representative
 per solution class and its conjugate, with x >= 0.  The class search takes
 the factorization of |N| from its caller: solve_complete factorizes, while
 the paper's searches of N = +-p^j pass {p: j}.  Walks are memoized per
-(D, z, signed Q_0), so a search of p^j reuses the walks of p^(j-2), p^(j-4),
-...  Only factorize() and walk()'s 100,000-term cap limit the class search,
-and both raise; a query that _local_obstruction settles never factorizes N.
+(D, z, Q_0), as the sign of N enters only the hit row's norm, so a search of
++-p^j reuses the walks of -+p^j and of +-p^(j-2), +-p^(j-4), ...  Only
+factorize() and walk()'s 100,000-term cap limit the class search, and both
+raise; a query that _local_obstruction settles never factorizes N.
 """
 from __future__ import annotations
 
@@ -114,37 +115,38 @@ class PellUnit(NamedTuple):
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _pqa_first_hit(d: int, z: int, m: int) -> tuple[int, int] | None:
-    """A (G, B), B > 0, with G^2 - d*B^2 = m in the class of root z or of
-    root |m| - z (the conjugate class), for m | z^2 - d; None if none.
+def _pqa_first_hit(d: int, z: int, q0: int) -> tuple[int, int, int] | None:
+    """(G, B, norm), B > 0, G^2 - d*B^2 = norm = +-q0, in the class of root z
+    or of root q0 - z (the conjugate class), for q0 | z^2 - d; None if none.
 
-    Walks A of (z + sqrt(d))/|m| and B of (|m| - z + sqrt(d))/|m| take a row
-    each in turn, and the first row with |t| = 1 settles (_generator_hit).
-    Both start from the element |m| of the ideal I of root z: A passes the
-    minima of I whose conjugate is below |m|, B (conjugated) those below |m|
-    themselves, no minimum tops |m| on both sides, and a principal I has a
+    Walks A of (z + sqrt(d))/q0 and B of (q0 - z + sqrt(d))/q0 take a row each
+    in turn, and the first row with |t| = 1 gives the hit (_row_hit).  Both
+    start from the element q0 of the ideal I of root z: A passes the minima
+    of I whose conjugate is below q0, B (conjugated) those below q0
+    themselves, no minimum tops q0 on both sides, and a principal I has a
     generator, |t| = 1, among them.  alpha -> -1/conj(alpha), (s_{i+1},
     t_{i+1}) -> (s_{i+1}, t_i), runs A's cycle of reduced ideals backwards
     as B's, so B's state mirrors A's newest only once the two arcs close
-    the cycle, and I is then not principal.  z = -z (mod |m|) and d = f^2 + 1,
+    the cycle, and I is then not principal.  z = -z (mod q0) and d = f^2 + 1,
     whose principal cycle is the one state (f, 1), take one walk alone.
+    The rows serve m = q0 and m = -q0 alike: _generator_hit settles the sign.
     """
-    m_abs, f = abs(m), isqrt(d)
-    if not 0 < 2 * z < m_abs or d == f * f + 1:
+    f = isqrt(d)
+    if not 0 < 2 * z < q0 or d == f * f + 1:
         quots = []
-        for a, s, t in walk(d, z, m_abs):
+        for a, s, t in walk(d, z, q0):
             quots.append(a)
             if abs(t) == 1:
-                return _generator_hit(d, m, quots, s, t)
+                return _row_hit(q0, quots, s, t)
         return None
-    quots_a, quots_b, t_a, state_b = [], [], m_abs, None
-    for (a, s, t), (b, s_b, t_b) in zip(walk(d, z, m_abs), walk(d, m_abs - z, m_abs)):
+    quots_a, quots_b, t_a, state_b = [], [], q0, None
+    for (a, s, t), (b, s_b, t_b) in zip(walk(d, z, q0), walk(d, q0 - z, q0)):
         quots_a.append(a)
         quots_b.append(b)
         if abs(t) == 1:
-            return _generator_hit(d, m, quots_a, s, t)
+            return _row_hit(q0, quots_a, s, t)
         if abs(t_b) == 1:
-            return _generator_hit(d, m, quots_b, s_b, t_b)
+            return _row_hit(q0, quots_b, s_b, t_b)
         # B's state before or after its row mirrors A's newest
         mirror, t_a = (s, t_a), t
         if mirror in (state_b, (s_b, t_b)):
@@ -153,14 +155,18 @@ def _pqa_first_hit(d: int, z: int, m: int) -> tuple[int, int] | None:
     return None
 
 
-def _generator_hit(d: int, m: int, quots: list[int], s: int, t: int) -> tuple[int, int] | None:
-    """The hit, B > 0, of the walk row (a_i, s, t), |t| = 1, after quotients
-    quots = [a_0, ..., a_i]: theta = G + q_i*sqrt(d), G = s*q_i + t*q_{i-1},
-    of norm (-1)^(i+1) * t * |m| (Robertson) if that is m, else theta times
-    the unit of norm -1; None if there is none."""
+def _row_hit(q0: int, quots: list[int], s: int, t: int) -> tuple[int, int, int]:
+    """(G, q_i, norm) of G + q_i*sqrt(d) at the walk row (a_i, s, t), |t| = 1, after
+    quots = [a_0, ..., a_i]: G = s*q_i + t*q_{i-1}, norm (-1)^(i+1)*t*q0 (Robertson)."""
     q1, q = last_denominators(quots)
-    g = s * q + t * q1
-    if (t if len(quots) % 2 == 0 else -t) * abs(m) != m:
+    return s * q + t * q1, q, (t if len(quots) % 2 == 0 else -t) * q0
+
+
+def _generator_hit(d: int, m: int, g: int, q: int, norm: int) -> tuple[int, int] | None:
+    """The hit (G, B), B > 0, of norm m from theta = g + q*sqrt(d) of norm
+    +-m: theta if its norm is m, else theta times the unit of norm -1; None
+    if there is none."""
+    if norm != m:
         unit = _negative_unit(d)
         if unit is None:
             return None
@@ -317,19 +323,21 @@ def _cf_class_solutions(d: int, n: int, factors: dict[int, int]) -> list[tuple[i
         levels, joined = _sqrt_mod_prime_power(d, p, e), []
         for f, q, roots in splits:
             for h in range(e // 2 + 1):
-                pj = p ** (e - 2 * h)
-                inv = pow(q, -1, pj)
-                joined.append((f * p**h, q * pj, [r + q * ((s - r) * inv % pj)
-                                                  for r in roots for s in levels[e - 2 * h]]))
+                pj, own = p ** (e - 2 * h), levels[e - 2 * h]
+                # the one root mod q = 1, as for the first prime, is 0: own as is
+                if q > 1:
+                    inv = pow(q, -1, pj)
+                    own = [r + q * ((s - r) * inv % pj) for r in roots for s in own]
+                joined.append((f * p**h, q * pj, own))
         splits = joined
     for f, q, roots in splits:
         m = q if n > 0 else -q
         for z in sorted(roots):
-            # _pqa_first_hit(d, z, m) settles z and q - z: none above q/2 is walked
+            # _pqa_first_hit(d, z, q) settles z and q - z: none above q/2 is walked
             if 2 * z > q:
                 break
-            hit = _pqa_first_hit(d, z, m)
-            if hit is not None:
+            row = _pqa_first_hit(d, z, q)
+            if row is not None and (hit := _generator_hit(d, m, *row)) is not None:
                 sols.append((f * hit[0], f * hit[1]))
     return sols
 
@@ -529,6 +537,8 @@ def decide_paper_equation(p: int, k: int, l: int) -> PellianOutcome:
 def _positive_solutions(d: int, sols) -> Iterator[tuple[int, int]]:
     """Every (x, y) with x, y > 0 and x^2 - d*y^2 = n, in increasing y, from any
     one solution of each class of x^2 - d*y^2 = n (the conjugate classes follow)."""
+    if not sols:
+        return
     t, u = pell_fundamental(d)
     seeds = set()
     for x, y in sols:

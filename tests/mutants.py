@@ -31,8 +31,8 @@ MUTANTS = (
            (_PELLIAN + "test_class_walk_without_hit_runs_one_period",
             _PELLIAN + "test_class_walk_paths")),
     Mutant("pair-meets-from-b-start", "pellian.py",
-           "    quots_a, quots_b, t_a, state_b = [], [], m_abs, None\n",
-           "    quots_a, quots_b, t_a, state_b = [], [], m_abs, (m_abs - z, m_abs)\n",
+           "    quots_a, quots_b, t_a, state_b = [], [], q0, None\n",
+           "    quots_a, quots_b, t_a, state_b = [], [], q0, (q0 - z, q0)\n",
            (_PELLIAN + "test_long_period_class_searches_pinned",
             _PELLIAN + "test_class_walk_paths")),
     Mutant("single-walk-settles-on-t-1-only", "pellian.py",
@@ -43,12 +43,13 @@ MUTANTS = (
            (_PELLIAN + "test_class_walk_paths",)),
     Mutant("pair-settles-on-t-1-only", "pellian.py",
            "        if abs(t) == 1:\n"
-           "            return _generator_hit(d, m, quots_a, s, t)\n"
+           "            return _row_hit(q0, quots_a, s, t)\n"
            "        if abs(t_b) == 1:\n",
            "        if t == 1:\n"
-           "            return _generator_hit(d, m, quots_a, s, t)\n"
+           "            return _row_hit(q0, quots_a, s, t)\n"
            "        if t_b == 1:\n",
            (_PELLIAN + "test_class_walk_paths",)),
+    # _generator_hit's settlement of the sign-free row's norm against m
     Mutant("hit-twisted-by-norm-1-unit", "pellian.py",
            "        unit = _negative_unit(d)\n",
            "        unit = pell_fundamental(d)\n",
@@ -60,6 +61,19 @@ MUTANTS = (
            "        if unit is None:\n"
            "            return (g, q) if q > 0 else (-g, -q)\n",
            (_PELLIAN + "test_class_walk_paths",
+            _PELLIAN + "test_class_search_matches_three_pass")),
+    Mutant("hit-never-twisted", "pellian.py",
+           "    if norm != m:\n",
+           # the norm compared with |m| up to sign, so no row is ever turned
+           "    if abs(norm) != abs(m):\n",
+           (_PELLIAN + "test_sign_free_walk_matches_signed_oracle",
+            _PELLIAN + "test_class_walk_paths")),
+    # the splits of N built prime by prime
+    Mutant("first-prime-splits-take-levels-e", "pellian.py",
+           "                pj, own = p ** (e - 2 * h), levels[e - 2 * h]\n",
+           # the roots mod p^e, not mod p^(e-2h), for every split f = p^h
+           "                pj, own = p ** (e - 2 * h), levels[e - 2 * h] if q > 1 else levels[e]\n",
+           (_PELLIAN + "test_prime_power_class_searches_pinned",
             _PELLIAN + "test_class_search_matches_three_pass")),
     # the records
     Mutant("ring-elem-equals-tuple", "zring.py",

@@ -216,11 +216,11 @@ def test_wrong_negative_unit_is_error_exit(capsys, monkeypatch):
     # the class search of x^2 - 13*y^2 = 1 meets the (f, 1) row of sqrt(13)'s
     # odd period with norm -1 and turns it by the unit of norm -1, which
     # _negative_unit checks; a Pell unit with a wrong u (and so a class bound
-    # above ENUM_BOUND_LIMIT) makes that unit wrong
+    # above ENUM_BOUND_LIMIT) makes that unit wrong.  The turn is made outside
+    # the walk memo, which holds only the sign-free row
     true_unit = pellian.pell_fundamental
     monkeypatch.setattr(pellian, "pell_fundamental",
                         lambda d: pellian.PellUnit(649, 10**9) if d == 13 else true_unit(d))
-    monkeypatch.setattr(pellian, "_pqa_first_hit", pellian._pqa_first_hit.__wrapped__)
     code, out, err = run(capsys, "pell", "13", "1")
     assert code == 2 and not out
     assert err.startswith("error: ") and "not a unit of norm -1" in err and "Traceback" not in err

@@ -160,13 +160,13 @@ def test_pool_modules_load_only_when_a_sweep_runs_a_pool():
     assert json.loads(out) == [[], CONFIRMED, True]
 
 
-def _cold_import(code: str):
-    """The JSON that a fresh interpreter prints when it has imported the
-    package and its CLI (and json and sys) and then runs code."""
+def _cold_import(code: str, *flags: str):
+    """The JSON that a fresh interpreter, started with flags, prints when it
+    has imported the package and its CLI (and json and sys) and then runs code."""
     code = f"import json, sys\nimport pelltuples, pelltuples.cli\n{code}"
     src = os.path.dirname(os.path.dirname(harness.__file__))
     env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    out = subprocess.run([sys.executable, *flags, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
     return json.loads(out)
 
@@ -190,6 +190,16 @@ def test_cold_import_loads_no_dataclasses_or_inspect():
     loaded = _cold_import("print(json.dumps([m for m in ('dataclasses', 'inspect')"
                           " if m in sys.modules]))")
     assert loaded == []
+
+
+def test_cold_import_without_site_loads_no_random():
+    # python -S runs no site hook, so nothing else loads random: the sampled
+    # claims import it when they run, and the dubo sweep loads it
+    code = ("cold = 'random' in sys.modules\n"
+            "from pelltuples.harness import SweepConfig, run_claim\n"
+            "rep = run_claim('dubo', SweepConfig(samples=5))\n"
+            "print(json.dumps([cold, rep.status, 'random' in sys.modules]))\n")
+    assert _cold_import(code, "-S") == [False, CONFIRMED, True]
 
 
 def test_import_keeps_the_int_str_limit():
@@ -306,6 +316,30 @@ def test_tm1_runs_each_residue_check_once():
     info = pellian.case2_residue_search.cache_info()
     assert (info.misses, info.hits) == (56, 56)
     pellian.case2_residue_search.cache_clear()
+
+
+def test_tm1_workers_merge_order_matches_serial(monkeypatch):
+    # each pool worker keeps its own walk memo and residue-check cache, both
+    # cleared first so that no worker starts warm; the merged body is the
+    # serial one
+    # (cpu_count is pinned to 2 so that a one-CPU host still runs the pool)
+    import concurrent.futures
+
+    pools = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    pellian.case2_residue_search.cache_clear()
+    pellian._pqa_first_hit.cache_clear()
+    parallel = run_claim("tm1", SweepConfig(p_max=23, k_max=2, workers=2))
+    serial = run_claim("tm1", SweepConfig(p_max=23, k_max=2, workers=1))
+    assert pools == [2] and serial.status == CONFIRMED
+    assert serial.body() == parallel.body()
 
 
 def test_tm1_reports_residue_hit(monkeypatch):

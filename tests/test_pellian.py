@@ -39,6 +39,8 @@ from pelltuples.pellian import (
     _sqrt_mod_prime_power,
 )
 
+import signed_walk
+
 NONSQUARES = [d for d in range(2, 80) if is_perfect_square(d) is None]
 
 
@@ -433,11 +435,23 @@ def _walked_roots(d, n):
     return [(m, z) for _, m, roots in _root_walks(d, n) for z in roots if 2 * z <= abs(m)]
 
 
+def _settled_walk(d, z, m):
+    """The hit of norm m that the class search reads off the sign-free walk
+    of root z mod |m|, whose row must have norm +-m; __wrapped__ bypasses
+    the memo, so each call walks."""
+    row = pellian._pqa_first_hit.__wrapped__(d, z, abs(m))
+    if row is None:
+        return None
+    g, q, norm = row
+    assert q > 0 and g * g - d * q * q == norm and abs(norm) == abs(m), (d, z, m, row)
+    return pellian._generator_hit(d, m, *row)
+
+
 def test_class_walk_without_hit_runs_one_period(monkeypatch):
     # with no row of |t| = 1 in either walk, the two walks together take at
     # most j_A + j_B + L + 2 rows and a single walk j + L; over 1000 pairs
-    # end as the walks meet, before either closes its period.  __wrapped__
-    # bypasses the memo, so each call walks
+    # end as the walks meet, before either closes its period.  The walk of
+    # |m| is sign-free, and __wrapped__ bypasses the memo, so each call walks
     counts = _counting_walk(monkeypatch)
     misses = met = 0
     for d in range(2, 201):
@@ -451,7 +465,7 @@ def test_class_walk_without_hit_runs_one_period(monkeypatch):
                 paths, _, bound, lengths = _pair_oracle(d, z, m)
                 if "no |t| = 1" in paths:
                     counts.clear()
-                    assert pellian._pqa_first_hit.__wrapped__(d, z, m) is None, (d, z, m)
+                    assert pellian._pqa_first_hit.__wrapped__(d, z, abs(m)) is None, (d, z, m)
                     assert sum(counts) <= bound, (d, z, m)
                     misses += 1
                     met += len(counts) == 2 and all(map(int.__lt__, counts, lengths))
@@ -459,8 +473,8 @@ def test_class_walk_without_hit_runs_one_period(monkeypatch):
 
 
 def test_class_walk_paths(monkeypatch):
-    # each path of _pqa_first_hit, named, with the (d, n) whose roots take it;
-    # __wrapped__ bypasses the memo, so each call walks
+    # each path of _pqa_first_hit and of _generator_hit's settlement, named,
+    # with the (d, n) whose roots take it; _settled_walk walks at each call
     counts = _counting_walk(monkeypatch)
     paths = {
         # (3, 13) settles on a row with t = -1: walk A of (4 + sqrt(3))/13
@@ -483,7 +497,7 @@ def test_class_walk_paths(monkeypatch):
             for m, z in _walked_roots(d, n):
                 names, hit, rows, lengths = _pair_oracle(d, z, m)
                 counts.clear()
-                assert pellian._pqa_first_hit.__wrapped__(d, z, m) == hit, (d, z, m)
+                assert _settled_walk(d, z, m) == hit, (d, z, m)
                 if "no |t| = 1" in names:
                     assert sum(counts) <= rows, (d, z, m)
                     if len(counts) == 2 and all(map(int.__lt__, counts, lengths)):
@@ -519,7 +533,7 @@ def test_planted_long_period_hits_match_three_pass(monkeypatch):
     # N = x0^2 - D*y0^2 with a small prime y0 is solvable, so some walked pair
     # has a hit; each hit lies in a class of the three-pass oracle's hits of
     # its pair, found within two rows per row to the first |t| = 1 of either
-    # root's walk.  __wrapped__ bypasses the memo, so each call walks
+    # root's walk.  _settled_walk walks at each call
     counts = _counting_walk(monkeypatch)
     for d, y0 in zip(LONG_PERIOD_DS, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)):
         pell_fundamental(d)
@@ -530,7 +544,7 @@ def test_planted_long_period_hits_match_three_pass(monkeypatch):
             pair = (z, (abs(m) - z) % abs(m))
             oracle = [h for r in pair for h in _three_pass_root_hits(d, r, m)]
             counts.clear()
-            hit = pellian._pqa_first_hit.__wrapped__(d, z, m)
+            hit = _settled_walk(d, z, m)
             if hit is None:
                 assert not oracle, (d, z, m)
                 continue
@@ -541,6 +555,27 @@ def test_planted_long_period_hits_match_three_pass(monkeypatch):
             assert sum(counts) <= 2 * min(i for i in firsts if i is not None) + 2, (d, z, m)
             hits += 1
         assert hits, (d, n)
+
+
+def test_sign_free_walk_matches_signed_oracle():
+    # the sign-free walk and its settlement give, for both signs of m, what the
+    # walk keyed on the signed m gave (signed_walk, a verbatim copy): on every
+    # walked root of the pell grid and of the planted long-period queries,
+    # paired and single walks, for d with and without a unit of norm -1
+    roots = {(d, z, abs(m)) for d in range(2, 201) if is_perfect_square(d) is None
+             for n in range(-50, 51) if n != 0 for m, z in _walked_roots(d, n)}
+    for d, y0 in zip(LONG_PERIOD_DS, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)):
+        x0 = isqrt(d * y0 * y0) + 1
+        roots |= {(d, z, abs(m)) for m, z in _walked_roots(d, x0 * x0 - d * y0 * y0)}
+    seen = set()
+    for d, z, q0 in sorted(roots):
+        f = isqrt(d)
+        single = not 0 < 2 * z < q0 or d == f * f + 1
+        for m in (q0, -q0):
+            hit = _settled_walk(d, z, m)
+            assert hit == signed_walk._pqa_first_hit(d, z, m), (d, z, m)
+            seen.add((single, pellian._negative_unit(d) is not None, hit is not None))
+    assert seen == set(itertools.product((False, True), repeat=3))
 
 
 def test_root_walk_hits_share_one_class():
@@ -588,8 +623,9 @@ def test_tm1_lifts_each_search_prime_once(monkeypatch):
 
 def test_tm1_factors_nothing_and_walks_each_root_once(monkeypatch):
     # every tm1 class search has N = +-p^j and is handed {p: j}; the split
-    # f = p^h of N walks what the search of N/p^(2h) walks, so half the 560
-    # walks are memo hits
+    # f = p^h of N walks what the search of N/p^(2h) walks, and the walk memo
+    # is sign-free, so the Case 2 check of +p^j and the cross-check of -p^j
+    # share walks too: three in four of the 560 walks are memo hits
     def no_factorize(n):
         raise AssertionError(f"factorize({n}) called")
 
@@ -600,7 +636,7 @@ def test_tm1_factors_nothing_and_walks_each_root_once(monkeypatch):
     info = pellian._pqa_first_hit.cache_info()
     pellian.case2_residue_search.cache_clear()
     pellian._pqa_first_hit.cache_clear()
-    assert (info.misses, info.hits) == (280, 280)
+    assert (info.misses, info.hits) == (140, 420)
 
 
 def test_class_search_lifts_each_prime_once(monkeypatch):
