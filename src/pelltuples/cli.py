@@ -4,8 +4,10 @@ Subcommands: cf, pell, tuple, pairs, verify.  All output is JSON with big
 integers rendered as decimal strings.  Exit codes: 0 = success / claim
 confirmed, 1 = claim violated, 2 = usage, input or output-file error, or a
 contradiction found by the package's own cross-checks (a RuntimeError), or
-a MemoryError.  The CLI owns its process, so it lifts CPython's limit on
-int-str conversion: integers of any length are read and printed.
+a MemoryError.  `cf` writes its document as it makes it, so when it exits 2
+part-way (a MemoryError, a closed stdout) stdout holds a truncated document.
+The CLI owns its process, so it lifts CPython's limit on int-str
+conversion: integers of any length are read and printed.
 """
 from __future__ import annotations
 
@@ -15,7 +17,8 @@ import sys
 from itertools import islice
 
 from .contfrac import QuadIrr, convergents, expand
-from .harness import CLAIM_OPTIONS, CLAIMS, CONFIRMED, SweepConfig, dump_json, run_claim
+from .harness import (CLAIM_OPTIONS, CLAIMS, CONFIRMED, SweepConfig, dump_json, run_claim,
+                      write_json)
 from .pellian import PellianProblem, solve_complete
 from .zring import RingElem, check_tuple, find_admissible_pairs
 
@@ -37,15 +40,17 @@ def cmd_cf(args) -> int:
     exp = expand(alpha)
     # the convergents m = 0 .. max(j + L, 2)
     count = max(exp.preperiod_len + exp.period_len, 2) + 1
-    conv = islice(convergents(a for a, _, _ in exp.terms()), count)
-    print(dump_json({
+    # the rows go out as they are made, so memory holds one row, not a
+    # document that can reach gigabytes
+    write_json({
         "input": {"d": args.d, "s": args.s, "t": args.t},
         "preperiod": exp.quotients[:exp.preperiod_len],
         "period": exp.quotients[exp.preperiod_len:],
         "preperiod_len": exp.preperiod_len,
         "period_len": exp.period_len,
-        "convergents": [list(pq) for pq in conv],
-    }, args.json))
+        "convergents": islice(convergents(a for a, _, _ in exp.terms()), count),
+    }, args.json, sys.stdout.write)
+    sys.stdout.write("\n")
     return 0
 
 

@@ -21,6 +21,7 @@ import math
 import os
 import time
 from collections import namedtuple
+from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import NamedTuple
 
@@ -80,43 +81,51 @@ def dump_json(doc, compact: bool) -> str:
     sys.get_int_max_str_digits() raises ValueError unless the caller lifts
     that limit, as cli.main does for its process."""
     out: list[str] = []
-    _write_json(doc, out, "" if compact else "\n")
+    write_json(doc, compact, out.append)
     return "".join(out)
 
 
-def _write_json(obj, out: list[str], nl: str) -> None:
-    """Append the JSON text of obj to `out`: an int that is not a bool as its
-    decimal string, a list or tuple (NamedTuples too) as an array, a dict with
-    its keys made str and sorted, a float or anything else as json.dumps has it
-    (so what JSON cannot hold raises TypeError).  `nl` is "" (compact) or the
-    line break and indent of obj's own line."""
+def write_json(doc, compact: bool, write) -> None:
+    """Pass dump_json(doc, compact) to `write` (a file's write, say) piece by
+    piece, as it is made.  An iterator in doc is written as an array while it
+    yields, so a document whose rows would not fit in memory streams."""
+    _write_json(doc, write, "" if compact else "\n")
+
+
+def _write_json(obj, write, nl: str) -> None:
+    """Pass the JSON text of obj to `write`: an int that is not a bool as its
+    decimal string, a list, tuple (NamedTuples too) or other iterator as an
+    array, a dict with its keys made str and sorted, a float or anything else
+    as json.dumps has it (so what JSON cannot hold raises TypeError).  `nl` is
+    "" (compact) or the line break and indent of obj's own line."""
     if isinstance(obj, str):
-        out.append(_json_str(obj))
+        write(_json_str(obj))
     elif obj is None or obj is True or obj is False:
-        out.append("null" if obj is None else "true" if obj else "false")
+        write("null" if obj is None else "true" if obj else "false")
     elif isinstance(obj, int):
-        out.append(_json_str(str(obj)))
-    elif isinstance(obj, (list, tuple, dict)):
+        write(_json_str(str(obj)))
+    elif isinstance(obj, dict):
         inner = nl and nl + "  "
-        sep = "," + inner
-        if isinstance(obj, dict):
-            obj = {str(k): v for k, v in obj.items()}
-            colon = ": " if nl else ":"
-            out.append("{" + inner)
-            for k in sorted(obj):
-                out.append(_json_str(k) + colon)
-                _write_json(obj[k], out, inner)
-                out.append(sep)
-            # the closing bracket replaces the last separator, or the opening one
-            out[-1] = nl + "}" if obj else "{}"
-        else:
-            out.append("[" + inner)
-            for v in obj:
-                _write_json(v, out, inner)
-                out.append(sep)
-            out[-1] = nl + "]" if obj else "[]"
+        colon, comma = (": " if nl else ":"), "," + inner
+        sep = "{" + inner
+        obj = {str(k): v for k, v in obj.items()}
+        for k in sorted(obj):
+            write(sep)
+            write(_json_str(k) + colon)
+            _write_json(obj[k], write, inner)
+            sep = comma
+        write(nl + "}" if obj else "{}")
+    elif isinstance(obj, (list, tuple, Iterator)):
+        inner = nl and nl + "  "
+        sep, comma = "[" + inner, "," + inner
+        for v in obj:
+            write(sep)
+            _write_json(v, write, inner)
+            sep = comma
+        # sep is still the opening one if obj yielded nothing
+        write(nl + "]" if sep is comma else "[]")
     else:  # a float, or a TypeError for what JSON cannot hold
-        out.append(json.dumps(obj))
+        write(json.dumps(obj))
 
 
 def _map_ordered(fn, items, workers: int):

@@ -77,8 +77,8 @@ def as_elem(v, t: int) -> RingElem:
     return RingElem(index(v), 0, t)
 
 
-def _root(re: int, im: int, t: int) -> tuple[int, int] | None:
-    """The canonical (x, y) with (x + y*sqrt(-t))^2 = re + im*sqrt(-t), or None.
+def _root(re: int, im: int, t: int) -> RingElem | None:
+    """The canonical w = x + y*sqrt(-t) with w^2 = re + im*sqrt(-t), or None.
 
     Canonical means x > 0, or x = 0 and y >= 0.  If w = x + y*sqrt(-t)
     squares to z = re + im*sqrt(-t) then x^2 - t*y^2 = re and 2*x*y = im,
@@ -93,11 +93,11 @@ def _root(re: int, im: int, t: int) -> tuple[int, int] | None:
     if im == 0:
         if re >= 0:
             x = isqrt(re)
-            return (x, 0) if x * x == re else None
+            return RingElem(x, 0, t) if x * x == re else None
         if t == 0:
             return None
         y = isqrt(-re // t)
-        return (0, y) if t * y * y == -re else None
+        return RingElem(0, y, t) if t * y * y == -re else None
     nw = is_perfect_square(re * re + t * im * im)
     if nw is None or (nw + re) % 2:
         return None
@@ -106,13 +106,13 @@ def _root(re: int, im: int, t: int) -> tuple[int, int] | None:
     y = is_perfect_square(ty2) if rem == 0 else None
     if x is None or y is None or 2 * x * y != abs(im):
         return None
-    return x, (y if im > 0 else -y)
+    return RingElem(x, y if im > 0 else -y, t)
 
 
 def sqrt_in_ring(z: RingElem) -> list[RingElem]:
     """The canonical w with w^2 = z (re > 0, or re = 0 and im >= 0), or []."""
     root = _root(z.re, z.im, z.t)
-    return [RingElem(*root, z.t)] if root is not None else []
+    return [root] if root is not None else []
 
 
 class TupleReport(NamedTuple):
@@ -135,35 +135,46 @@ _PAIR_KEYS: dict[int, tuple[tuple[int, int], ...]] = {}
 _PAIR_KEYS_MAX_LEN = 16
 
 
+def _pair_keys(k: int) -> tuple[tuple[int, int], ...]:
+    keys = _PAIR_KEYS.get(k)
+    if keys is None:
+        keys = tuple(combinations(range(k), 2))
+        if k <= _PAIR_KEYS_MAX_LEN:
+            _PAIR_KEYS[k] = keys
+    return keys
+
+
 def check_tuple(elements, n: int, t: int = 0) -> TupleReport:
     """Verify that every pairwise product plus n is a square in Z[sqrt(-t)].
 
-    Elements may be ints or RingElems sharing the ring's t.  Zero or
-    duplicate elements are rejected on their integer parts (re, im), which
-    all share t.  Each pair value is formed on those parts and its root
-    taken by _root.  A check allocates only what its report keeps: the
-    elements, one RingElem witness per square pair, and the (i, j) keys,
-    which every tuple of one length shares.
+    Elements may be ints or RingElems sharing the ring's t.  Fewer than two,
+    zero or duplicate elements are rejected, the latter on their integer
+    parts (re, im), which all share t.  Each pair value is formed on those
+    parts and its root, the pair's witness, taken by _root: a pair of
+    rational integers a, c goes straight to _root's im = 0 rule on a*c + n.
+    A check allocates only what its report keeps: the elements, one RingElem
+    witness per square pair, and the (i, j) keys, which every tuple of one
+    length shares.
     """
     elems = tuple([as_elem(e, t) for e in elements])
     parts = [(e.re, e.im) for e in elems]
+    if len(parts) < 2:
+        raise ValueError(f"a tuple needs at least two elements, got {len(parts)}: "
+                         f"it has no pair to check")
     if (0, 0) in parts:
         raise ValueError("tuple elements must be nonzero")
     if len(set(parts)) != len(parts):
         raise ValueError("tuple elements must be pairwise distinct")
-    keys = _PAIR_KEYS.get(len(parts))
-    if keys is None:
-        keys = tuple(combinations(range(len(parts)), 2))
-        if len(parts) <= _PAIR_KEYS_MAX_LEN:
-            _PAIR_KEYS[len(parts)] = keys
     witnesses: dict[tuple[int, int], RingElem] = {}
-    for key in keys:
+    for key in _pair_keys(len(parts)):
         (a, b), (c, d) = parts[key[0]], parts[key[1]]
-        root = _root(a * c - t * b * d + n, a * d + b * c, t)
+        if b == 0 == d:
+            root = _root(a * c + n, 0, t)
+        else:
+            root = _root(a * c - t * b * d + n, a * d + b * c, t)
         if root is None:
             return TupleReport(elems, n, t, False, witnesses, key)
-        x, y = root
-        witnesses[key] = RingElem(x, y, t)
+        witnesses[key] = root
     return TupleReport(elems, n, t, True, witnesses)
 
 
@@ -226,21 +237,24 @@ def prop_family(n: int, j: int, m: int) -> tuple[TupleReport, TupleReport]:
     for sg in (1, -1):
         d = sg * 2 * n**3 * xj * yj + (2 * n * n + 1) * c + n * n + 2
         elems = (1, b, -c, d)
+        ring_elems = tuple([RingElem(e, 0, t) for e in elems])
         if 0 in elems or len({*elems}) != 4:
-            rep = TupleReport(
-                tuple(as_elem(e, t) for e in elems), -1, t, False, {},
-                degenerate=True, note=f"d{'+' if sg > 0 else '-'}={d} degenerate",
-            )
-            reports.append(rep)
+            reports.append(TupleReport(ring_elems, -1, t, False, {}, degenerate=True,
+                                       note=f"d{'+' if sg > 0 else '-'}={d} degenerate"))
             continue
-        # closed-form square witnesses
+        # the canonical roots of the six pair values, in check_tuple's pair
+        # order, each checked by substitution: x^2 - t*y^2 = v
         w1 = n * n * xj + sg * n * yj
         w2 = n * (n * n + 1) * xj + sg * n * n * yj
         w3 = c + sg * n * xj * yj
-        if d - 1 != w1 * w1 or b * d - 1 != w2 * w2 or -c * d - 1 != -t * w3 * w3:
-            raise RuntimeError("closed-form witnesses violated")
-        rep = check_tuple(elems, -1, t)
-        reports.append(rep)
+        roots = ((n, 0), (0, xj), (abs(w1), 0), (0, yj), (abs(w2), 0), (0, abs(w3)))
+        values = (b - 1, -c - 1, d - 1, -b * c - 1, b * d - 1, -c * d - 1)
+        witnesses = {}
+        for key, (x, y), v in zip(_pair_keys(4), roots, values):
+            if x * x - t * y * y != v:
+                raise RuntimeError("closed-form witnesses violated")
+            witnesses[key] = RingElem(x, y, t)
+        reports.append(TupleReport(ring_elems, -1, t, True, witnesses))
     return reports[0], reports[1]
 
 

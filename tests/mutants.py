@@ -21,6 +21,7 @@ class Mutant(NamedTuple):
 
 
 _PELLIAN = "tests/test_pellian.py::"
+_ZRING = "tests/test_zring.py::"
 
 MUTANTS = (
     # the paired class walk of _pqa_first_hit
@@ -75,6 +76,35 @@ MUTANTS = (
            "                pj, own = p ** (e - 2 * h), levels[e - 2 * h] if q > 1 else levels[e]\n",
            (_PELLIAN + "test_prime_power_class_searches_pinned",
             _PELLIAN + "test_class_search_matches_three_pass")),
+    # the real-pair criterion, v = x^2 or v = -t*y^2, in _root's im = 0 branch,
+    # which decides every pair of two rational integers in check_tuple
+    Mutant("root-accepts-negative-at-t-0", "zring.py",
+           "        if t == 0:\n"
+           "            return None\n",
+           "        if t == 0:\n"
+           "            return RingElem(0, 0, t)\n",
+           (_ZRING + "test_sqrt_in_ring_examples",
+            _ZRING + "test_check_tuple_matches_per_pair_route")),
+    Mutant("root-drops-negative-check", "zring.py",
+           "        return RingElem(0, y, t) if t * y * y == -re else None\n",
+           "        return RingElem(0, y, t)\n",
+           (_ZRING + "test_sqrt_in_ring_examples",
+            _ZRING + "test_sqrt_in_ring_complete_small",
+            _ZRING + "test_check_tuple_matches_per_pair_route")),
+    Mutant("one-element-tuple-verified", "zring.py",
+           "    if len(parts) < 2:\n",
+           "    if not parts:\n",
+           (_ZRING + "test_check_tuple_needs_two_elements",
+            "tests/test_cli.py::test_tuple_of_fewer_than_two_elements_is_usage_error")),
+    # prop_family's closed-form pair roots
+    Mutant("prop-family-swaps-xj-yj", "zring.py",
+           "((n, 0), (0, xj), (abs(w1), 0), (0, yj),",
+           "((n, 0), (0, yj), (abs(w1), 0), (0, xj),",
+           (_ZRING + "test_prop_family_reports_equal_check_tuple_on_the_ring_tuples_grid",)),
+    Mutant("prop-family-w3-keeps-sign", "zring.py",
+           "(abs(w2), 0), (0, abs(w3)))",
+           "(abs(w2), 0), (0, w3))",
+           (_ZRING + "test_prop_family_reports_equal_check_tuple_on_the_ring_tuples_grid",)),
     # the records
     Mutant("ring-elem-equals-tuple", "zring.py",
            "        if other.__class__ is not self.__class__:\n",

@@ -2,19 +2,26 @@
 
 import hashlib
 import inspect
+import io
 import json
 import math
+import os
 import re
+import resource
+import select
 import shlex
+import subprocess
 import sys
 import time
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import pytest
 
 from pelltuples import cli, harness, pellian, zring
 from pelltuples.cli import main, parse_elem
+from pelltuples.contfrac import QuadIrr, convergents, expand
 from pelltuples.harness import CLAIM_OPTIONS, SweepConfig, dump_json, run_claim
 from pelltuples.zring import RingElem
 
@@ -87,6 +94,114 @@ def test_cf_convergents_are_prefix_values(capsys):
             for a in reversed(quots[:-1]):
                 value = a + 1 / value
             assert Fraction(int(p), int(q)) == value, (d, s, t, m)
+
+
+def _cf_document(d, s, t, compact):
+    """`cf`'s output as it was before it streamed its rows: one dump_json."""
+    exp = expand(QuadIrr(d, s, t))
+    count = max(exp.preperiod_len + exp.period_len, 2) + 1
+    conv = islice(convergents(a for a, _, _ in exp.terms()), count)
+    return dump_json({
+        "input": {"d": d, "s": s, "t": t},
+        "preperiod": exp.quotients[:exp.preperiod_len],
+        "period": exp.quotients[exp.preperiod_len:],
+        "preperiod_len": exp.preperiod_len,
+        "period_len": exp.period_len,
+        "convergents": [list(pq) for pq in conv],
+    }, compact) + "\n"
+
+
+def test_cf_streams_its_rows_byte_identical_to_the_whole_document(monkeypatch):
+    # sqrt(9949) has period 217: rows of up to ~240 digits
+    made = []  # the length of stdout as each row is made
+
+    def counted(terms):
+        for pq in convergents(terms):
+            made.append(len(sys.stdout.getvalue()))
+            yield pq
+
+    monkeypatch.setattr(cli, "convergents", counted)
+    for d, s, t in _cf_grid()[::5] + [(9949, 0, 1), (9949, 7, -3)]:
+        for compact in (False, True):
+            made.clear()
+            monkeypatch.setattr(sys, "stdout", io.StringIO())
+            argv = ["--json"] * compact + ["cf", str(d), str(s), str(t)]
+            assert main(argv) == 0
+            out = sys.stdout.getvalue()
+            assert out == _cf_document(d, s, t, compact), (d, s, t, compact)
+            # the head is out before the first row is made, and each row
+            # before the next
+            assert len(made) == len(json.loads(out)["convergents"])
+            assert 0 < made[0] and all(a < b for a, b in zip(made, made[1:]))
+
+
+def _cf_rows_then(error, rows):
+    """A stand-in for cli.convergents that yields its first `rows` rows, then raises."""
+    def failing(terms):
+        yield from islice(convergents(terms), rows)
+        raise error
+    return failing
+
+
+def test_cf_error_part_way_leaves_a_truncated_document(monkeypatch, capsys):
+    # cf writes its document as it makes it: an error after three rows exits
+    # 2 and leaves the head and those rows on stdout, which is not JSON
+    exp = expand(QuadIrr(9949, 0, 1))
+    rows = [list(pq) for pq in islice(convergents(a for a, _, _ in exp.terms()), 3)]
+    full = _cf_document(9949, 0, 1, False)
+    head = dump_json({**json.loads(full), "convergents": rows}, False)
+    # the first "\n  ]" closes the array of rows
+    truncated = head[:head.index("\n  ]")]
+    monkeypatch.setattr(cli, "convergents", _cf_rows_then(MemoryError("out of rows"), 3))
+    code, out, err = run(capsys, "cf", "9949", "0", "1")
+    assert (code, out, err) == (2, truncated, "error: out of rows\n")
+    with pytest.raises(json.JSONDecodeError):
+        json.loads(out)
+
+    # a reader that goes away part-way: the write fails and cf exits 2
+    class Closing(io.StringIO):
+        def write(self, text):
+            if self.tell() > len(truncated):
+                raise BrokenPipeError(32, "Broken pipe")
+            return super().write(text)
+
+    monkeypatch.setattr(cli, "convergents", convergents)
+    monkeypatch.setattr(sys, "stdout", Closing())
+    assert main(["cf", "9949", "0", "1"]) == 2
+    out = sys.stdout.getvalue()
+    assert len(truncated) < len(out) < len(full) and full.startswith(out)
+    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+
+
+def test_cf_huge_document_streams_in_bounded_memory():
+    # sqrt(1000000006) has period 55,022: 55,023 convergents of up to ~28,400
+    # digits, ~1.5 GB of JSON.  Its first 8 MB arrive within a second; the
+    # process is killed long before its end.  Its address space is capped at
+    # 1 GiB, so a run that builds the whole document fails fast and alone
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    argv = [sys.executable, "-m", "pelltuples.cli", "cf", "1000000006", "0", "1"]
+    got, peak = bytearray(), None
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                          preexec_fn=cap, env={**os.environ, "PYTHONPATH": src}) as proc:
+        try:
+            deadline = time.monotonic() + 30
+            while len(got) < 8 << 20 and (left := deadline - time.monotonic()) > 0:
+                if select.select([proc.stdout], [], [], left)[0]:
+                    chunk = os.read(proc.stdout.fileno(), 1 << 16)
+                    if not chunk:
+                        break
+                    got += chunk
+            status = Path(f"/proc/{proc.pid}/status")
+            peak = re.search(r"VmHWM:\s*(\d+) kB", status.read_text()) if status.exists() else None
+        finally:
+            proc.kill()
+    assert len(got) >= 8 << 20
+    assert got.startswith(b'{\n  "convergents": [\n    [\n      "31622",\n      "1"\n    ],\n')
+    # where the host reports it, the peak resident size is small
+    assert peak is None or int(peak[1]) < 100 << 10
 
 
 def test_cf_rejects_square_d(capsys):
@@ -266,6 +381,13 @@ def test_tuple_duplicate_is_usage_error(capsys):
     code, _, err = run(capsys, "tuple", "-n", "-1", "-t", "4", "1", "5", "-3", "1")
     assert code == 2
     assert "duplicate" in err.lower() or err.strip()
+
+
+def test_tuple_of_fewer_than_two_elements_is_usage_error(capsys):
+    # a one-element tuple has no pair: nothing is checked, so nothing is verified
+    code, out, err = run(capsys, "tuple", "-n", "1", "5")
+    assert code == 2 and not out
+    assert err.startswith("error: a tuple needs at least two elements")
 
 
 def test_tuple_parse_error(capsys):

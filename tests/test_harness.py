@@ -37,11 +37,13 @@ def test_odd_primes_upto():
 
 def test_deep_dec():
     # the writer's own rules: a bool stays a bool, an int becomes a string, a
-    # tuple an array, and a str stays as it is
+    # tuple or other iterator an array, and a str stays as it is
     assert dump_json(5, True) == '"5"'
     assert dump_json(True, True) == "true"
     assert dump_json({"a": [1, (2, 3)]}, True) == '{"a":["1",["2","3"]]}'
     assert dump_json({"a": [1, 2]}, False) == '{\n  "a": [\n    "1",\n    "2"\n  ]\n}'
+    assert dump_json({"a": iter([1, 2])}, False) == dump_json({"a": [1, 2]}, False)
+    assert dump_json({"a": iter(()), "b": {}}, False) == '{\n  "a": [],\n  "b": {}\n}'
     assert dump_json("x", True) == '"x"'
 
 

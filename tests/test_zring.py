@@ -240,6 +240,14 @@ def test_check_tuple_rejects_degenerate_input():
         check_tuple((0, 3, 8), 1)
 
 
+def test_check_tuple_needs_two_elements():
+    # a tuple with no pair would check nothing, so it is refused, not verified
+    for elements in ((), (5,), [RingElem(1, 2, 4)], (0,)):
+        with pytest.raises(ValueError, match="^a tuple needs at least two elements"):
+            check_tuple(elements, -1, 4)
+    assert check_tuple((1, 2), -1, 4).verified  # 1*2 - 1 = 1
+
+
 def test_check_tuple_rejects_mixed_ints_and_ring_elems():
     distinct, nonzero = "^tuple elements must be pairwise distinct$", "^tuple elements must be nonzero$"
     for elements, t, message in (
@@ -355,6 +363,19 @@ def _random_tuple(rng, t):
     return out, n
 
 
+def _real_tuple(rng, t):
+    """2-4 rational integers, as ints or RingElems with im = 0 of any ring,
+    and an n that mostly makes the first pair value a*c + n = -t*y^2: a
+    negative square in Z[sqrt(-t)] when t > 0 and y > 0, never one at t = 0."""
+    a, c = (rng.choice((-1, 1)) * rng.randint(1, 60) for _ in range(2))
+    if rng.random() < 0.7:
+        n = -t * rng.randint(0, 30) ** 2 - a * c
+    else:
+        n = rng.randint(-60, 60)
+    elems = [a, c] + [rng.randint(-60, 60) for _ in range(rng.randint(0, 2))]
+    return [e if rng.random() < 0.5 else RingElem(e, 0, rng.choice(_RING_TS)) for e in elems], n
+
+
 _RING_TS = (0, 1, 2, 3, 4, 7, 9, 25)
 _REJECTIONS = ("tuple elements must be nonzero", "tuple elements must be pairwise distinct")
 
@@ -373,6 +394,22 @@ def test_check_tuple_matches_per_pair_route():
         else:
             kinds[want[3]] += 1
     assert kinds[True] >= 600 and kinds[False] >= 600 and kinds["ValueError"] >= 10, kinds
+    # rational-integer tuples, whose pairs check_tuple decides on v = a*c + n
+    # alone: negative pair values that are -t*y^2 in a ring t = m^2 or t not
+    # a square, and negative values at t = 0, where none is a square
+    negative = {"root": 0, "fails at t = 0": 0, "fails at t > 0": 0}
+    for _ in range(2400):
+        t = rng.choice(_RING_TS)
+        elements, n = _real_tuple(rng, t)
+        want = _outcome(_check_tuple_per_pair, elements, n, t)
+        assert _outcome(check_tuple, elements, n, t) == want, (elements, n, t)
+        if want[0] == "ValueError":
+            continue
+        elems, witnesses, pair = want[0], dict(want[4]), want[5]
+        negative["root"] += sum(w.re == 0 and w.im > 0 for w in witnesses.values())
+        if pair is not None and elems[pair[0]].re * elems[pair[1]].re + n < 0:
+            negative["fails at t = 0" if t == 0 else "fails at t > 0"] += 1
+    assert min(negative.values()) >= 100, negative
 
 
 def test_check_tuple_matches_per_pair_route_on_prop_traffic():
@@ -531,6 +568,30 @@ def test_prop_family_first_cases():
     assert [e.re for e in plus2.elements] == [1, 5, -1155, 20737]
     assert plus2.verified
     assert minus2.verified and not minus2.degenerate
+
+
+def test_prop_family_reports_equal_check_tuple_on_the_ring_tuples_grid():
+    # prop_family builds each report from its six closed-form pair roots;
+    # check_tuple takes every root by isqrt and must give the same report in
+    # Z[sqrt(-n^2)], pair keys in the same order.  A branch is flagged
+    # degenerate exactly when check_tuple refuses its elements.
+    counts = {"verified": 0, "degenerate": 0}
+    for n in range(1, 61):
+        for j in range(1, 11):
+            for sign, rep in zip("+-", prop_family(n, j, 1)):
+                ints = [e.re for e in rep.elements]
+                assert rep.elements == tuple(RingElem(e, 0, n * n) for e in ints)
+                if rep.degenerate:
+                    with pytest.raises(ValueError, match="|".join(_REJECTIONS)):
+                        check_tuple(ints, -1, n * n)
+                    assert rep == TupleReport(rep.elements, -1, n * n, False, {}, degenerate=True,
+                                              note=f"d{sign}={ints[3]} degenerate")
+                    counts["degenerate"] += 1
+                    continue
+                want = check_tuple(ints, -1, n * n)
+                assert rep == want and list(rep.witnesses) == list(want.witnesses), (n, j, sign)
+                counts["verified"] += rep.verified
+    assert counts["verified"] + counts["degenerate"] == 1200 and counts["degenerate"] >= 60, counts
 
 
 def test_prop_family_various_n_j():
