@@ -4,14 +4,17 @@ Subcommands: cf, pell, tuple, pairs, verify.  All output is JSON with big
 integers rendered as decimal strings.  Exit codes: 0 = success / claim
 confirmed, 1 = claim violated, 2 = usage, input or output-file error, or a
 contradiction found by the package's own cross-checks (a RuntimeError), or
-a MemoryError.  `cf` writes its document as it makes it, so when it exits 2
-part-way (a MemoryError, a closed stdout) stdout holds a truncated document.
+a MemoryError; 141 (128 + SIGPIPE) = stdout's reader went away, with
+nothing on stderr.  `cf` writes its document as it makes it, so when it
+stops part-way (a MemoryError, a closed stdout) stdout holds a truncated
+document.
 The CLI owns its process, so it lifts CPython's limit on int-str
 conversion: integers of any length are read and printed.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from itertools import islice
@@ -177,7 +180,18 @@ def main(argv=None) -> int:
         _parser = build_parser()
     args = _parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a closed stdout shows here, not in the interpreter's last flush
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # quiet, as a writer killed by SIGPIPE is; stdout's file is pointed at
+        # os.devnull, so that the interpreter's last flush meets no closed pipe
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (OSError, ValueError):  # a stdout that is no file
+            pass
+        return 141
     except (ValueError, KeyError, RuntimeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

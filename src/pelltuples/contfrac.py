@@ -16,27 +16,21 @@ of where its period opens: `expand` records the rows of one period, and
 partial quotients into (p_m, q_m) one by one, and `last_denominators` into
 the last two q in one plain loop.  Along a walk from (s_0, t_0), t_0*p_i -
 s_0*q_i = s_{i+1}*q_i + t_{i+1}*q_{i-1}, so the Pell unit and the class
-search's hit take only the q and read each numerator off a row.  The records
-`QuadIrr` and `CFExpansion` are NamedTuples.
+search's hit take only the q and read each numerator off a row.  Every
+record is a `collections.namedtuple`.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from itertools import cycle, islice
-from typing import NamedTuple
 
 from .arith import is_perfect_square, isqrt
 
 
-class _QuadIrrFields(NamedTuple):
-    d: int
-    s: int
-    t: int
-
-
-class QuadIrr(_QuadIrrFields):
+class QuadIrr(namedtuple("QuadIrr", "d s t")):
     """The quadratic irrational (s + sqrt(d)) / t, normalized so t | d - s^2:
-    a NamedTuple checked by every constructor, _make and _replace included."""
+    a namedtuple checked by every constructor, _make and _replace included."""
 
     __slots__ = ()
 
@@ -54,7 +48,7 @@ class QuadIrr(_QuadIrrFields):
 
     @classmethod
     def _make(cls, iterable) -> QuadIrr:
-        # NamedTuple's _make, behind _replace, would skip __new__'s checks
+        # namedtuple's _make, behind _replace, would skip __new__'s checks
         return cls(*iterable)
 
     def compare_rational(self, num: int, den: int) -> int:
@@ -69,13 +63,12 @@ class QuadIrr(_QuadIrrFields):
         return 1 if sign * self.t * den > 0 else -1
 
 
-class CFExpansion(NamedTuple):
-    """The rows (a_n, s_{n+1}, t_{n+1}) of `walk` through the preperiod of
-    preperiod_len rows and one period; the last row's state repeats the
-    state that opens the period."""
+class CFExpansion(namedtuple("CFExpansion", "rows preperiod_len")):
+    """The rows (a_n, s_{n+1}, t_{n+1}) of `walk`, a list, through the
+    preperiod of preperiod_len rows and one period; the last row's state
+    repeats the state that opens the period."""
 
-    rows: list[tuple[int, int, int]]
-    preperiod_len: int
+    __slots__ = ()
 
     @property
     def quotients(self) -> list[int]:
@@ -195,13 +188,9 @@ def _lemma_db_sides(alpha: int, beta: int, exp: CFExpansion, n: int, r: int, u: 
     return rhs
 
 
-class WorleyCandidate(NamedTuple):
-    m: int
-    r: int
-    u: int
-    sign: int       # +1 or -1
-    a: int          # r*p_{m+1} + sign*u*p_m
-    b: int          # r*q_{m+1} + sign*u*q_m
+WorleyCandidate = namedtuple("WorleyCandidate", "m r u sign a b")
+WorleyCandidate.__doc__ = """A Worley candidate a/b off convergent m, sign = +1 or -1:
+a = r*p_{m+1} + sign*u*p_m and b = r*q_{m+1} + sign*u*q_m."""
 
 
 def worley_candidates(exp: CFExpansion, c, m_max: int) -> list[WorleyCandidate]:

@@ -12,7 +12,7 @@ A claim's options are its keyword-only parameters, with their defaults,
 and nothing else declares them: `CLAIM_OPTIONS` is read off each claim's
 `__kwdefaults__`, `SweepConfig` is a namedtuple with one field per option
 some claim reads (in alphabetical order), and `run_claim` passes each claim
-the fields that are set and that it reads.  `ClaimReport` is a NamedTuple.
+the fields that are set and that it reads.  `ClaimReport` is a namedtuple too.
 """
 from __future__ import annotations
 
@@ -23,7 +23,6 @@ import time
 from collections import namedtuple
 from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import NamedTuple
 
 from . import __version__
 from .arith import factorize, is_perfect_square, is_prime, isqrt, odd_primes_upto
@@ -53,12 +52,12 @@ CONFIRMED = "CONFIRMED"
 VIOLATED = "VIOLATED"
 
 
-class ClaimReport(NamedTuple):
-    claim_id: str
-    status: str
-    config: dict
-    evidence: list
-    elapsed: float = 0.0
+class ClaimReport(namedtuple("ClaimReport", "claim_id status config evidence elapsed",
+                             defaults=(0.0,))):
+    """A claim's status, its config dict and its list of evidence records, and
+    the sweep's elapsed seconds, which only the header shows."""
+
+    __slots__ = ()
 
     def _raw_body(self) -> dict:
         """The body as the sweep left it, ints and all."""
@@ -94,7 +93,7 @@ def write_json(doc, compact: bool, write) -> None:
 
 def _write_json(obj, write, nl: str) -> None:
     """Pass the JSON text of obj to `write`: an int that is not a bool as its
-    decimal string, a list, tuple (NamedTuples too) or other iterator as an
+    decimal string, a list, tuple (namedtuples too) or other iterator as an
     array, a dict with its keys made str and sorted, a float or anything else
     as json.dumps has it (so what JSON cannot hold raises TypeError).  `nl` is
     "" (compact) or the line break and indent of obj's own line."""

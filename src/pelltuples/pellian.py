@@ -53,9 +53,9 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from collections import namedtuple
 from collections.abc import Iterator
 from functools import lru_cache
-from typing import NamedTuple
 
 from .arith import (SMALL_TRIAL_BOUND, factorize, is_perfect_square, is_prime, isqrt,
                     odd_primes_upto)
@@ -75,13 +75,8 @@ _SMALL_ODD_PRIMES = odd_primes_upto(SMALL_TRIAL_BOUND)
 _SMALL_ODD_PRIMORIAL = math.prod(_SMALL_ODD_PRIMES)
 
 
-class _ProblemFields(NamedTuple):
-    d: int
-    n: int
-
-
-class PellianProblem(_ProblemFields):
-    """x^2 - d*y^2 = n: a NamedTuple checked by every constructor, _make and
+class PellianProblem(namedtuple("PellianProblem", "d n")):
+    """x^2 - d*y^2 = n: a namedtuple checked by every constructor, _make and
     _replace included, for non-square d >= 2 and n != 0."""
 
     __slots__ = ()
@@ -95,23 +90,19 @@ class PellianProblem(_ProblemFields):
 
     @classmethod
     def _make(cls, iterable) -> PellianProblem:
-        # NamedTuple's _make, behind _replace, would skip __new__'s checks
+        # namedtuple's _make, behind _replace, would skip __new__'s checks
         return cls(*iterable)
 
 
-class PellianOutcome(NamedTuple):
-    verdict: str
-    witnesses: tuple[tuple[int, int], ...]
-    method: str
-    search_bound_used: int
-    certificate: object = None
+PellianOutcome = namedtuple("PellianOutcome",
+                            "verdict witnesses method search_bound_used certificate",
+                            defaults=(None,))
+PellianOutcome.__doc__ = """A verdict, its witnesses (a tuple of (x, y) pairs), the method and
+the search bound used; the certificate is None, a dict such as {"modulus": q},
+or a tuple of FujitaCertificates."""
 
-
-class PellUnit(NamedTuple):
-    """(t, u): least positive solution of t^2 - D*u^2 = 1."""
-
-    t: int
-    u: int
+PellUnit = namedtuple("PellUnit", "t u")
+PellUnit.__doc__ = "(t, u): least positive solution of t^2 - D*u^2 = 1."
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -406,11 +397,8 @@ def has_primitive_solution(outcome: PellianOutcome) -> bool:
     return any(math.gcd(x, y) == 1 for x, y in outcome.witnesses)
 
 
-class FujitaCertificate(NamedTuple):
-    """No primitive solution of X^2 - (K^2+1)Y^2 = N when 1 < |N| <= K."""
-
-    k: int
-    n: int
+FujitaCertificate = namedtuple("FujitaCertificate", "k n")
+FujitaCertificate.__doc__ = "No primitive solution of X^2 - (K^2+1)Y^2 = N when 1 < |N| <= K."
 
 
 def fujita_fast_path(k: int, n: int) -> FujitaCertificate | None:

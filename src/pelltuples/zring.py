@@ -3,19 +3,19 @@
 Ring elements are a + b*sqrt(-t) with integer a, b and a fixed positive t
 per ring; t = 0 embeds plain integers.  Square detection, the triple
 extension identities and the closed-form {1, n^2+1, -c, d} quadruple family
-are all done in exact integers.  The reports are NamedTuples; `RingElem` is a
-slotted class of its own, because a NamedTuple would equal a plain tuple.
+are all done in exact integers.  The reports are `collections.namedtuple`s;
+`RingElem` is a slotted class of its own, because a namedtuple would equal a
+plain tuple.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import combinations, takewhile
 from operator import index
-from typing import NamedTuple
 
 from .arith import is_perfect_square, is_prime, isqrt, odd_primes_upto
 from .pellian import (
     PellianProblem,
-    PellianOutcome,
     UNSOLVABLE,
     all_solutions_stream,
     decide_paper_equation,
@@ -115,17 +115,11 @@ def sqrt_in_ring(z: RingElem) -> list[RingElem]:
     return [root] if root is not None else []
 
 
-class TupleReport(NamedTuple):
-    """Verification record for a D(n)-tuple candidate."""
-
-    elements: tuple[RingElem, ...]
-    n: int
-    t: int
-    verified: bool
-    witnesses: dict[tuple[int, int], RingElem]
-    failing_pair: tuple[int, int] | None = None
-    degenerate: bool = False
-    note: str = ""
+TupleReport = namedtuple("TupleReport", "elements n t verified witnesses failing_pair "
+                         "degenerate note", defaults=(None, False, ""))
+TupleReport.__doc__ = """Verification record for a D(n)-tuple candidate: a tuple of RingElem
+elements, and witnesses, the root of each square pair keyed by its (i, j);
+failing_pair is the first (i, j) that is not a square, or None."""
 
 
 #: the pairs (i, j), i < j, in check order, of each tuple length checked so
@@ -178,13 +172,8 @@ def check_tuple(elements, n: int, t: int = 0) -> TupleReport:
     return TupleReport(elems, n, t, True, witnesses)
 
 
-class ExtensionData(NamedTuple):
-    """Integers (e, x, y, z) attached to a D(l) triple by the extension identity."""
-
-    e: int
-    x: int
-    y: int
-    z: int
+ExtensionData = namedtuple("ExtensionData", "e x y z")
+ExtensionData.__doc__ = "Integers (e, x, y, z) attached to a D(l) triple by the extension identity."
 
 
 def lemma3_extend_data(a: int, b: int, c: int, l: int,
@@ -289,11 +278,10 @@ def remark2_reduction(b: int, t: int) -> PellianProblem:
     return PellianProblem(b, (1 - b) // t)
 
 
-class ClassifyResult(NamedTuple):
-    status: str
-    witness: TupleReport | None = None
-    certificate: PellianOutcome | None = None
-    reason: str = ""
+ClassifyResult = namedtuple("ClassifyResult", "status witness certificate reason",
+                            defaults=(None, None, ""))
+ClassifyResult.__doc__ = """theorem3_classify's status, with its TupleReport witness, its
+PellianOutcome certificate or its reason, where it has one."""
 
 
 def theorem3_classify(p: int, k: int, q: int, l_exp: int, t: int) -> ClassifyResult:

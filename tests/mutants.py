@@ -115,10 +115,22 @@ MUTANTS = (
     Mutant("quad-irr-replace-unchecked", "contfrac.py",
            "    @classmethod\n"
            "    def _make(cls, iterable) -> QuadIrr:\n"
-           "        # NamedTuple's _make, behind _replace, would skip __new__'s checks\n"
+           "        # namedtuple's _make, behind _replace, would skip __new__'s checks\n"
            "        return cls(*iterable)\n",
            "",
            ("tests/test_records.py::test_quad_irr_checks_every_route",)),
+    Mutant("problem-replace-unchecked", "pellian.py",
+           "    @classmethod\n"
+           "    def _make(cls, iterable) -> PellianProblem:\n"
+           "        # namedtuple's _make, behind _replace, would skip __new__'s checks\n"
+           "        return cls(*iterable)\n",
+           "",
+           ("tests/test_records.py::test_pellian_problem_checks_every_route",)),
+    # a namedtuple subclass without __slots__ = () gives each instance a __dict__
+    Mutant("claim-report-has-dict", "harness.py",
+           "    __slots__ = ()\n",
+           "",
+           ("tests/test_records.py::test_claim_report_matches_mutable_class",)),
     Mutant("run-claim-drops-elapsed", "harness.py",
            "    return report._replace(elapsed=time.monotonic() - start)\n",
            "    return report\n",
@@ -128,4 +140,13 @@ MUTANTS = (
            "        pass\n",
            ("tests/test_cli.py::test_pell_prints_integers_past_the_int_str_limit",
             "tests/test_cli.py::test_pell_reads_integers_past_the_int_str_limit")),
+    # a closed stdout: exit 141 with nothing on stderr
+    Mutant("cli-leaves-flush-to-exit", "cli.py",
+           "        sys.stdout.flush()\n",
+           "",
+           ("tests/test_cli.py::test_closed_stdout_exits_141_quietly",)),
+    Mutant("cli-keeps-closed-stdout", "cli.py",
+           "            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())\n",
+           "            pass\n",
+           ("tests/test_cli.py::test_closed_stdout_exits_141_quietly",)),
 )

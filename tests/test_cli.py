@@ -158,7 +158,8 @@ def test_cf_error_part_way_leaves_a_truncated_document(monkeypatch, capsys):
     with pytest.raises(json.JSONDecodeError):
         json.loads(out)
 
-    # a reader that goes away part-way: the write fails and cf exits 2
+    # a reader that goes away part-way: the write fails and cf exits 141
+    # (128 + SIGPIPE) with nothing on stderr
     class Closing(io.StringIO):
         def write(self, text):
             if self.tell() > len(truncated):
@@ -167,10 +168,37 @@ def test_cf_error_part_way_leaves_a_truncated_document(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "convergents", convergents)
     monkeypatch.setattr(sys, "stdout", Closing())
-    assert main(["cf", "9949", "0", "1"]) == 2
+    assert main(["cf", "9949", "0", "1"]) == 141
     out = sys.stdout.getvalue()
     assert len(truncated) < len(out) < len(full) and full.startswith(out)
-    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+    assert capsys.readouterr().err == ""
+
+
+def _cli_process(*argv, **kwargs):
+    # stdout block-buffered, as it is on a pipe unless PYTHONUNBUFFERED is set
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+    return subprocess.Popen([sys.executable, "-m", "pelltuples.cli", *argv], env=env, **kwargs)
+
+
+def test_closed_stdout_exits_141_quietly():
+    # `cf 1000006 0 1 | head -c 10`: the document is ~434 KB, far past a pipe's
+    # buffer, so the reader closes the pipe before cf is done writing
+    with _cli_process("cf", "1000006", "0", "1", stdout=subprocess.PIPE,
+                      stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.read(10) == b'{\n  "conve'
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (141, b"")
+    # a short answer that stays in stdout's buffer until main flushes it,
+    # written to a pipe whose reader is closed before the process starts
+    for argv in (("pell", "10", "--", "-1"), ("pairs",), ("verify", "pairs")):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with _cli_process(*argv, stdout=write_end, stderr=subprocess.PIPE) as proc:
+            os.close(write_end)
+            err = proc.stderr.read()
+        assert (proc.returncode, err) == (141, b""), argv
 
 
 def test_cf_huge_document_streams_in_bounded_memory():

@@ -1,5 +1,6 @@
 """Sweep harness: every claim confirms at reduced scale, reports are stable."""
 
+import ast
 import hashlib
 import inspect
 import json
@@ -187,8 +188,9 @@ def test_fraction_modules_load_only_when_worley_runs():
 
 
 def test_cold_import_loads_no_dataclasses_or_inspect():
-    # every record is a NamedTuple or a slotted class; typing and random are
-    # not pinned, since a site hook may load them before any user code
+    # every record is a namedtuple or a slotted class; typing and random are
+    # pinned only under -S below, since a site hook may load them before any
+    # user code
     loaded = _cold_import("print(json.dumps([m for m in ('dataclasses', 'inspect')"
                           " if m in sys.modules]))")
     assert loaded == []
@@ -202,6 +204,30 @@ def test_cold_import_without_site_loads_no_random():
             "rep = run_claim('dubo', SweepConfig(samples=5))\n"
             "print(json.dumps([cold, rep.status, 'random' in sys.modules]))\n")
     assert _cold_import(code, "-S") == [False, CONFIRMED, True]
+
+
+def test_cold_import_without_site_loads_no_typing():
+    # every record is a collections.namedtuple or a slotted class, so nothing
+    # the package and its CLI import at start-up loads typing
+    assert _cold_import("print(json.dumps('typing' in sys.modules))", "-S") is False
+
+
+def test_no_module_imports_typing():
+    # read off the source, so it holds on a host whose site preloads typing
+    src = os.path.dirname(harness.__file__)
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert not any(m.split(".")[0] == "typing" for m in modules), (name, node.lineno)
 
 
 def test_import_keeps_the_int_str_limit():

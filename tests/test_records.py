@@ -1,12 +1,13 @@
-"""The NamedTuple records against the dataclasses they replaced.
+"""The namedtuple records against the dataclasses they replaced.
 
 PellianProblem, PellianOutcome, FujitaCertificate, WorleyCandidate,
 ExtensionData and QuadIrr were frozen dataclasses; CFExpansion,
 ClassifyResult, ClaimReport and SweepConfig were mutable ones.  Each oracle
 below is one of those declarations, kept verbatim apart from its name (and
-the names it needs imported); the tests check that the NamedTuple keeps its
-fields, defaults, validation, equality, hash, repr, copies and read-only
-attributes on seeded grids of values.
+the names it needs imported); the tests check that the record, a
+collections.namedtuple or a slotted subclass of one, keeps its fields,
+defaults, validation, equality, hash, repr, copies and read-only attributes
+on seeded grids of values.
 """
 
 import copy
