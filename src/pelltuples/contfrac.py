@@ -1,23 +1,11 @@
-"""Periodic continued fractions of quadratic irrationals.
+"""Periodic continued fractions of quadratic irrationals (s + sqrt(d))/t.
 
-A quadratic irrational (s + sqrt(d))/t is expanded with the classical
-integer recurrence
-
-    a_n = floor((s_n + sqrt(d)) / t_n)
-    s_{n+1} = a_n * t_n - s_n
-    t_{n+1} = (d - s_{n+1}^2) / t_n
-
-which stays in exact integers as long as t | d - s^2.  The expansion is
-periodic, and purely periodic from its first reduced complete quotient on
-(Galois), so the period is the run from that state to its first return.
-`walk` is the one copy of this recurrence and `period_start` the one finder
-of where its period opens: `expand` records the rows of one period, and
-`CFExpansion.terms` repeats them past the period.  `convergents` turns any
-partial quotients into (p_m, q_m) one by one, and `last_denominators` into
-the last two q in one plain loop.  Along a walk from (s_0, t_0), t_0*p_i -
-s_0*q_i = s_{i+1}*q_i + t_{i+1}*q_{i-1}, so the Pell unit and the class
-search's hit take only the q and read each numerator off a row.  Every
-record is a `collections.namedtuple`.
+`walk` is the one copy of the expansion's integer recurrence, and
+`period_start` the one finder of where its period opens; `expand` keeps one
+period's rows as a `CFExpansion`.  `convergents` and `last_denominators`
+turn partial quotients into convergents.  `lemma_db_check` checks a
+convergent-product identity, and `worley_candidates` lists Worley's
+candidates for good rational approximations.
 """
 from __future__ import annotations
 
@@ -94,13 +82,14 @@ MAX_TERMS = 100_000
 
 def walk(d: int, s: int, t: int) -> Iterator[tuple[int, int, int]]:
     """Yield (a_n, s_{n+1}, t_{n+1}) for (s + sqrt(d))/t through the preperiod
-    and one period, for non-square d and t | d - s^2.
+    and one period, for non-square d and t | d - s^2: a = floor((s + sqrt(d))/t),
+    s' = a*t - s and t' = (d - s'^2)/t, which keeps t | d - s^2.
 
-    The period opens at the first reduced state, 0 < s <= f and
-    f - s < t <= f + s with f = isqrt(d) (then (s + sqrt(d))/t > 1 and its
-    conjugate lies in (-1, 0)), and closes when that state comes back, the
-    state of the last row; if it has not come back within MAX_TERMS terms,
-    ExpansionCapExceeded is raised.
+    The expansion is purely periodic from its first reduced state on (Galois),
+    0 < s <= f and f - s < t <= f + s with f = isqrt(d) (then (s + sqrt(d))/t
+    > 1 and its conjugate lies in (-1, 0)), so the period opens there and
+    closes when that state comes back, the state of the last row; if it has
+    not come back within MAX_TERMS terms, ExpansionCapExceeded is raised.
     """
     f = isqrt(d)
     if f * f == d:
@@ -152,7 +141,9 @@ def convergents(quotients: Iterable[int]) -> Iterator[tuple[int, int]]:
 
 def last_denominators(quotients: Iterable[int]) -> tuple[int, int]:
     """(q_{m-1}, q_m) for [a_0; a_1, ..., a_m] by one plain loop; (q_{-2},
-    q_{-1}) = (1, 0) for no quotients."""
+    q_{-1}) = (1, 0) for no quotients.  Along a walk from (s_0, t_0),
+    t_0*p_i - s_0*q_i = s_{i+1}*q_i + t_{i+1}*q_{i-1}, so the Pell unit and the
+    class search's hit need only the q and read each p off a walk row."""
     q0, q = 1, 0
     for a in quotients:
         q0, q = q, a * q + q0

@@ -1,18 +1,12 @@
-"""Claim sweeps and deterministic JSON reports.
+"""The claims of `CLAIMS`, their sweeps and their deterministic JSON reports.
 
-Each claim id maps to a sweep over exact computations; a report records
-per-case evidence with every integer serialized as a decimal string so
-arbitrarily large values survive JSON round-trips.  Reports are
-byte-deterministic for a fixed config (elapsed time lives in a separate
-header field).  That contract is `ClaimReport.body()`.  `dump_json` writes
-every report's text in one pass: keys sorted as strings, an int (not a bool)
-as its decimal string, a tuple as an array; `body()` is that text read back.
-
-A claim's options are its keyword-only parameters, with their defaults,
-and nothing else declares them: `CLAIM_OPTIONS` is read off each claim's
-`__kwdefaults__`, `SweepConfig` is a namedtuple with one field per option
-some claim reads (in alphabetical order), and `run_claim` passes each claim
-the fields that are set and that it reads.  `ClaimReport` is a namedtuple too.
+Entry points: `run_claim(claim_id, SweepConfig(...))`, and `dump_json` and
+`write_json`, the one writer of every report and CLI document.  Each
+`claim_*` function's docstring says what it checks and how far.  A claim's
+options are its keyword-only parameters, declared nowhere else:
+`CLAIM_OPTIONS` and `SweepConfig` are read off them.  A sweep that would
+check nothing raises ValueError.  The contract of a report is
+`ClaimReport.body()`, byte-deterministic for a fixed config.
 """
 from __future__ import annotations
 
@@ -170,6 +164,11 @@ def _tm1_one_prime(args) -> list[dict]:
 
 
 def claim_tm1(*, p_max: int = 50, k_max: int = 3, workers: int = 1) -> ClaimReport:
+    """x^2 - (p^(2k+2)+1)y^2 = -p^(2l+1) is unsolvable: each odd prime p <= p_max, l <= k <= k_max.
+
+    Each (p, k) first runs the Case 2 residue search: a hit, which would
+    contradict the theorem, is a failing record, and the decider is not
+    called at that k.  `workers` spreads the primes over a process pool."""
     primes = odd_primes_upto(p_max)
     if not primes or k_max < 0 or workers < 1:
         raise ValueError("tm1 needs p_max >= 3, k_max >= 0 and workers >= 1")
@@ -179,6 +178,7 @@ def claim_tm1(*, p_max: int = 50, k_max: int = 3, workers: int = 1) -> ClaimRepo
 
 
 def claim_p2_prop() -> ClaimReport:
+    """p = 2, each l <= k <= 9: x^2 - (2^(2k+2)+1)y^2 = -2^(2l+1) is solvable iff odd k < 2l."""
     evidence = []
     for k in range(10):
         for l in range(k + 1):
@@ -202,6 +202,10 @@ def _fujita_one_k(bigk: int) -> dict:
 
 
 def claim_fujita(*, limit: int = 60, workers: int = 1) -> ClaimReport:
+    """x^2 - (K^2+1)y^2 = N has no primitive solution: each 2 <= K <= limit, N = +-2, ..., +-K.
+
+    A case holds when fujita_fast_path certifies it and solve_complete finds
+    no primitive witness; each K's record lists every N that fails."""
     if limit < 2 or workers < 1:
         raise ValueError("fujita needs limit >= 2 and workers >= 1")
     evidence = _map_ordered(_fujita_one_k, list(range(2, limit + 1)), workers)
@@ -248,6 +252,7 @@ def _dubo_case(rng) -> dict:
 
 
 def claim_dubo(*, samples: int = 500, seed: int = 0) -> ClaimReport:
+    """lemma_db_check's identity holds: a seeded sample of alpha, beta <= 10^4, n, r, u."""
     return _sampled_claim("dubo", _dubo_case, samples, seed)
 
 
@@ -271,6 +276,7 @@ def _worley_good_approximations(alpha: QuadIrr, c, b_max: int):
 
 
 def claim_worley(*, seed: int = 0) -> ClaimReport:
+    """A coprime a/b, b <= 60, within c/b^2 of alpha is a Worley candidate: 10 alpha, 7 seeded."""
     # imported here, not at the top: no other sweep loads fractions and decimal,
     # and only the sampled claims and this one load random
     import random
@@ -328,10 +334,16 @@ def _lemma3_case(rng) -> dict:
 
 
 def claim_lemma3(*, samples: int = 500, seed: int = 0) -> ClaimReport:
+    """lemma3_extend_data's identities hold: a seeded sample of D(+-1) triples {a, b, a+b+2r}."""
     return _sampled_claim("lemma3", _lemma3_case, samples, seed)
 
 
 def claim_prop26(*, n_max: int = 20, j_max: int = 5) -> ClaimReport:
+    """{1, n^2+1, -c_j, d+-} is D(-1) in each Z[sqrt(-m^2)], m dividing n: n <= n_max, j <= j_max.
+
+    prop_family checks m = n, check_tuple each m < n, and a degenerate branch
+    is only recorded.  {1, 5, -3, 65} and {1, 10, -8, 325} must turn up once
+    n_max reaches their n."""
     if n_max < 1 or j_max < 1:
         raise ValueError("prop26 needs n_max >= 1 and j_max >= 1")
     evidence = []
@@ -389,6 +401,7 @@ def fifumi_b_values(limit: int) -> list[int]:
 
 
 def claim_fifumi(*, c_max: int = 10_000) -> ClaimReport:
+    """No integer D(-1)-quadruple {1, b, c, d}, d <= c_max: each b of fifumi_b_values(200)."""
     evidence = []
     for b in fifumi_b_values(200):
         found = integer_quadruple_search(b, c_max)
@@ -398,6 +411,7 @@ def claim_fifumi(*, c_max: int = 10_000) -> ClaimReport:
 
 
 def claim_tmii1(*, limit: int = 50, c_max: int = 10**8) -> ClaimReport:
+    """{1, 2p^k} extends in no Z[sqrt(-t)], even t <= 20, nor Z to c_max: admissible p <= limit."""
     evidence = []
     pairs = find_admissible_pairs(limit)
     if not pairs:
@@ -415,6 +429,10 @@ def claim_tmii1(*, limit: int = 50, c_max: int = 10**8) -> ClaimReport:
 
 
 def claim_tmii2() -> ClaimReport:
+    """{1, 2p^k} extends in Z[sqrt(-q^e)] iff e is even, e <= 2^l, not in Z[sqrt(-2)]: two pairs.
+
+    At (p, k, q, l) = (5, 1, 3, 1) and (41, 1, 3, 2): a verified witness at
+    even e, and an unsolvable Pellian reduction at odd e."""
     evidence = []
     targets = [(5, 1, 3, 1), (41, 1, 3, 2)]
     for p, k, q, l_exp in targets:
@@ -445,6 +463,7 @@ REQUIRED_PAIRS = [(5, 1, 3, 1), (5, 2, 7, 1), (13, 4, 239, 1),
 
 
 def claim_pairs(*, limit: int = 50) -> ClaimReport:
+    """2p^k = q^(2^l) + 1: the search to limit finds each REQUIRED_PAIRS entry with p <= limit."""
     required = [t for t in REQUIRED_PAIRS if t[0] <= limit]
     if not required:
         raise ValueError(f"pairs at limit={limit} checks no required pair: none has p <= limit")
@@ -483,6 +502,8 @@ SweepConfig.__doc__ = "Sweep options; an unset (None) one takes the claim's own 
 
 
 def run_claim(claim_id: str, cfg: SweepConfig) -> ClaimReport:
+    """The report of claim_id, given the options of cfg that are set and that
+    the claim reads, with the sweep's elapsed seconds."""
     fn = CLAIMS[claim_id]
     given = {name: getattr(cfg, name) for name in CLAIM_OPTIONS[claim_id]
              if getattr(cfg, name) is not None}

@@ -1,52 +1,15 @@
 """Certified solvability decisions for x^2 - D*y^2 = N.
 
-Two complete methods are available; the tests cross-check them:
-
-* bounded enumeration of y up to the fundamental-solution bound derived
-  from the Pell unit, while that bound is at most ENUM_BOUND_LIMIT, and
-* the Lagrange-Matthews-Mollin class search above it (K. Matthews,
-  Expositiones Math. 18, 2000), which solve_complete first settles as
-  UNSOLVABLE when an odd prime q <= SMALL_TRIAL_BOUND divides D and N is
-  a non-residue mod q (_local_obstruction; the certificate is
-  {"modulus": q}), before it factorizes N.  Otherwise one pass over the
-  prime powers p^e of N builds every split f^2 | N with the roots z of
-  z^2 = D (mod |N/f^2|), lifting each p once to its roots mod p^j for all
-  j <= e and joining those mod p^(e-2h) by CRT as f takes p^h; then for
-  every root with 2z <= |N/f^2|, _pqa_first_hit walks (z + sqrt(D))/Q_0
-  and (Q_0 - z + sqrt(D))/Q_0, Q_0 = |N/f^2|, by contfrac.walk, a row of
-  each in turn.  The PQa identity
-  G_i^2 - D*q_i^2 = (-1)^(i+1) * t_{i+1} * Q_0, G_i = Q_0*p_i - z*q_i
-  (J. P. Robertson, "Solving the generalized Pell equation x^2 - Dy^2 = N",
-  2004), makes a row with |t_{i+1}| = 1 a generator of its root's ideal,
-  G_i = s_{i+1}*q_i + t_{i+1}*q_{i-1}, q by contfrac.last_denominators.
-  By Nagell's criterion a root's solutions are that generator times the
-  units of norm 1, or of norm -1 if its norm is -N/f^2; root Q_0 - z gives
-  the conjugate classes, which the class representative merges.  The Pell
-  unit comes the same way from half the period of sqrt(D), a palindrome,
-  and is checked to have norm 1.
-
-_positive_solutions streams every positive solution in increasing y from one
-solution per class, by the Pell unit.  The paper's Case 2 residue check is
-read off the class search and that stream: its hits are the solutions with
-small r of X^2 - (P^2+1)*r^2 = M, X = u + sg*P*r.
-
-decide_paper_equation decides the paper's family x^2 - (P^2+1)*y^2 =
--p^(2l+1), P = p^(k+1), for every prime p by the first route that applies:
-"residue" (p = 2 and even k: solve_complete's local exit, {"modulus": 5}),
-"fujita" (2l+1 <= k+1), "paper-family" (the explicit p = 2 solutions), and
-for odd p the Case 2 residue check, "residue" at l = k and "descent" below.
-Every verdict is cross-checked by the class search whatever the class bound:
-sqrt(P^2+1) = [P; 2P], so each walk is a few steps where enumeration would
-scan up to sqrt(p^(2l+1)) values of y.
-
-Both report the same canonical witnesses: one minimal-y representative
-per solution class and its conjugate, with x >= 0.  The class search takes
-the factorization of |N| from its caller: solve_complete factorizes, while
-the paper's searches of N = +-p^j pass {p: j}.  Walks are memoized per
-(D, z, Q_0), as the sign of N enters only the hit row's norm, so a search of
-+-p^j reuses the walks of -+p^j and of +-p^(j-2), +-p^(j-4), ...  Only
-factorize() and walk()'s 100,000-term cap limit the class search, and both
-raise; a query that _local_obstruction settles never factorizes N.
+solve_complete decides x^2 - D*y^2 = N, non-square D >= 2 and N != 0, by
+bounded enumeration (solve_brute) or by the class search
+(_cf_class_solutions); the tests cross-check the two, and both report the
+same witnesses, one canonical representative per class (_class_rep).
+all_solutions_stream streams every positive solution from those, and
+pell_fundamental gives the Pell unit.  decide_paper_equation decides the
+paper's family x^2 - (p^(2k+2)+1)*y^2 = -p^(2l+1), with
+case2_residue_search and fujita_fast_path behind it.  No scan limit caps
+the class search: only factorize() and walk()'s MAX_TERMS cap stop it, and
+both raise.
 """
 from __future__ import annotations
 
@@ -120,7 +83,10 @@ def _pqa_first_hit(d: int, z: int, q0: int) -> tuple[int, int, int] | None:
     as B's, so B's state mirrors A's newest only once the two arcs close
     the cycle, and I is then not principal.  z = -z (mod q0) and d = f^2 + 1,
     whose principal cycle is the one state (f, 1), take one walk alone.
-    The rows serve m = q0 and m = -q0 alike: _generator_hit settles the sign.
+    Together the walks take at most j_A + j_B + L + 2 rows (j the preperiods,
+    L the period), and only a hit builds convergents (_row_hit).  The rows
+    serve m = q0 and m = -q0 alike: _generator_hit settles the sign, so the
+    memo serves the searches of -m and of the splits f = p^h of m*p^(2h) too.
     """
     f = isqrt(d)
     if not 0 < 2 * z < q0 or d == f * f + 1:
@@ -148,7 +114,10 @@ def _pqa_first_hit(d: int, z: int, q0: int) -> tuple[int, int, int] | None:
 
 def _row_hit(q0: int, quots: list[int], s: int, t: int) -> tuple[int, int, int]:
     """(G, q_i, norm) of G + q_i*sqrt(d) at the walk row (a_i, s, t), |t| = 1, after
-    quots = [a_0, ..., a_i]: G = s*q_i + t*q_{i-1}, norm (-1)^(i+1)*t*q0 (Robertson)."""
+    quots = [a_0, ..., a_i] from (z + sqrt(d))/q0: G = q0*p_i - z*q_i = s*q_i + t*q_{i-1}
+    and norm = G^2 - d*q_i^2 = (-1)^(i+1)*t*q0 (J. P. Robertson, "Solving the
+    generalized Pell equation x^2 - Dy^2 = N", 2004), so G + q_i*sqrt(d)
+    generates the ideal of root z."""
     q1, q = last_denominators(quots)
     return s * q + t * q1, q, (t if len(quots) % 2 == 0 else -t) * q0
 
@@ -156,7 +125,8 @@ def _row_hit(q0: int, quots: list[int], s: int, t: int) -> tuple[int, int, int]:
 def _generator_hit(d: int, m: int, g: int, q: int, norm: int) -> tuple[int, int] | None:
     """The hit (G, B), B > 0, of norm m from theta = g + q*sqrt(d) of norm
     +-m: theta if its norm is m, else theta times the unit of norm -1; None
-    if there is none."""
+    if there is none.  By Nagell's criterion the hit's class is the hit times
+    the units of norm 1."""
     if norm != m:
         unit = _negative_unit(d)
         if unit is None:
@@ -190,7 +160,8 @@ def pell_fundamental(d: int) -> PellUnit:
     convergents p_{h-2} .. p_h there (M. J. Jacobson Jr. and H. C. Williams,
     "Solving the Pell Equation", Springer 2009, ch. 5): q_{h-1} and q_h are
     built at the centre, and p_i = s_{i+1}*q_i + t_{i+1}*q_{i-1} read off rows
-    h-1 and h; a unit of norm other than 1 raises RuntimeError.  walk()'s
+    h-1 and h.  Every class bound rests on the unit, so a unit of norm other
+    than 1 raises RuntimeError.  walk()'s
     cap of MAX_TERMS terms leaves periods below 2 * MAX_TERMS in reach.
     """
     quots, s_h, t_h = [], 0, 1  # (s_0, t_0); s_1 = isqrt(d) > 0
@@ -305,7 +276,8 @@ def _sqrt_mod_prime_power(d: int, p: int, e: int) -> list[list[int]]:
 
 def _cf_class_solutions(d: int, n: int, factors: dict[int, int]) -> list[tuple[int, int]]:
     """A solution with y > 0 in every solution class of x^2 - d*y^2 = n, for
-    `factors` the factorization {p: e} of |n|."""
+    `factors` the factorization {p: e} of |n|: solve_complete factorizes |n|,
+    while the paper's searches of +-p^j pass {p: j} and factorize nothing."""
     sols: list[tuple[int, int]] = []
     # every (f, q = |n/f^2|, roots z of z^2 = d (mod q)), built prime by prime:
     # each prime is lifted once and its roots mod p^(e-2h) joined by CRT
@@ -351,8 +323,11 @@ def _local_obstruction(d: int, n: int) -> int | None:
 def solve_complete(prob: PellianProblem) -> PellianOutcome:
     """Certified decision with one fundamental witness per solution class.
 
-    Above ENUM_BOUND_LIMIT a local obstruction q settles the search before
-    |n| is factorized: UNSOLVABLE, with the certificate {"modulus": q}."""
+    solve_brute scans y up to the class bound while that is at most
+    ENUM_BOUND_LIMIT.  Above it a local obstruction q settles the query before
+    |n| is factorized (UNSOLVABLE, with the certificate {"modulus": q}), and
+    otherwise the Lagrange-Matthews-Mollin class search does (K. Matthews,
+    Expositiones Math. 18, 2000)."""
     d, n = prob
     unit = pell_fundamental(d)
     bound = _unit_bound(unit, n)
@@ -368,7 +343,8 @@ def solve_complete(prob: PellianProblem) -> PellianOutcome:
 
 def _class_search_outcome(d: int, n: int, factors: dict[int, int]) -> PellianOutcome:
     """solve_complete's outcome by the class search for the factors {p: e} of
-    |n|, whatever the class bound; search_bound_used is still the class bound."""
+    |n|, whatever the class bound and with no local exit, so that a check by
+    it stays a search; search_bound_used is still the class bound."""
     unit = pell_fundamental(d)
     bound = _unit_bound(unit, n)
     return _outcome(d, n, _cf_class_solutions(d, n, factors), "cf-classes", bound, unit)
@@ -482,6 +458,8 @@ def decide_paper_equation(p: int, k: int, l: int) -> PellianOutcome:
 
     The verdict is then confirmed by the class search of -p^(2l+1), which
     finds a solution in every class if there is one; a disagreement is fatal.
+    sqrt(P^2+1) = [P; 2P], so its walks take a few steps where enumeration
+    would scan up to sqrt(p^(2l+1)) values of y.
     """
     if not is_prime(p):
         raise ValueError("p must be a prime")

@@ -22,6 +22,7 @@ class Mutant(NamedTuple):
 
 _PELLIAN = "tests/test_pellian.py::"
 _ZRING = "tests/test_zring.py::"
+_HARNESS = "tests/test_harness.py::"
 
 MUTANTS = (
     # the paired class walk of _pqa_first_hit
@@ -135,6 +136,35 @@ MUTANTS = (
            "    return report._replace(elapsed=time.monotonic() - start)\n",
            "    return report\n",
            ("tests/test_records.py::test_claim_report_matches_mutable_class",)),
+    # each claim's failure path: a failed case must turn the claim VIOLATED
+    Mutant("prop26-ignores-subring-failure", "harness.py",
+           '                            rec["subring_failure"] = m\n'
+           "                            ok = False\n",
+           '                            rec["subring_failure"] = m\n',
+           (_HARNESS + "test_prop26_reports_subring_failure",)),
+    Mutant("prop26-ignores-unverified-branch", "harness.py",
+           "                elif not rep.degenerate:\n"
+           "                    ok = False\n",
+           "                elif not rep.degenerate:\n"
+           "                    pass\n",
+           (_HARNESS + "test_prop26_reports_unverified_branch",)),
+    Mutant("prop26-ignores-missing-required", "harness.py",
+           "            ok = False\n"
+           '            evidence.append({"missing_required": list(required)})\n',
+           '            evidence.append({"missing_required": list(required)})\n',
+           (_HARNESS + "test_prop26_reports_missing_required",)),
+    Mutant("pairs-ignores-missing", "harness.py",
+           "    ok = not missing\n",
+           "    ok = True\n",
+           (_HARNESS + "test_pairs_reports_missing",)),
+    Mutant("fujita-ignores-violations", "harness.py",
+           '    ok = all(not rec["violations"] for rec in evidence)\n',
+           "    ok = True\n",
+           (_HARNESS + "test_fujita_reports_violation",)),
+    Mutant("sampled-keeps-first-10-only", "harness.py",
+           '        if i < 10 or not rec["ok"]:\n',
+           "        if i < 10:\n",
+           (_HARNESS + "test_sampled_claims_keep_every_failing_record",)),
     Mutant("cli-keeps-int-str-limit", "cli.py",
            "        sys.set_int_max_str_digits(0)\n",
            "        pass\n",

@@ -34,6 +34,13 @@ def test_isqrt_rejects_negative():
         isqrt(-1)
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_factorize_rejects_non_positive(n):
+    with pytest.raises(ValueError) as exc:
+        factorize(n)
+    assert "factorize expects a positive integer" in str(exc.value)
+
+
 @given(st.integers(min_value=0, max_value=10**40))
 def test_isqrt_is_exact_floor(n):
     r = isqrt(n)

@@ -73,6 +73,17 @@ def test_quadirr_rejects_square_d():
         QuadIrr(10, 0, 0)
 
 
+@pytest.mark.parametrize("call, args, message", [
+    (QuadIrr(10, 0, 1).compare_rational, (1, 0), "zero denominator"),
+    (lemma_db_check, (0, 1, 0, 1, 1), "alpha, beta must be positive"),
+    (lemma_db_check, (1, -2, 0, 1, 1), "alpha, beta must be positive"),
+])
+def test_contfrac_input_errors(call, args, message):
+    with pytest.raises(ValueError) as exc:
+        call(*args)
+    assert message in str(exc.value)
+
+
 def test_quadirr_normalizes_divisibility():
     # t does not divide d - s^2: representation is rescaled, value preserved.
     alpha = QuadIrr(2, 0, 3)

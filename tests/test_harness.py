@@ -421,6 +421,121 @@ def test_prop26_rechecks_only_proper_subrings(monkeypatch):
     assert all(t < n_sq for n_sq, t in ts)
 
 
+# Each claim's failure path, planted: the status and the record that explains it.
+
+
+def test_prop26_reports_subring_failure(monkeypatch):
+    # Z[i] (m = 1) turned against every quadruple: each branch of n >= 2 fails
+    check_tuple = harness.check_tuple
+
+    def failing_at_t_1(elems, n, t):
+        rep = check_tuple(elems, n, t)
+        return rep._replace(verified=False) if t == 1 else rep
+
+    monkeypatch.setattr(harness, "check_tuple", failing_at_t_1)
+    report = harness.claim_prop26()
+    assert report.status == VIOLATED
+    failed = [rec for rec in report.evidence if "subring_failure" in rec]
+    assert failed[0]["n"] == 2 and {rec["subring_failure"] for rec in failed} == {1}
+    assert failed == [rec for rec in report.evidence if rec["verified"] and rec["n"] >= 2]
+    assert main(["verify", "prop26"]) == 1
+
+
+def _prop_family_planted(monkeypatch, planted_at, **fields):
+    """harness.prop_family with fields replaced in each branch (n, j, sign)
+    that planted_at(n, j, sign) picks."""
+    prop_family = harness.prop_family
+
+    def planted(n, j, m):
+        return tuple(rep._replace(**fields) if planted_at(n, j, sign) else rep
+                     for rep, sign in zip(prop_family(n, j, m), "+-"))
+
+    monkeypatch.setattr(harness, "prop_family", planted)
+
+
+def test_prop26_reports_missing_required(monkeypatch):
+    _prop_family_planted(monkeypatch, lambda n, j, sign: n == 2,
+                         verified=False, degenerate=True)
+    report = harness.claim_prop26()
+    assert report.status == VIOLATED
+    assert [rec for rec in report.evidence if "missing_required" in rec] == [
+        {"missing_required": [1, 5, -3, 65]}]
+
+
+def test_prop26_reports_unverified_branch(monkeypatch):
+    # neither verified nor degenerate: a failed check, not a skipped branch
+    _prop_family_planted(monkeypatch, lambda *branch: branch == (4, 1, "+"), verified=False)
+    report = harness.claim_prop26()
+    assert report.status == VIOLATED
+    failed = [rec for rec in report.evidence if not (rec["verified"] or rec["degenerate"])]
+    assert [(rec["n"], rec["j"], rec["branch"]) for rec in failed] == [(4, 1, "+")]
+    assert all("subring_failure" not in rec and "missing_required" not in rec
+               for rec in report.evidence)
+
+
+def test_pairs_reports_missing(monkeypatch):
+    find_admissible_pairs = harness.find_admissible_pairs
+    monkeypatch.setattr(harness, "find_admissible_pairs", lambda limit: [
+        t for t in find_admissible_pairs(limit) if t != (5, 1, 3, 1)])
+    report = harness.claim_pairs()
+    assert report.status == VIOLATED
+    assert report.evidence[-1] == {"missing": [[5, 1, 3, 1]]}
+
+
+def test_fujita_reports_violation(monkeypatch):
+    fujita_fast_path = harness.fujita_fast_path
+    monkeypatch.setattr(harness, "fujita_fast_path", lambda k, n: (
+        None if (k, n) == (3, -2) else fujita_fast_path(k, n)))
+    report = harness.claim_fujita(limit=4)
+    assert report.status == VIOLATED
+    assert [rec["violations"] for rec in report.evidence] == [
+        [], [{"n": -2, "witnesses": []}], []]
+
+
+@pytest.mark.parametrize("claim_id, checker, failed_fields", [
+    ("dubo", "_lemma_db_sides", {"value": None, "ok": False}),
+    ("lemma3", "lemma3_extend_data", {"error": "planted", "ok": False}),
+])
+@pytest.mark.parametrize("samples, fail_at", [
+    (5, {0, 3}),
+    # past the first 10 records, a failing one is still kept
+    (15, {12}),
+])
+def test_sampled_claims_keep_every_failing_record(monkeypatch, claim_id, checker,
+                                                  failed_fields, samples, fail_at):
+    check, calls = getattr(harness, checker), []
+
+    def planted(*args):
+        calls.append(args)
+        if len(calls) - 1 in fail_at:
+            raise AssertionError("planted")
+        return check(*args)
+
+    monkeypatch.setattr(harness, checker, planted)
+    report = CLAIMS[claim_id](samples=samples)
+    assert report.status == VIOLATED
+    *records, summary = report.evidence
+    assert summary == {"samples": samples, "all_ok": False}
+    kept = [i for i in range(samples) if i < 10 or i in fail_at]
+    assert len(records) == len(kept)
+    for i, rec in zip(kept, records):
+        assert rec["ok"] == (i not in fail_at)
+        if i in fail_at:
+            assert {key: rec[key] for key in failed_fields} == failed_fields
+
+
+def test_decider_raises_on_residue_hit(monkeypatch):
+    # at l = k the decider's residue route reads the search: a hit is fatal
+    monkeypatch.setattr(pellian, "_residue_hits", lambda p, k, targets: ((1, 0, 0, 1),))
+    pellian.case2_residue_search.cache_clear()
+    try:
+        with pytest.raises(RuntimeError) as exc:
+            pellian.decide_paper_equation(3, 2, 2)
+    finally:
+        pellian.case2_residue_search.cache_clear()
+    assert "residue search found unexpected hits: ((1, 0, 0, 1),)" in str(exc.value)
+
+
 def _deep_dec(obj):
     """The report format stated apart from the writer: a copy of obj with every
     int that is not a bool as its decimal string, tuples as lists, keys as str."""

@@ -53,6 +53,22 @@ def test_problem_validation():
         PellianProblem(-10, 1)
 
 
+@pytest.mark.parametrize("call, args, message", [
+    (solve_brute, (PellianProblem(2, 1), 0), "y_max must be >= 1"),
+    (fujita_fast_path, (0, 2), "K must be positive"),
+    (case2_residue_search, (2, 1), "p must be an odd prime"),
+    (case2_residue_search, (9, 1), "p must be an odd prime"),
+    (case2_residue_search, (3, -1), "k must be >= 0"),
+    (p2_family_witness, (2, 2), "requires odd k and k/2 < l <= k"),
+    (p2_family_witness, (3, 1), "requires odd k and k/2 < l <= k"),
+    (p2_family_witness, (3, 4), "requires odd k and k/2 < l <= k"),
+])
+def test_pellian_input_errors(call, args, message):
+    with pytest.raises(ValueError) as exc:
+        call(*args)
+    assert message in str(exc.value)
+
+
 def test_pell_fundamental_examples():
     assert pell_fundamental(2) == (3, 2)
     assert pell_fundamental(10) == (19, 6)

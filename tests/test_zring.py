@@ -684,6 +684,19 @@ def test_remark2_reduction():
         remark2_reduction(10, 4)  # t must divide b - 1
 
 
+@pytest.mark.parametrize("call, args, message", [
+    (prop_family, (0, 1, 1), "need positive n, j and m | n"),
+    (prop_family, (2, 0, 1), "need positive n, j and m | n"),
+    (prop_family, (4, 1, 3), "need positive n, j and m | n"),
+    (remark2_reduction, (10, 0), "t must be positive"),
+    (theorem3_classify, (5, 1, 9, 1, 1), "p and q must be odd primes"),
+])
+def test_zring_input_errors(call, args, message):
+    with pytest.raises(ValueError) as exc:
+        call(*args)
+    assert message in str(exc.value)
+
+
 def test_theorem3_classify_cases():
     assert theorem3_classify(5, 1, 3, 1, 2).status == NONE
     r3 = theorem3_classify(5, 1, 3, 1, 3)
