@@ -194,10 +194,12 @@ def _fujita_one_k(bigk: int) -> dict:
     for n in range(-bigk, bigk + 1):
         if abs(n) <= 1:
             continue
-        cert = fujita_fast_path(bigk, n)
+        certified = fujita_fast_path(bigk, n) is not None
         oc = solve_complete(PellianProblem(bigk * bigk + 1, n))
-        if cert is None or has_primitive_solution(oc):
-            violations.append({"n": n, "witnesses": list(oc.witnesses)})
+        primitive = has_primitive_solution(oc)
+        if not certified or primitive:
+            violations.append({"n": n, "certified": certified, "primitive": primitive,
+                               "witnesses": list(oc.witnesses)})
     return {"K": bigk, "n_checked": 2 * (bigk - 1), "violations": violations}
 
 
@@ -205,7 +207,8 @@ def claim_fujita(*, limit: int = 60, workers: int = 1) -> ClaimReport:
     """x^2 - (K^2+1)y^2 = N has no primitive solution: each 2 <= K <= limit, N = +-2, ..., +-K.
 
     A case holds when fujita_fast_path certifies it and solve_complete finds
-    no primitive witness; each K's record lists every N that fails."""
+    no primitive witness; each K's record lists every N that fails, with
+    whether it was certified and whether a witness was primitive."""
     if limit < 2 or workers < 1:
         raise ValueError("fujita needs limit >= 2 and workers >= 1")
     evidence = _map_ordered(_fujita_one_k, list(range(2, limit + 1)), workers)
@@ -341,9 +344,9 @@ def claim_lemma3(*, samples: int = 500, seed: int = 0) -> ClaimReport:
 def claim_prop26(*, n_max: int = 20, j_max: int = 5) -> ClaimReport:
     """{1, n^2+1, -c_j, d+-} is D(-1) in each Z[sqrt(-m^2)], m dividing n: n <= n_max, j <= j_max.
 
-    prop_family checks m = n, check_tuple each m < n, and a degenerate branch
-    is only recorded.  {1, 5, -3, 65} and {1, 10, -8, 325} must turn up once
-    n_max reaches their n."""
+    prop_family checks m = n, check_tuple each m < n (a branch lists every m
+    that fails), and a degenerate branch is only recorded.  {1, 5, -3, 65}
+    and {1, 10, -8, 325} must turn up once n_max reaches their n."""
     if n_max < 1 or j_max < 1:
         raise ValueError("prop26 needs n_max >= 1 and j_max >= 1")
     evidence = []
@@ -361,11 +364,11 @@ def claim_prop26(*, n_max: int = 20, j_max: int = 5) -> ClaimReport:
                     inventory.add(elems)
                     # subring re-verification for every divisor m < n of n:
                     # prop_family(n, j, 1) has just checked m = n
-                    for m in divisors_of_n:
-                        sub = check_tuple(elems, -1, m * m)
-                        if not sub.verified:
-                            rec["subring_failure"] = m
-                            ok = False
+                    failures = [m for m in divisors_of_n
+                                if not check_tuple(elems, -1, m * m).verified]
+                    if failures:
+                        rec["subring_failures"] = failures
+                        ok = False
                 elif not rep.degenerate:
                     ok = False
                 evidence.append(rec)

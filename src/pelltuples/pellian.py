@@ -306,35 +306,39 @@ def _cf_class_solutions(d: int, n: int, factors: dict[int, int]) -> list[tuple[i
 
 
 def _local_obstruction(d: int, n: int) -> int | None:
-    """An odd prime q <= SMALL_TRIAL_BOUND with q | d and n a non-residue mod
-    q, so that x^2 - d*y^2 = n has no solution mod q; None if there is none."""
+    """The least odd prime q <= SMALL_TRIAL_BOUND with q | d and (n/q) = -1,
+    so that x^2 - d*y^2 = n has no solution mod q; None if there is none."""
     g = math.gcd(d, _SMALL_ODD_PRIMORIAL)
     for q in _SMALL_ODD_PRIMES:
-        if g == 1:
+        if q * q > g:
             break
         if g % q == 0:
             # Euler's criterion; it gives 0 when q | n, a residue
             if pow(n, (q - 1) // 2, q) == q - 1:
                 return q
             g //= q
+    # g is squarefree and free of every q tested, so it is 1 or its largest prime
+    if g > 1 and pow(n, (g - 1) // 2, g) == g - 1:
+        return g
     return None
 
 
 def solve_complete(prob: PellianProblem) -> PellianOutcome:
     """Certified decision with one fundamental witness per solution class.
 
-    solve_brute scans y up to the class bound while that is at most
-    ENUM_BOUND_LIMIT.  Above it a local obstruction q settles the query before
-    |n| is factorized (UNSOLVABLE, with the certificate {"modulus": q}), and
-    otherwise the Lagrange-Matthews-Mollin class search does (K. Matthews,
-    Expositiones Math. 18, 2000)."""
+    A local obstruction q settles the query first, whatever its class bound
+    (UNSOLVABLE, with the certificate {"modulus": q}), so that no y is
+    scanned and |n| is not factorized.  Otherwise solve_brute scans y up to
+    the class bound while that is at most ENUM_BOUND_LIMIT, and above it the
+    Lagrange-Matthews-Mollin class search decides (K. Matthews, Expositiones
+    Math. 18, 2000)."""
     d, n = prob
     unit = pell_fundamental(d)
     bound = _unit_bound(unit, n)
+    q = _local_obstruction(d, n)
+    if q is not None:
+        return PellianOutcome(UNSOLVABLE, (), "cf-classes", bound, {"modulus": q})
     if bound > ENUM_BOUND_LIMIT:
-        q = _local_obstruction(d, n)
-        if q is not None:
-            return PellianOutcome(UNSOLVABLE, (), "cf-classes", bound, {"modulus": q})
         raw, method = _cf_class_solutions(d, n, factorize(abs(n))), "cf-classes"
     else:
         raw, method = solve_brute(prob, bound), "bounded-enumeration"

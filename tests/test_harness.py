@@ -435,10 +435,22 @@ def test_prop26_reports_subring_failure(monkeypatch):
     monkeypatch.setattr(harness, "check_tuple", failing_at_t_1)
     report = harness.claim_prop26()
     assert report.status == VIOLATED
-    failed = [rec for rec in report.evidence if "subring_failure" in rec]
-    assert failed[0]["n"] == 2 and {rec["subring_failure"] for rec in failed} == {1}
+    failed = [rec for rec in report.evidence if "subring_failures" in rec]
+    assert failed[0]["n"] == 2 and all(rec["subring_failures"] == [1] for rec in failed)
     assert failed == [rec for rec in report.evidence if rec["verified"] and rec["n"] >= 2]
     assert main(["verify", "prop26"]) == 1
+
+
+def test_prop26_reports_every_failing_subring(monkeypatch):
+    # every subring check fails: a branch lists each divisor m < n, in order
+    check_tuple = harness.check_tuple
+    monkeypatch.setattr(harness, "check_tuple",
+                        lambda elems, n, t: check_tuple(elems, n, t)._replace(verified=False))
+    report = harness.claim_prop26(n_max=6, j_max=1)
+    assert report.status == VIOLATED
+    failed = [(rec["n"], rec["subring_failures"]) for rec in report.evidence
+              if "subring_failures" in rec]
+    assert failed == [(2, [1]), (3, [1]), (4, [1, 2]), (5, [1]), (6, [1, 2, 3])]
 
 
 def _prop_family_planted(monkeypatch, planted_at, **fields):
@@ -489,7 +501,14 @@ def test_fujita_reports_violation(monkeypatch):
     report = harness.claim_fujita(limit=4)
     assert report.status == VIOLATED
     assert [rec["violations"] for rec in report.evidence] == [
-        [], [{"n": -2, "witnesses": []}], []]
+        [], [{"n": -2, "certified": False, "primitive": False, "witnesses": []}], []]
+    # certified, but with a witness taken for primitive: (8, 2) of N = -4 at K = 4
+    monkeypatch.setattr(harness, "fujita_fast_path", fujita_fast_path)
+    monkeypatch.setattr(harness, "has_primitive_solution", lambda oc: oc.witnesses == ((8, 2),))
+    report = harness.claim_fujita(limit=4)
+    assert report.status == VIOLATED
+    assert [rec["violations"] for rec in report.evidence] == [
+        [], [], [{"n": -4, "certified": True, "primitive": True, "witnesses": [(8, 2)]}]]
 
 
 @pytest.mark.parametrize("claim_id, checker, failed_fields", [
