@@ -306,20 +306,17 @@ def _cf_class_solutions(d: int, n: int, factors: dict[int, int]) -> list[tuple[i
 
 
 def _local_obstruction(d: int, n: int) -> int | None:
-    """The least odd prime q <= SMALL_TRIAL_BOUND with q | d and (n/q) = -1,
-    so that x^2 - d*y^2 = n has no solution mod q; None if there is none."""
+    """An odd prime q <= SMALL_TRIAL_BOUND with q | d and n a non-residue mod
+    q, so that x^2 - d*y^2 = n has no solution mod q; None if there is none."""
     g = math.gcd(d, _SMALL_ODD_PRIMORIAL)
     for q in _SMALL_ODD_PRIMES:
-        if q * q > g:
+        if g == 1:
             break
         if g % q == 0:
             # Euler's criterion; it gives 0 when q | n, a residue
             if pow(n, (q - 1) // 2, q) == q - 1:
                 return q
             g //= q
-    # g is squarefree and free of every q tested, so it is 1 or its largest prime
-    if g > 1 and pow(n, (g - 1) // 2, g) == g - 1:
-        return g
     return None
 
 

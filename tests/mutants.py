@@ -77,13 +77,7 @@ MUTANTS = (
            "                pj, own = p ** (e - 2 * h), levels[e - 2 * h] if q > 1 else levels[e]\n",
            (_PELLIAN + "test_prime_power_class_searches_pinned",
             _PELLIAN + "test_class_search_matches_three_pass")),
-    # the local exit: the smallest obstructing prime of D, before any route
-    Mutant("obstruction-skips-last-prime", "pellian.py",
-           "    if g > 1 and pow(n, (g - 1) // 2, g) == g - 1:\n"
-           "        return g\n",
-           "",
-           (_PELLIAN + "test_obstructed_class_route_neither_factorizes_nor_walks",
-            _PELLIAN + "test_local_obstruction_matches_walk_over_every_prime")),
+    # the local exit, before any route
     Mutant("local-exit-only-above-limit", "pellian.py",
            "    bound = _unit_bound(unit, n)\n"
            "    q = _local_obstruction(d, n)\n"
@@ -95,9 +89,8 @@ MUTANTS = (
            "        q = _local_obstruction(d, n)\n"
            "        if q is not None:\n"
            '            return PellianOutcome(UNSOLVABLE, (), "cf-classes", bound, {"modulus": q})\n',
-           (_PELLIAN + "test_obstructed_queries_never_enumerate",
-            _PELLIAN + "test_obstructed_class_route_neither_factorizes_nor_walks",
-            _PELLIAN + "test_outcomes_pinned")),
+           (_PELLIAN + "test_outcomes_pinned",
+            _PELLIAN + "test_obstructed_class_route_neither_factorizes_nor_walks")),
     # the real-pair criterion, v = x^2 or v = -t*y^2, in _root's im = 0 branch,
     # which decides every pair of two rational integers in check_tuple
     Mutant("root-accepts-negative-at-t-0", "zring.py",

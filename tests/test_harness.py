@@ -481,7 +481,7 @@ def test_prop26_reports_unverified_branch(monkeypatch):
     assert report.status == VIOLATED
     failed = [rec for rec in report.evidence if not (rec["verified"] or rec["degenerate"])]
     assert [(rec["n"], rec["j"], rec["branch"]) for rec in failed] == [(4, 1, "+")]
-    assert all("subring_failure" not in rec and "missing_required" not in rec
+    assert all("subring_failures" not in rec and "missing_required" not in rec
                for rec in report.evidence)
 
 

@@ -881,30 +881,47 @@ def test_p2_dispatch_matches_former_p2_decide():
         "54624cc08bf0d230c6ab163405fe7a1d28839b5965420defc6b79d41bf904d52")
 
 
-def test_outcomes_pinned():
+def test_outcomes_pinned(monkeypatch):
     # SHA-256 of solve_complete's verdict, witnesses and bound on every (D, N)
     # with non-square 2 <= D <= 200, 0 < |N| <= 50 and class bound <= 10^4,
     # then of decide_paper_equation's outcome with its method and its
     # certificate's repr for odd primes p <= 50, k <= 3 and l <= k; computed
     # while the local exit was taken only above ENUM_BOUND_LIMIT.  The route
-    # is checked on its own: the local exit or the class search, else
-    # enumeration with no certificate
+    # is checked on all of that (D, N) grid: the local exit, which never
+    # enumerates, or the class search, else enumeration with no certificate.
+    # Above 10^4 the enumeration scans nothing, so that its route is counted
+    # cheaply; criterion 10 checks those verdicts
+    def enumerate_unobstructed(prob, y_max):
+        if pellian._local_obstruction(*prob) is not None:
+            raise AssertionError(f"solve_brute called on {prob}")
+        return solve_brute(prob, y_max) if y_max <= 10**4 else []
+
+    monkeypatch.setattr(pellian, "solve_brute", enumerate_unobstructed)
     h = hashlib.sha256()
-    cases = 0
+    cases = obstructed = 0
+    routes = {"bounded-enumeration": 0, "cf-classes": 0}
     for d in range(2, 201):
         if is_perfect_square(d) is not None:
             continue
         for n in range(-50, 51):
-            if n == 0 or (bound := class_bound(d, n)) > 10**4:
+            if n == 0:
                 continue
+            bound = class_bound(d, n)
             oc = solve_complete(PellianProblem(d, n))
-            h.update(repr((d, n, oc.verdict, oc.witnesses, oc.search_bound_used)).encode())
-            cases += 1
+            routes[oc.method] += 1
             q = pellian._local_obstruction(d, n)
-            if bound > pellian.ENUM_BOUND_LIMIT or q is not None:
+            if q is not None:
+                assert oc == (UNSOLVABLE, (), "cf-classes", bound, {"modulus": q}), (d, n)
+                obstructed += 1
+            elif bound > pellian.ENUM_BOUND_LIMIT:
                 assert oc.method == "cf-classes", (d, n)
             else:
                 assert (oc.method, oc.certificate) == ("bounded-enumeration", None), (d, n)
+            if bound <= 10**4:
+                h.update(repr((d, n, oc.verdict, oc.witnesses, oc.search_bound_used)).encode())
+                cases += 1
+    assert obstructed == 9_850
+    assert (routes["bounded-enumeration"], routes["cf-classes"]) == (8_592, 10_008)
     for p in range(3, 51, 2):
         if not is_prime(p):
             continue
@@ -1094,75 +1111,6 @@ def test_obstructed_class_route_neither_factorizes_nor_walks(monkeypatch):
     assert obstructed == (UNSOLVABLE, (), "cf-classes", 1, {"modulus": 3})
     with pytest.raises(AssertionError, match="called"):
         _class_search_outcome(d, n, {n: 1})
-
-
-def test_obstructed_queries_never_enumerate(monkeypatch):
-    # on every pell-grid query that _local_obstruction settles, solve_brute
-    # raises; it scans nothing for the rest, whose verdicts
-    # test_outcomes_pinned and criterion 10 check, so that the routes are
-    # counted cheaply
-    enumerated = []
-
-    def enumerate_unobstructed(prob, y_max):
-        if pellian._local_obstruction(*prob) is not None:
-            raise AssertionError(f"solve_brute called on {prob}")
-        enumerated.append(prob)
-        return []
-
-    monkeypatch.setattr(pellian, "solve_brute", enumerate_unobstructed)
-    routes = {"bounded-enumeration": 0, "cf-classes": 0}
-    obstructed = 0
-    for d in range(2, 201):
-        if is_perfect_square(d) is not None:
-            continue
-        for n in range(-50, 51):
-            if n == 0:
-                continue
-            oc = solve_complete(PellianProblem(d, n))
-            routes[oc.method] += 1
-            q = pellian._local_obstruction(d, n)
-            if q is not None:
-                assert oc == (UNSOLVABLE, (), "cf-classes", class_bound(d, n),
-                              {"modulus": q}), (d, n)
-                obstructed += 1
-    assert obstructed == 9_850
-    assert (routes["bounded-enumeration"], routes["cf-classes"]) == (8_592, 10_008)
-    assert len(enumerated) == routes["bounded-enumeration"]
-
-
-def _local_obstruction_walking_every_prime(d: int, n: int) -> int | None:
-    """_local_obstruction as it was while its loop ran until g reached 1."""
-    g = math.gcd(d, pellian._SMALL_ODD_PRIMORIAL)
-    for q in pellian._SMALL_ODD_PRIMES:
-        if g == 1:
-            break
-        if g % q == 0:
-            # Euler's criterion; it gives 0 when q | n, a residue
-            if pow(n, (q - 1) // 2, q) == q - 1:
-                return q
-            g //= q
-    return None
-
-
-def test_local_obstruction_matches_walk_over_every_prime():
-    # the loop stops at q^2 > g and tests the prime left over once; on the
-    # pell grid, on the long-period D with every N of their pinned cases, and
-    # on D whose odd part is a prime in (900, 1021], it names the same q
-    grid = [(d, n) for d in range(2, 201) if is_perfect_square(d) is None
-            for n in range(-50, 51) if n]
-    long_ns = sorted({n for _, n, _ in _long_period_pin_cases()})
-    long_period = [(d, n) for d in LONG_PERIOD_DS for n in long_ns]
-    big_primes = [q for q in range(901, 1022, 2) if is_prime(q)]
-    big_odd_part = [(q << k, n) for q in big_primes for k in range(4)
-                    for n in (*range(-50, 0), *range(1, 51), 10000019)]
-    fired = {}
-    for name, cases in (("grid", grid), ("long", long_period), ("big", big_odd_part)):
-        fired[name] = 0
-        for d, n in cases:
-            q = pellian._local_obstruction(d, n)
-            assert q == _local_obstruction_walking_every_prime(d, n), (d, n)
-            fired[name] += q is not None
-    assert fired == {"grid": 9_850, "long": 193, "big": 3_472}
 
 
 def test_paper_deciders_never_enumerate(monkeypatch):
