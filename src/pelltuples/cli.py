@@ -17,6 +17,7 @@ import argparse
 import os
 import re
 import sys
+from functools import lru_cache
 from itertools import islice
 
 from .contfrac import QuadIrr, convergents, expand
@@ -120,7 +121,10 @@ def _option(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every main() call, built by the first one rather than at
+    import, so that importing this module stays cheap."""
     # no prefix matching: `verify --json` must not be read as `--jsonl`
     ap = argparse.ArgumentParser(prog="pelltuples", allow_abbrev=False)
     ap.add_argument("--json", action="store_true",
@@ -167,18 +171,10 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-#: the parser of every main() call, built by the first one rather than at
-#: import, so that importing this module stays cheap
-_parser: argparse.ArgumentParser | None = None
-
-
 def main(argv=None) -> int:
-    global _parser
     if hasattr(sys, "set_int_max_str_digits"):  # CPython 3.10.7 and later
         sys.set_int_max_str_digits(0)
-    if _parser is None:
-        _parser = build_parser()
-    args = _parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
         # a closed stdout shows here, not in the interpreter's last flush

@@ -1,9 +1,9 @@
 """Periodic continued fractions of quadratic irrationals (s + sqrt(d))/t.
 
-`walk` is the one copy of the expansion's integer recurrence, and
-`period_start` the one finder of where its period opens; `expand` keeps one
-period's rows as a `CFExpansion`.  `convergents` and `last_denominators`
-turn partial quotients into convergents.  `lemma_db_check` checks a
+`walk` is the one copy of the expansion's integer recurrence; `expand` keeps
+one period's rows as a `CFExpansion` and finds where its period opens.
+`convergents` and `last_denominators` turn partial quotients into
+convergents.  `lemma_db_check` checks a
 convergent-product identity, and `worley_candidates` lists Worley's
 candidates for good rational approximations.
 """
@@ -111,24 +111,12 @@ def walk(d: int, s: int, t: int) -> Iterator[tuple[int, int, int]]:
     raise ExpansionCapExceeded(f"no period within {MAX_TERMS} terms")
 
 
-def period_start(s: int, t: int, rows: list[tuple[int, int, int]]) -> int:
-    """The index j of the period's first state (s_j, t_j), for the rows of a
-    walk from (s_0, t_0) = (s, t) that ends as the period closes: the last
-    row's state repeats state j, and no other state."""
-    _, s_end, t_end = rows[-1]
-    if s == s_end and t == t_end:
-        return 0
-    j = 1
-    for _, s_j, t_j in rows:
-        if s_j == s_end and t_j == t_end:
-            return j
-        j += 1
-
-
 def expand(alpha: QuadIrr) -> CFExpansion:
-    """Continued fraction of alpha: the preperiod and one period of walk."""
+    """Continued fraction of alpha: the preperiod and one period of walk.  The
+    period opens at the one state that the last row's state repeats."""
     rows = list(walk(alpha.d, alpha.s, alpha.t))
-    return CFExpansion(rows, period_start(alpha.s, alpha.t, rows))
+    states = [(alpha.s, alpha.t), *[(s, t) for _, s, t in rows]]
+    return CFExpansion(rows, states.index(states[-1]))
 
 
 def convergents(quotients: Iterable[int]) -> Iterator[tuple[int, int]]:

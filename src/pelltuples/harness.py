@@ -439,24 +439,16 @@ def claim_tmii2() -> ClaimReport:
     evidence = []
     targets = [(5, 1, 3, 1), (41, 1, 3, 2)]
     for p, k, q, l_exp in targets:
-        top = 2**l_exp
-        for e in range(top + 1):
-            t = q**e
+        # theorem3_classify raises unless an EXISTS_INFINITE witness verifies
+        # and a NONE at odd e is certified UNSOLVABLE, so the status says it all
+        wanted = [(q**e, NONE if e % 2 else EXISTS_INFINITE) for e in range(2**l_exp + 1)]
+        for t, want in [*wanted, (2, NONE)]:
             res = theorem3_classify(p, k, q, l_exp, t)
-            if e % 2 == 0:
-                good = res.status == EXISTS_INFINITE and res.witness is not None \
-                    and res.witness.verified
-                wit = [el.re for el in res.witness.elements] if res.witness else None
-                evidence.append({"p": p, "k": k, "t": t, "status": res.status,
-                                 "witness": wit, "ok": good})
-            else:
-                good = res.status == NONE and res.certificate is not None \
-                    and res.certificate.verdict == UNSOLVABLE
-                evidence.append({"p": p, "k": k, "t": t, "status": res.status,
-                                 "ok": good})
-        res = theorem3_classify(p, k, q, l_exp, 2)
-        evidence.append({"p": p, "k": k, "t": 2, "status": res.status,
-                         "ok": res.status == NONE})
+            rec = {"p": p, "k": k, "t": t, "status": res.status}
+            if res.witness is not None:
+                rec["witness"] = [el.re for el in res.witness.elements]
+            rec["ok"] = res.status == want
+            evidence.append(rec)
     return _checked("tm-ii-2", {"pairs": targets}, evidence)
 
 

@@ -10,6 +10,7 @@ plain tuple.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import lru_cache
 from itertools import combinations, takewhile
 from operator import index
 
@@ -122,20 +123,11 @@ elements, and witnesses, the root of each square pair keyed by its (i, j);
 failing_pair is the first (i, j) that is not a square, or None."""
 
 
-#: the pairs (i, j), i < j, in check order, of each tuple length checked so
-#: far: every report of one length keys its witnesses by the same tuples.
-#: Tuples longer than _PAIR_KEYS_MAX_LEN get their own, so the table stays small.
-_PAIR_KEYS: dict[int, tuple[tuple[int, int], ...]] = {}
-_PAIR_KEYS_MAX_LEN = 16
-
-
+@lru_cache(maxsize=16)
 def _pair_keys(k: int) -> tuple[tuple[int, int], ...]:
-    keys = _PAIR_KEYS.get(k)
-    if keys is None:
-        keys = tuple(combinations(range(k), 2))
-        if k <= _PAIR_KEYS_MAX_LEN:
-            _PAIR_KEYS[k] = keys
-    return keys
+    """The pairs (i, j), i < j, in check order, of a tuple of length k: every
+    report of one recent length keys its witnesses by the same tuples."""
+    return tuple(combinations(range(k), 2))
 
 
 def check_tuple(elements, n: int, t: int = 0) -> TupleReport:
@@ -147,8 +139,8 @@ def check_tuple(elements, n: int, t: int = 0) -> TupleReport:
     parts and its root, the pair's witness, taken by _root: a pair of
     rational integers a, c goes straight to _root's im = 0 rule on a*c + n.
     A check allocates only what its report keeps: the elements, one RingElem
-    witness per square pair, and the (i, j) keys, which every tuple of one
-    length shares.
+    witness per square pair, and the (i, j) keys, which the tuples of one
+    recent length share (_pair_keys).
     """
     elems = tuple([as_elem(e, t) for e in elements])
     parts = [(e.re, e.im) for e in elems]

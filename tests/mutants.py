@@ -120,6 +120,21 @@ MUTANTS = (
            "(abs(w2), 0), (0, abs(w3)))",
            "(abs(w2), 0), (0, w3))",
            (_ZRING + "test_prop_family_reports_equal_check_tuple_on_the_ring_tuples_grid",)),
+    # the memos: keys shared across reports, a parser built once, and the
+    # period found by expand
+    Mutant("pair-keys-unshared", "zring.py",
+           "@lru_cache(maxsize=16)\n",
+           "@lru_cache(maxsize=0)\n",
+           (_ZRING + "test_reports_of_one_length_share_their_pair_keys",
+            _ZRING + "test_pair_keys_hold_one_entry_per_tuple_length")),
+    Mutant("parser-built-per-call", "cli.py",
+           "@lru_cache(maxsize=1)\n",
+           "",
+           ("tests/test_cli.py::test_parser_is_built_once",)),
+    Mutant("expand-period-start-late", "contfrac.py",
+           "states.index(states[-1])",
+           "len(states) - 1",
+           ("tests/test_contfrac.py::test_period_start_matches_seen_dict_oracle",)),
     # the records
     Mutant("ring-elem-equals-tuple", "zring.py",
            "        if other.__class__ is not self.__class__:\n",

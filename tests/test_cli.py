@@ -688,19 +688,12 @@ def test_cli_runs_no_signature_reflection():
             assert getattr(value, "__module__", None) != "inspect", (mod.__name__, name)
 
 
-def test_parser_is_built_once(capsys, monkeypatch):
-    built = []
-    build = cli.build_parser
-
-    def counting_build():
-        built.append(1)
-        return build()
-
-    monkeypatch.setattr(cli, "_parser", None)
-    monkeypatch.setattr(cli, "build_parser", counting_build)
+def test_parser_is_built_once(capsys):
+    cli.build_parser.cache_clear()
     for argv in (("pell", "10", "--", "-3"), ("cf", "10", "0", "1"), ("verify", "pairs")):
         assert run(capsys, *argv)[0] == 0
-    assert len(built) == 1
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 def test_parser_reuse_carries_no_state(capsys):

@@ -18,7 +18,6 @@ from pelltuples.contfrac import (
     convergents,
     expand,
     lemma_db_check,
-    period_start,
     walk,
     worley_candidates,
 )
@@ -242,7 +241,7 @@ def _walk_seen_dict(d, s, t, periods):
     """The rows of the walk of (s + sqrt(d))/t through the preperiod and
     `periods` periods, with the period found as the first repeated
     (s_n, t_n) pair of a dict of every state seen: an oracle for walk, which
-    remembers only its first reduced state, and for period_start."""
+    remembers only its first reduced state, and for expand's preperiod_len."""
     f = math.isqrt(d)
     seen = {}
     rows = []
@@ -303,12 +302,11 @@ def test_walk_matches_seen_dict_oracle():
 def test_period_start_matches_seen_dict_oracle():
     kinds = {"t < 0": 0, "j = 0": 0, "j > 0": 0}
     for d, s, t in _walk_starts(random.Random(14), 1000):
-        rows = list(walk(d, s, t))
         # the oracle's first repeated state is the state at index j of the
         # walk, and its preperiod is j rows long
         one, two = _walk_seen_dict(d, s, t, 1), _walk_seen_dict(d, s, t, 2)
         ell = len(two) - len(one)
-        j = period_start(s, t, rows)
+        j = expand(QuadIrr(d, s, t)).preperiod_len
         assert j == len(one) - ell, (d, s, t)
         kinds["t < 0"] += t < 0
         kinds["j = 0" if j == 0 else "j > 0"] += 1

@@ -1,10 +1,11 @@
 """Generalized Pell solver, class reduction, and the paper's equation decider."""
 
 import hashlib
-import inspect
+import importlib
 import itertools
 import math
 import os
+import pkgutil
 import random
 import subprocess
 import sys
@@ -315,9 +316,9 @@ def _class_search_reps(d, n):
 
 
 def test_class_search_matches_solve_complete():
-    # solve_complete enumerates y up to the class bound on all of these, so the
-    # class search is checked against an independent route; the prime powers
-    # that share primes with D take the lifting path for p = 2 and for p | D.
+    # the oracle scans y up to the class bound, whatever route solve_complete
+    # takes, and adds (sqrt(n), 0) when n is a square; the prime powers that
+    # share primes with D take the lifting path for p = 2 and for p | D.
     for d in range(2, 61):
         if is_perfect_square(d) is not None:
             continue
@@ -326,7 +327,11 @@ def test_class_search_matches_solve_complete():
                for n in [2**a for a in range(6, 11)] + [3**a * d for a in range(1, 5)]
                + [p**a for p in factorize(d) for a in range(2, 5)]]
         for n in ns:
-            assert _class_search_reps(d, n) == solve_complete(PellianProblem(d, n)).witnesses, (d, n)
+            sols = solve_brute(PellianProblem(d, n), class_bound(d, n))
+            rt = is_perfect_square(n)
+            if rt is not None:
+                sols.append((rt, 0))
+            assert _class_search_reps(d, n) == tuple(sorted(_reps(d, sols))), (d, n)
 
 
 def _three_pass_root_hits(d, z, m):
@@ -1147,14 +1152,21 @@ def test_paper_check_hit_is_fatal(monkeypatch):
 
 
 def test_caches_bounded_and_solve_complete_uncached():
-    # every lru_cache of the package is bounded; the only repeated queries
-    # are Pell units, the Case 2 residue check of each (p, k) and the walks of
-    # the class searches of +-p^j
-    cached = {name for mod in vars(pelltuples).values() if inspect.ismodule(mod)
-              for name, fn in vars(mod).items() if hasattr(fn, "cache_info")}
-    assert cached == {"pell_fundamental", "case2_residue_search", "_pqa_first_hit"}
-    for name in cached:
-        assert getattr(pellian, name).cache_parameters()["maxsize"] == pellian.CACHE_SIZE
+    # every memo of the package is a bounded lru_cache; the only repeated
+    # queries are Pell units, the Case 2 residue check of each (p, k), the
+    # walks of the class searches of +-p^j, the pair keys of each tuple length
+    # and the CLI's parser.  Every module is imported, so none is missed.
+    mods = [importlib.import_module(f"pelltuples.{info.name}")
+            for info in pkgutil.iter_modules(pelltuples.__path__)]
+    cached = {(mod.__name__, name): fn.cache_parameters()["maxsize"]
+              for mod in mods for name, fn in vars(mod).items()
+              if hasattr(fn, "cache_info") and fn.__module__ == mod.__name__}
+    size = pellian.CACHE_SIZE
+    assert cached == {("pelltuples.pellian", "pell_fundamental"): size,
+                      ("pelltuples.pellian", "case2_residue_search"): size,
+                      ("pelltuples.pellian", "_pqa_first_hit"): size,
+                      ("pelltuples.zring", "_pair_keys"): 16,
+                      ("pelltuples.cli", "build_parser"): 1}
     assert not hasattr(solve_complete, "cache_info")
 
 

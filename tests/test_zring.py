@@ -459,8 +459,8 @@ def test_tuple_report_is_a_slotted_value():
         assert r._replace(note="other") != r
 
 
-def test_reports_of_one_length_share_their_pair_keys(monkeypatch):
-    monkeypatch.setattr(zring, "_PAIR_KEYS", {})
+def test_reports_of_one_length_share_their_pair_keys():
+    zring._pair_keys.cache_clear()
     a = check_tuple((1, 3, 8, 120), 1)
     b = check_tuple((1, 5, -3, 65), -1, t=4)
     assert list(a.witnesses) == list(combinations(range(4), 2)) == list(b.witnesses)
@@ -468,13 +468,15 @@ def test_reports_of_one_length_share_their_pair_keys(monkeypatch):
     failed = check_tuple((1, 3, 8, 121), 1)  # 1*121 + 1 = 122
     assert failed.failing_pair == (0, 3) and failed.failing_pair is list(a.witnesses)[2]
     assert all(ka is kf for ka, kf in zip(a.witnesses, failed.witnesses))
+    assert zring._pair_keys.cache_info().misses == 1
 
 
-def test_pair_keys_hold_one_entry_per_tuple_length(monkeypatch):
-    monkeypatch.setattr(zring, "_PAIR_KEYS", {})
+def test_pair_keys_hold_one_entry_per_tuple_length():
+    keys = zring._pair_keys
+    keys.cache_clear()
     for k in range(2, 6):
         check_tuple(range(1, k + 1), -1, 1)
-    assert sorted(zring._PAIR_KEYS) == [2, 3, 4, 5]
+    assert keys.cache_info().currsize == 4
     rng = random.Random(31)
     for _ in range(1000):
         t = rng.choice(_RING_TS)
@@ -483,15 +485,19 @@ def test_pair_keys_hold_one_entry_per_tuple_length(monkeypatch):
             check_tuple(elements, n, t)
         except ValueError:
             pass
-    assert sorted(zring._PAIR_KEYS) == [2, 3, 4, 5]
-    for k, keys in zring._PAIR_KEYS.items():
-        assert keys == tuple(combinations(range(k), 2))
-    # a tuple longer than the table's bound gets keys of its own; squares
-    # form a D(0)-tuple, so every pair is walked
-    longest = zring._PAIR_KEYS_MAX_LEN
-    for k in (longest, longest + 1):
+    info = keys.cache_info()
+    assert (info.misses, info.currsize) == (4, 4) and info.hits > 0
+    for k in range(2, 6):
+        assert keys(k) == tuple(combinations(range(k), 2))
+    assert keys.cache_info().misses == 4
+    # once more lengths are checked than the memo's bound, it keeps the most
+    # recent ones; squares form a D(0)-tuple, so every pair is walked
+    maxsize = keys.cache_parameters()["maxsize"]
+    for k in range(2, maxsize + 4):
         assert check_tuple([i * i for i in range(1, k + 1)], 0, 1).verified
-        assert (k in zring._PAIR_KEYS) == (k == longest)
+    assert keys.cache_info().currsize == maxsize
+    longest = [check_tuple([i * i for i in range(1, maxsize + 4)], 0, 1) for _ in range(2)]
+    assert all(ka is kb for ka, kb in zip(*(r.witnesses for r in longest)))
 
 
 def test_lemma3_extension_examples():
