@@ -4,8 +4,9 @@ Entry points: `run_claim(claim_id, SweepConfig(...))`, and `dump_json` and
 `write_json`, the one writer of every report and CLI document.  Each
 `claim_*` function's docstring says what it checks and how far.  A claim's
 options are its keyword-only parameters, declared nowhere else:
-`CLAIM_OPTIONS` and `SweepConfig` are read off them.  A sweep that would
-check nothing raises ValueError.  The contract of a report is
+`CLAIM_OPTIONS` and `SweepConfig` are read off them.  `run_claim` raises
+ValueError on a set option that the claim does not read, and a sweep that
+would check nothing raises it too.  The contract of a report is
 `ClaimReport.body()`, byte-deterministic for a fixed config.
 """
 from __future__ import annotations
@@ -497,11 +498,14 @@ SweepConfig.__doc__ = "Sweep options; an unset (None) one takes the claim's own 
 
 
 def run_claim(claim_id: str, cfg: SweepConfig) -> ClaimReport:
-    """The report of claim_id, given the options of cfg that are set and that
-    the claim reads, with the sweep's elapsed seconds."""
+    """The report of claim_id, given the options of cfg that are set, with the
+    sweep's elapsed seconds.  A set option the claim does not read raises
+    ValueError naming it, before the sweep starts."""
     fn = CLAIMS[claim_id]
-    given = {name: getattr(cfg, name) for name in CLAIM_OPTIONS[claim_id]
-             if getattr(cfg, name) is not None}
+    given = {name: value for name, value in cfg._asdict().items() if value is not None}
+    unread = [name for name in given if name not in CLAIM_OPTIONS[claim_id]]
+    if unread:
+        raise ValueError(f"{claim_id} does not read {', '.join(unread)}")
     start = time.monotonic()
     report = fn(**given)
     return report._replace(elapsed=time.monotonic() - start)

@@ -117,10 +117,11 @@ def sqrt_in_ring(z: RingElem) -> list[RingElem]:
 
 
 TupleReport = namedtuple("TupleReport", "elements n t verified witnesses failing_pair "
-                         "degenerate note", defaults=(None, False, ""))
+                         "degenerate", defaults=(None, False))
 TupleReport.__doc__ = """Verification record for a D(n)-tuple candidate: a tuple of RingElem
 elements, and witnesses, the root of each square pair keyed by its (i, j);
-failing_pair is the first (i, j) that is not a square, or None."""
+failing_pair is the first (i, j) that is not a square, or None, and
+degenerate flags a prop_family branch whose elements collide or vanish."""
 
 
 @lru_cache(maxsize=16)
@@ -220,8 +221,7 @@ def prop_family(n: int, j: int, m: int) -> tuple[TupleReport, TupleReport]:
         elems = (1, b, -c, d)
         ring_elems = tuple([RingElem(e, 0, t) for e in elems])
         if 0 in elems or len({*elems}) != 4:
-            reports.append(TupleReport(ring_elems, -1, t, False, {}, degenerate=True,
-                                       note=f"d{'+' if sg > 0 else '-'}={d} degenerate"))
+            reports.append(TupleReport(ring_elems, -1, t, False, {}, degenerate=True))
             continue
         # the canonical roots of the six pair values, in check_tuple's pair
         # order, each checked by substitution: x^2 - t*y^2 = v
@@ -270,10 +270,10 @@ def remark2_reduction(b: int, t: int) -> PellianProblem:
     return PellianProblem(b, (1 - b) // t)
 
 
-ClassifyResult = namedtuple("ClassifyResult", "status witness certificate reason",
-                            defaults=(None, None, ""))
-ClassifyResult.__doc__ = """theorem3_classify's status, with its TupleReport witness, its
-PellianOutcome certificate or its reason, where it has one."""
+ClassifyResult = namedtuple("ClassifyResult", "status witness certificate",
+                            defaults=(None, None))
+ClassifyResult.__doc__ = """theorem3_classify's status, with its TupleReport witness or its
+PellianOutcome certificate, where it has one."""
 
 
 def theorem3_classify(p: int, k: int, q: int, l_exp: int, t: int) -> ClassifyResult:
@@ -296,14 +296,14 @@ def theorem3_classify(p: int, k: int, q: int, l_exp: int, t: int) -> ClassifyRes
     if _sqrt_chain(b - 1) != (q, l_exp):
         raise ValueError(f"2*{p}^{k} != {q}^(2^{l_exp}) + 1")
     if t % 2 == 0:
-        return ClassifyResult(NONE, reason="even t cannot divide b-1")
+        return ClassifyResult(NONE)
     e = 0
     v = t
     while v % q == 0:
         v //= q
         e += 1
     if v != 1:
-        return ClassifyResult(UNDECIDED_BY_PAPER, reason=f"t={t} is not a power of {q}")
+        return ClassifyResult(UNDECIDED_BY_PAPER)
     top = 2**l_exp
     if e % 2 == 0 and e <= top:
         # verified in Z[sqrt(-n^2)], a subring of Z[sqrt(-t)]; checked in the latter
@@ -311,8 +311,7 @@ def theorem3_classify(p: int, k: int, q: int, l_exp: int, t: int) -> ClassifyRes
         witness = check_tuple(plus.elements, -1, t)
         if not witness.verified:  # pragma: no cover
             raise RuntimeError("constructive witness failed verification")
-        return ClassifyResult(EXISTS_INFINITE, witness=witness,
-                              reason=f"t={q}^{e} is an even power of q")
+        return ClassifyResult(EXISTS_INFINITE, witness=witness)
     if e % 2 == 1 and e <= top - 1:
         prob = remark2_reduction(b, t)
         s = top - e
@@ -321,9 +320,8 @@ def theorem3_classify(p: int, k: int, q: int, l_exp: int, t: int) -> ClassifyRes
         cert = decide_paper_equation(q, kk, ll)
         if -(q**s) != prob.n or cert.verdict != UNSOLVABLE:  # pragma: no cover
             raise RuntimeError("reduction mismatch")
-        return ClassifyResult(NONE, certificate=cert,
-                              reason=f"t={q}^{e} odd power; reduction unsolvable")
-    return ClassifyResult(UNDECIDED_BY_PAPER, reason=f"t={t} outside the covered sets")
+        return ClassifyResult(NONE, certificate=cert)
+    return ClassifyResult(UNDECIDED_BY_PAPER)
 
 
 def _third_elements(b: int, c_max: int) -> list[int]:

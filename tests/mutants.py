@@ -194,6 +194,16 @@ MUTANTS = (
            '        if i < 10 or not rec["ok"]:\n',
            "        if i < 10:\n",
            (_HARNESS + "test_sampled_claims_keep_every_failing_record",)),
+    # run_claim's one rule for sweep options: a set option the claim does not read raises
+    Mutant("run-claim-ignores-unread-option", "harness.py",
+           "    given = {name: value for name, value in cfg._asdict().items() if value is not None}\n"
+           "    unread = [name for name in given if name not in CLAIM_OPTIONS[claim_id]]\n"
+           "    if unread:\n"
+           "        raise ValueError(f\"{claim_id} does not read {', '.join(unread)}\")\n",
+           "    given = {name: value for name, value in cfg._asdict().items()\n"
+           "             if value is not None and name in CLAIM_OPTIONS[claim_id]}\n",
+           (_HARNESS + "test_claim_reads_no_other_option",
+            "tests/test_cli.py::test_verify_rejects_unread_option")),
     Mutant("cli-keeps-int-str-limit", "cli.py",
            "        sys.set_int_max_str_digits(0)\n",
            "        pass\n",

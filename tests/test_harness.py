@@ -89,15 +89,34 @@ def test_claim_confirms_small(claim_id):
 
 
 @pytest.mark.parametrize("claim_id", sorted(CLAIMS))
-def test_claim_reads_no_other_option(claim_id):
-    # verify rejects every option outside CLAIM_OPTIONS, so none may change a
-    # body (workers never does, so it is not varied here)
-    base = SMALL[claim_id]
-    body = run_claim(claim_id, base).body()
-    for name in SweepConfig._fields:
-        if name not in CLAIM_OPTIONS[claim_id] and name != "workers":
-            varied = base._replace(**{name: 7})
-            assert run_claim(claim_id, varied).body() == body, (claim_id, name)
+def test_claim_reads_no_other_option(claim_id, monkeypatch):
+    # a set option outside CLAIM_OPTIONS raises before the sweep starts: the
+    # claim function is swapped for one that raises if called.  Each option
+    # the claim reads reaches it, alone and all together.
+    read = CLAIM_OPTIONS[claim_id]
+    unread = [name for name in SweepConfig._fields if name not in read]
+
+    def no_sweep(**given):
+        raise AssertionError(f"{claim_id} swept with {given}")
+
+    monkeypatch.setitem(CLAIMS, claim_id, no_sweep)
+    for name in unread:
+        with pytest.raises(ValueError, match=f"^{claim_id} does not read {name}$"):
+            run_claim(claim_id, SMALL[claim_id]._replace(**{name: 1}))
+    with pytest.raises(ValueError, match=f"^{claim_id} does not read {', '.join(unread)}$"):
+        run_claim(claim_id, SweepConfig(**dict.fromkeys(SweepConfig._fields, 1)))
+    swept = []
+
+    def record(**given):
+        swept.append(given)
+        return ClaimReport(claim_id, CONFIRMED, given, [])
+
+    monkeypatch.setitem(CLAIMS, claim_id, record)
+    for name in read:
+        run_claim(claim_id, SweepConfig(**{name: 1}))
+    run_claim(claim_id, SweepConfig(**dict.fromkeys(read, 2)))
+    run_claim(claim_id, SweepConfig())
+    assert swept == [*({name: 1} for name in read), dict.fromkeys(read, 2), {}]
 
 
 def test_report_json_shape():

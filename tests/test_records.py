@@ -153,7 +153,6 @@ class _MutableClassifyResult:
     status: str
     witness: TupleReport | None = None
     certificate: PellianOutcome | None = None
-    reason: str = ""
 
 
 @dataclass
@@ -329,7 +328,7 @@ def test_records_are_tuples():
     assert (d, n) == (10, -3)
     # the records that were mutable dataclasses are now hashable when every
     # field is; one with a list or dict field is not
-    assert hash(ClassifyResult("NONE")) == hash(("NONE", None, None, ""))
+    assert hash(ClassifyResult("NONE")) == hash(("NONE", None, None))
     with pytest.raises(TypeError):
         hash(ClaimReport("pairs", "CONFIRMED", {}, []))
 
@@ -406,7 +405,7 @@ def test_classify_result_matches_mutable_class():
     assert any(g[1] is not None for g in grid) and any(g[2] is not None for g in grid)
     pairs = _check_same_values(ClassifyResult, _MutableClassifyResult, grid)
     assert len(pairs) == len(grid)
-    assert ClassifyResult("NONE") == ("NONE", None, None, "")
+    assert ClassifyResult("NONE") == ("NONE", None, None)
 
 
 def test_claim_report_matches_mutable_class():

@@ -315,7 +315,7 @@ def _outcome(check, elements, n, t):
     except ValueError as exc:
         return ("ValueError", str(exc))
     return (r.elements, r.n, r.t, r.verified, list(r.witnesses.items()), r.failing_pair,
-            r.degenerate, r.note)
+            r.degenerate)
 
 
 def _random_tuple(rng, t):
@@ -456,7 +456,7 @@ def test_tuple_report_is_a_slotted_value():
         for twin in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r)),
                      r._replace()):
             assert type(twin) is TupleReport and twin == r
-        assert r._replace(note="other") != r
+        assert r._replace(degenerate=not r.degenerate) != r
 
 
 def test_reports_of_one_length_share_their_pair_keys():
@@ -590,8 +590,7 @@ def test_prop_family_reports_equal_check_tuple_on_the_ring_tuples_grid():
                 if rep.degenerate:
                     with pytest.raises(ValueError, match="|".join(_REJECTIONS)):
                         check_tuple(ints, -1, n * n)
-                    assert rep == TupleReport(rep.elements, -1, n * n, False, {}, degenerate=True,
-                                              note=f"d{sign}={ints[3]} degenerate")
+                    assert rep == TupleReport(rep.elements, -1, n * n, False, {}, degenerate=True)
                     counts["degenerate"] += 1
                     continue
                 want = check_tuple(ints, -1, n * n)
